@@ -10,8 +10,9 @@ from .bounds import (CostCapacityBound, CostModel, GenieBoundConfig, c1_limit,
                      ppm_burst_length, z_pmf, z_quantile)
 from .errors import ConvergenceError, SizeGuardError
 from .insertion import (InsertionCapacity, RunProfile, insertion_capacity,
-                        insertion_capacity_upper, insertion_loss,
-                        position_entropy, position_entropy_terms, run_profile,
+                        insertion_capacity_upper, insertion_counts,
+                        insertion_loss, position_entropy,
+                        position_entropy_terms, run_profile,
                         uniform_insertion_channel, weight_class_channel)
 from .partialdiv import (PartialDivergence, convexity_lower_bound,
                          mismatch_exponent, partial_divergence,

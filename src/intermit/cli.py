@@ -28,8 +28,8 @@ from .blahut import blahut_capacity
 from .bounds import (CostModel, GenieBoundConfig, c1_limit, c1_upper, c2_upper,
                      cpuc_lower, cpuc_upper)
 from .errors import SizeGuardError
-from .insertion import (B_DESK, _insertion_counts, insertion_capacity,
-                        insertion_capacity_upper)
+from .insertion import (B_DESK, insertion_capacity, insertion_capacity_upper,
+                        insertion_counts)
 from .partialdiv import partial_divergence, partial_divergence_deriv
 from .prob import Dmc
 from .rates import (exhaustive_decoding_rate, intermittency_overhead,
@@ -211,20 +211,20 @@ def _cmd_aux_g(args) -> int:
         ub = insertion_capacity_upper(a, b, allow_large=args.allow_large)
         rows.append((a, b, cap.capacity, ub, cap.loss))
     if args.dump_channel is not None:
-        _dump_channel_counts(pairs[-1], args.dump_channel, sweep)
+        _dump_channel_counts(pairs[-1], args.dump_channel, sweep, args.allow_large)
     _emit(BoundReport(("a", "b", "g_exact", "g_upper_bound", "phi"), rows, sweep), args.out)
     return 0
 
 
-def _dump_channel_counts(pair, out, sweep) -> None:
+def _dump_channel_counts(pair, out, sweep, allow_large: bool) -> None:
     a, b = pair
-    inputs = [tuple((i >> (a - 1 - k)) & 1 for k in range(a)) for i in range(1 << a)]
-    table = _insertion_counts(inputs, a, b)
-    denom = math.comb(b, b - a)
+    counts = insertion_counts(a, b, allow_large=allow_large)
+    denom = math.comb(b, a)
     rows = []
-    for x in inputs:
-        for y, c in sorted(table[x].items()):
-            rows.append(("".join(map(str, x)), "".join(map(str, y)), c, denom))
+    for i in range(1 << a):
+        lo, hi = counts.indptr[i], counts.indptr[i + 1]
+        for j, c in zip(counts.indices[lo:hi], counts.data[lo:hi]):
+            rows.append((format(i, f"0{a}b"), format(j, f"0{b}b"), c, denom))
     report = BoundReport(("input", "output", "count", "denominator"), rows, sweep)
     with open(out, "w", newline="") as fh:
         report.write_csv(fh)

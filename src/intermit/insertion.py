@@ -12,7 +12,6 @@ class capacities.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .blahut import blahut_capacity, union_capacity
-from .errors import SizeGuardError
+from .errors import ConvergenceError, SizeGuardError
 from .prob import Dmc
 
 # Desk-scale guard on the output block length; larger b (up to B_HARD) is an
@@ -31,6 +30,9 @@ B_HARD = 17
 # The combinatorial upper bound enumerates all 2^a inputs.
 UPPER_A_MAX = 20
 _DENSE_LIMIT = 1 << 22  # max entries for a dense class/full matrix
+# Entries of one chunk of a count build (its output codes, and its block of
+# counts); larger chunks build faster but raise the peak memory.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
@@ -160,46 +162,53 @@ def _class_inputs(a: int, weight: int):
     return out
 
 
-def _insertion_counts(inputs, a: int, b: int):
-    """Map each input block to a Counter of output blocks over all C(b, b-a)
-    insertion position sets (integer counts, exact)."""
-    keeps = [
-        tuple(pos for pos in range(b) if pos not in set(s))
-        for s in combinations(range(b), b - a)
-    ]
-    table = {}
-    for x in inputs:
-        ctr = Counter()
-        for keep in keeps:
-            out = [0] * b
-            for pos, bit in zip(keep, x):
-                out[pos] = bit
-            ctr[tuple(out)] += 1
-        table[x] = ctr
-    return table
+def _count_matrix(in_bits, out_codes, b: int, as_sparse: bool):
+    """Integer insertion counts from the input blocks `in_bits` (one row of
+    `a` big-endian bits per input) to the outputs with big-endian codes
+    `out_codes`, over all C(b, a) kept-position sets.
+
+    Every output an input reaches must be listed in `out_codes`.  Rows are
+    built in chunks of at most _CHUNK_ENTRIES output codes and counts, so
+    the memory beyond the result stays bounded; the result is a dense int64
+    array, or scipy CSR with sorted indices when `as_sparse`.
+    """
+    nin, a = in_bits.shape
+    nout = out_codes.size
+    keep = np.array(list(combinations(range(b), a)), dtype=np.int64).reshape(math.comb(b, a), a)
+    place = (1 << (b - 1 - keep)).T  # code weight of each input bit, per keep set
+    order = np.argsort(out_codes)
+    sorted_codes = out_codes[order]
+    step = max(1, _CHUNK_ENTRIES // max(place.shape[1], nout))
+    dense = None if as_sparse else np.empty((nin, nout), dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for r0 in range(0, nin, step):
+        codes = in_bits[r0:r0 + step] @ place
+        n = codes.shape[0]
+        flat = order[np.searchsorted(sorted_codes, codes)] + nout * np.arange(n)[:, None]
+        block = np.bincount(flat.ravel(), minlength=n * nout).reshape(n, nout)
+        if as_sparse:
+            r, c = np.nonzero(block)
+            rows.append(r + r0)
+            cols.append(c)
+            vals.append(block[r, c])
+        else:
+            dense[r0:r0 + n] = block
+    if not as_sparse:
+        return dense
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nin, nout),
+    )
 
 
-def _count_matrix(inputs, outputs, a: int, b: int, as_sparse: bool):
-    """Row-stochastic matrix of the insertion channel restricted to the given
-    input/output lists."""
-    denom = math.comb(b, b - a)
-    col = {y: j for j, y in enumerate(outputs)}
-    table = _insertion_counts(inputs, a, b)
-    if as_sparse:
-        rows, cols, vals = [], [], []
-        for i, x in enumerate(inputs):
-            for y, c in table[x].items():
-                rows.append(i)
-                cols.append(col[y])
-                vals.append(c / denom)
-        return sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(len(inputs), len(outputs))
-        ).tocsr()
-    mat = np.zeros((len(inputs), len(outputs)))
-    for i, x in enumerate(inputs):
-        for y, c in table[x].items():
-            mat[i, col[y]] = c / denom
-    return mat
+def insertion_counts(a: int, b: int, *, allow_large: bool = False):
+    """Integer counts of the full 2^a x 2^b insertion channel as scipy CSR.
+
+    Row/column indices read the blocks as big-endian binary integers; each
+    row sums to C(b, a) and lists its outputs in increasing order."""
+    _check_block_sizes(a, b, allow_large)
+    in_bits = (np.arange(1 << a)[:, None] >> np.arange(a - 1, -1, -1)) & 1
+    return _count_matrix(in_bits, np.arange(1 << b), b, as_sparse=True)
 
 
 def uniform_insertion_channel(a: int, b: int, *, allow_large: bool = False) -> Dmc:
@@ -216,10 +225,8 @@ def uniform_insertion_channel(a: int, b: int, *, allow_large: bool = False) -> D
             f"dense 2^{a} x 2^{b} channel matrix exceeds the size guard; "
             "use the per-weight-class decomposition instead"
         )
-    inputs = [tuple((i >> (a - 1 - k)) & 1 for k in range(a)) for i in range(1 << a)]
-    outputs = [tuple((i >> (b - 1 - k)) & 1 for k in range(b)) for i in range(1 << b)]
-    mat = _count_matrix(inputs, outputs, a, b, as_sparse=False)
-    return Dmc(mat)
+    counts = insertion_counts(a, b, allow_large=allow_large).toarray()
+    return Dmc(counts / math.comb(b, a))
 
 
 def weight_class_channel(a: int, b: int, weight: int, *, allow_large: bool = False):
@@ -234,7 +241,16 @@ def weight_class_channel(a: int, b: int, weight: int, *, allow_large: bool = Fal
     inputs = _class_inputs(a, weight)
     outputs = _class_inputs(b, weight)
     as_sparse = len(inputs) * len(outputs) > _DENSE_LIMIT
-    mat = _count_matrix(inputs, outputs, a, b, as_sparse=as_sparse)
+    in_bits = np.array(inputs, dtype=np.int64).reshape(len(inputs), a)
+    out_bits = np.array(outputs, dtype=np.int64).reshape(len(outputs), b)
+    counts = _count_matrix(in_bits, out_bits @ (1 << np.arange(b - 1, -1, -1)), b,
+                           as_sparse=as_sparse)
+    denom = math.comb(b, a)
+    if as_sparse:
+        mat = counts.astype(np.float64)
+        mat.data /= denom  # scipy's `/` multiplies by 1/denom, which rounds differently
+    else:
+        mat = counts / denom
     return mat, inputs, outputs
 
 
@@ -288,10 +304,18 @@ _loss_cache: dict = {}
 
 def insertion_loss(a: int, b: int, *, allow_large: bool = False) -> float:
     """a minus the insertion-channel capacity (bits); cached since the genie
-    bounds reevaluate the same (a, b) pairs across their sums."""
+    bounds reevaluate the same (a, b) pairs across their sums.
+
+    Raises ConvergenceError, and caches nothing, when a weight class's
+    Blahut-Arimoto run stops short of its tolerance."""
     key = (a, b)
     if key not in _loss_cache:
-        _loss_cache[key] = insertion_capacity(a, b, allow_large=allow_large).loss
+        res = insertion_capacity(a, b, allow_large=allow_large)
+        if not res.converged:
+            raise ConvergenceError(
+                f"Blahut-Arimoto did not converge on the ({a}, {b}) insertion channel"
+            )
+        _loss_cache[key] = res.loss
     return _loss_cache[key]
 
 

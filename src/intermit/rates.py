@@ -155,7 +155,8 @@ def pattern_decoding_rate(w: Dmc, alpha: float, *, starts: int = 20, seed: int =
 
     Binary-input channels use a 1-D bracketed golden-section search over the
     non-noise symbol mass; larger alphabets run pairwise-transfer ascent from
-    `starts` random starts plus the uniform and unconstrained-capacity inputs.
+    `starts` random starts plus the uniform and unconstrained-capacity inputs,
+    once per distinct start.
     The capacity-achieving input is always evaluated, so the result never
     falls below C_W minus the overhead at that input.
     """
@@ -193,7 +194,9 @@ def pattern_decoding_rate(w: Dmc, alpha: float, *, starts: int = 20, seed: int =
     start_points = [np.full(n, 1.0 / n), ba.input_dist.probs.copy()]
     start_points += [rng.dirichlet(np.ones(n)) for _ in range(starts)]
     results = []
-    for p0 in start_points:
+    for i, p0 in enumerate(start_points):
+        if any(np.array_equal(p0, q) for q in start_points[:i]):
+            continue  # the same start descends to the same point
         x, neg = pairwise_descent(lambda v: -objective(v), p0, 0.25, tol=1e-6)
         results.append((-neg, x))
     vals = [v for v, _ in results]

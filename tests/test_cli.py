@@ -1,11 +1,14 @@
 """Command-line interface: CSV shape, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import intermit.insertion as insertion_mod
+from insertion_oracle import all_blocks, insertion_table
 from intermit import blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel, Dmc
 from intermit.cli import main
 
@@ -117,6 +120,37 @@ def test_aux_g_dump_channel_exact(capsys, tmp_path):
         ("11", "110", 1),
     ]
     assert all(int(r[3]) == 3 for r in rows)
+
+
+def test_aux_g_dump_channel_matches_oracle(capsys, tmp_path):
+    dump = tmp_path / "counts.csv"
+    code, _, _ = run_cli(
+        capsys, ["aux-g", "--a", "3", "--b", "5", "--dump-channel", str(dump)]
+    )
+    assert code == 0
+    _, rows = parse_csv(dump.read_text())
+    inputs = all_blocks(3)
+    table = insertion_table(inputs, 3, 5)
+    expect = [
+        ["".join(map(str, x)), "".join(map(str, y)), str(c), "10"]
+        for x in inputs
+        for y, c in sorted(table[x].items())
+    ]
+    assert rows == expect
+
+
+def test_upper_bound_refuses_unconverged_loss(capsys, monkeypatch):
+    real = insertion_mod.blahut_capacity
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(insertion_mod, "blahut_capacity", unconverged)
+    monkeypatch.setattr(insertion_mod, "_loss_cache", {})
+    code, out, err = run_cli(capsys, ["upper-bound", "c1", "--s", "2", "--bmax", "3", "--limit"])
+    assert code == 1
+    assert out == ""
+    assert "ConvergenceError" in err
 
 
 def test_upper_bound_c1_limit(capsys):

@@ -1,15 +1,25 @@
 """Zero-insertion channels: exact counts, capacities, run-structure bound."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+import intermit.insertion as insertion_mod
+from insertion_oracle import all_blocks, count_matrix
 from intermit import (
+    ConvergenceError,
+    Dmc,
     SizeGuardError,
     blahut_capacity,
     insertion_capacity,
     insertion_capacity_upper,
+    insertion_counts,
     insertion_loss,
     position_entropy,
     position_entropy_terms,
@@ -41,6 +51,70 @@ def test_weight_class_split_of_full_channel():
     assert outputs == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     dense = np.asarray(m.todense()) if hasattr(m, "todense") else np.asarray(m)
     assert np.array_equal(dense * 3, np.array([[2, 1, 0], [0, 1, 2]]))
+
+
+# chunk budgets from one row per chunk up to the module's own
+CHUNKS = st.sampled_from([1, 7, 300, insertion_mod._CHUNK_ENTRIES])
+
+
+@st.composite
+def class_sizes(draw):
+    b = draw(st.integers(0, 10))
+    a = draw(st.integers(0, b))
+    return a, b, draw(st.integers(0, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_sizes(), CHUNKS)
+def test_class_counts_match_oracle(sizes, chunk):
+    a, b, w = sizes
+    with mock.patch.object(insertion_mod, "_CHUNK_ENTRIES", chunk):
+        mat, inputs, outputs = weight_class_channel(a, b, w)
+    expect = count_matrix(inputs, outputs, a, b)
+    denom = math.comb(b, a)
+    assert np.array_equal(expect.sum(axis=1), np.full(len(inputs), denom))
+    assert np.array_equal(np.rint(mat * denom).astype(np.int64), expect)
+    assert np.array_equal(mat, expect / denom)  # bit for bit
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))), CHUNKS)
+def test_full_channel_counts_match_oracle(sizes, chunk):
+    a, b = sizes
+    with mock.patch.object(insertion_mod, "_CHUNK_ENTRIES", chunk):
+        counts = insertion_counts(a, b)
+        ch = uniform_insertion_channel(a, b)
+    expect = count_matrix(all_blocks(a), all_blocks(b), a, b)
+    assert counts.has_sorted_indices
+    assert np.array_equal(counts.toarray(), expect)
+    assert np.array_equal(ch.rows, Dmc(expect / math.comb(b, a)).rows)
+
+
+def test_sparse_class_matches_dense(monkeypatch):
+    a, b, tol = 5, 9, 1e-9
+    dense = [weight_class_channel(a, b, w)[0] for w in range(a + 1)]
+    dense_caps = insertion_capacity(a, b, tol=tol).class_capacities
+    monkeypatch.setattr(insertion_mod, "_DENSE_LIMIT", 4)
+    monkeypatch.setattr(insertion_mod, "_CHUNK_ENTRIES", 200)  # several chunks per class
+    for w in range(1, a):
+        m, _, _ = weight_class_channel(a, b, w)
+        assert sparse.issparse(m)
+        assert np.array_equal(m.toarray(), dense[w])
+    sparse_caps = insertion_capacity(a, b, tol=tol).class_capacities
+    assert np.allclose(sparse_caps, dense_caps, rtol=0.0, atol=tol)
+
+
+def test_unconverged_loss_raises_and_caches_nothing(monkeypatch):
+    real = insertion_mod.blahut_capacity
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(insertion_mod, "blahut_capacity", unconverged)
+    monkeypatch.setattr(insertion_mod, "_loss_cache", {})
+    with pytest.raises(ConvergenceError):
+        insertion_loss(2, 3)
+    assert insertion_mod._loss_cache == {}
 
 
 def test_run_profile():

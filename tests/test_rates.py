@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import intermit.rates as rates_mod
 from intermit import (
     Dmc,
     IntermittencySpec,
@@ -98,6 +99,28 @@ class TestPatternRate:
         c = blahut_capacity(w).capacity
         assert r1 - 1e-9 <= res.rate <= c + 1e-9
         assert res.spread <= 1e-3
+
+    def test_equal_starts_descend_once(self, monkeypatch):
+        rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        w = Dmc(rows, star=0)
+        # Blahut-Arimoto's capacity-achieving input is exactly uniform here
+        assert np.array_equal(blahut_capacity(w).input_dist.probs, np.full(3, 1.0 / 3.0))
+        real = rates_mod.pairwise_descent
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rates_mod, "pairwise_descent", counted)
+        res = pattern_decoding_rate(w, 1.1, starts=0)
+        assert len(calls) == 1
+        # the values of descending from both starts
+        assert res.rate == pytest.approx(0.24589116080201212, abs=1e-12)
+        assert res.input_dist.probs == pytest.approx(
+            [0.2666676839192708, 0.36666615804036456, 0.36666615804036456], abs=1e-12
+        )
+        assert res.spread == 0.0
 
 
 class TestNoiselessBinary:
