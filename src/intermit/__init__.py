@@ -18,12 +18,13 @@ from .partialdiv import (PartialDivergence, convexity_lower_bound,
                          mismatch_exponent, partial_divergence,
                          partial_divergence_deriv, tilting_constant)
 from .prob import (Dmc, EmpiricalType, Pmf, binary_entropy, cond_divergence,
-                   empirical_type, entropy, is_cond_typical, is_typical,
-                   kl_divergence, mutual_information, output_dist)
-from .rates import (IntermittencySpec, NoiselessRateResult, OverheadResult,
-                    PatternRateResult, exhaustive_decoding_rate,
-                    intermittency_overhead, noiseless_binary_rate,
-                    overhead_stationarity, pattern_decoding_rate)
+                   cond_typical_rows, empirical_type, entropy, is_cond_typical,
+                   is_typical, kl_divergence, mutual_information, output_dist,
+                   typical_rows)
+from .rates import (NoiselessRateResult, OverheadResult, PatternRateResult,
+                    exhaustive_decoding_rate, intermittency_overhead,
+                    noiseless_binary_rate, overhead_stationarity,
+                    pattern_decoding_rate)
 from .sim import (DecodeResult, SimConfig, SimResult, TrialOutcome, apply_dmc,
                   best_distinguishing_symbol, decode_exhaustive,
                   decode_pattern, decode_zero_rate, enumerate_exact_error,

@@ -294,8 +294,16 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed, "mu": args.mu, "epsilon": args.epsilon,
         "messages": args.messages, "leading_trailing": args.leading_trailing,
     })
+    if args.scheme != "zero_rate" and args.mu < 1.0 / (2 * args.k):
+        print(f"warning: mu={args.mu:g} is below 1/(2k)={1.0 / (2 * args.k):g}; empirical "
+              "frequencies move in steps of 1/k, so mu rather than the channel may "
+              "decide the error rate", file=sys.stderr)
     result = monte_carlo_error(args.scheme, cfg, w, n_messages=args.messages,
                                leading_and_trailing=args.leading_trailing)
+    tripped = sum(o.choices_examined == 0 for o in result.outcomes)
+    if tripped:
+        print(f"warning: {tripped} of {result.trials} trials exceeded the enumeration guard "
+              "and count as errors", file=sys.stderr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [

@@ -270,45 +270,66 @@ def mutual_information(p, w) -> float:
     return total
 
 
-def is_typical(seq, p, mu: float) -> bool:
-    """Strong typicality: max_x |Phat(x) - P(x)| <= mu.
+def typical_rows(counts, p, mu: float) -> np.ndarray:
+    """Strong typicality of each row of symbol counts: max_x |Phat(x) - P(x)|
+    <= mu, where Phat is the row divided by its total.
 
-    An empty sequence is typical for every distribution (its empirical
-    constraint set is vacuous); this matters when a decoder tests an empty
-    noise segment.
+    `counts` has shape (..., |X|); the result has the leading shape.  A row
+    of total zero (an empty sequence) is typical for every distribution; this
+    matters when a decoder tests an empty noise segment.
     """
     if mu <= 0.0:
         raise ValueError("typicality slack mu must be positive")
     pv = _vec(p)
-    s = np.asarray(seq, dtype=np.int64)
-    if s.size == 0:
-        return True
-    if s.min() < 0 or s.max() >= pv.size:
-        raise ValueError("sequence contains out-of-alphabet symbols")
-    freq = np.bincount(s, minlength=pv.size) / s.size
-    return bool(np.abs(freq - pv).max() <= mu)
+    c = np.asarray(counts)
+    if c.shape[-1] != pv.size:
+        raise ValueError("counts do not match the alphabet size")
+    length = c.sum(axis=-1, keepdims=True)
+    freq = c / np.maximum(length, 1)
+    return (np.abs(freq - pv).max(axis=-1) <= mu) | (length[..., 0] == 0)
 
 
-def is_cond_typical(y, x, w, mu: float) -> bool:
-    """Conditional typicality of y given x under channel W.
+def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
+    """Conditional typicality under channel W of each block of joint counts:
+    max_{a,b} |Phat_{x,y}(a,b) - Phat_x(a) W(b|a)| <= mu, where the hatted
+    frequencies are the block divided by its total.
 
-    Checks max_{a,b} |Phat_{x,y}(a,b) - Phat_x(a) W(b|a)| <= mu, where the
-    hatted quantities are joint/marginal empirical frequencies.
+    `joint_counts` has shape (..., |X|, |Y|), indexed [x, y]; the result has
+    the leading shape.  An empty block is typical.
     """
     if mu <= 0.0:
         raise ValueError("typicality slack mu must be positive")
+    wr = w.rows if isinstance(w, Dmc) else np.asarray(w, dtype=float)
+    c = np.asarray(joint_counts)
+    if c.shape[-2:] != wr.shape:
+        raise ValueError("joint counts do not match the channel shape")
+    length = c.sum(axis=(-2, -1), keepdims=True)
+    joint = c / np.maximum(length, 1)
+    marg = joint.sum(axis=-1)
+    dev = np.abs(joint - marg[..., None] * wr).max(axis=(-2, -1))
+    return (dev <= mu) | (length[..., 0, 0] == 0)
+
+
+def is_typical(seq, p, mu: float) -> bool:
+    """Strong typicality of one sequence: `typical_rows` of its symbol
+    counts."""
+    pv = _vec(p)
+    s = np.asarray(seq, dtype=np.int64)
+    if s.size and (s.min() < 0 or s.max() >= pv.size):
+        raise ValueError("sequence contains out-of-alphabet symbols")
+    return bool(typical_rows(np.bincount(s, minlength=pv.size), pv, mu))
+
+
+def is_cond_typical(y, x, w, mu: float) -> bool:
+    """Conditional typicality of y given x under channel W:
+    `cond_typical_rows` of the joint (x, y) counts."""
     wr = w.rows if isinstance(w, Dmc) else np.asarray(w, dtype=float)
     xs = np.asarray(x, dtype=np.int64)
     ys = np.asarray(y, dtype=np.int64)
     if xs.shape != ys.shape:
         raise ValueError("x and y sequences must have equal length")
-    if xs.size == 0:
-        return True
     nin, nout = wr.shape
-    if xs.min() < 0 or xs.max() >= nin or ys.min() < 0 or ys.max() >= nout:
+    if xs.size and (xs.min() < 0 or xs.max() >= nin or ys.min() < 0 or ys.max() >= nout):
         raise ValueError("sequence contains out-of-alphabet symbols")
-    joint = np.zeros((nin, nout))
-    np.add.at(joint, (xs, ys), 1.0)
-    joint /= xs.size
-    marg = joint.sum(axis=1)
-    return bool(np.abs(joint - marg[:, None] * wr).max() <= mu)
+    joint = np.bincount((xs * nout + ys).ravel(), minlength=nin * nout).reshape(nin, nout)
+    return bool(cond_typical_rows(joint, wr, mu))

@@ -21,22 +21,6 @@ from .prob import Dmc, Pmf, _vec, binary_entropy, mutual_information, output_dis
 from .search import grid_golden_max, pairwise_descent
 
 
-@dataclass(frozen=True)
-class IntermittencySpec:
-    """Receive-to-code length ratio alpha >= 1; each codeword symbol is
-    preceded by a Geometric(1/alpha) run of noise symbols."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha >= 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-
-    @property
-    def p_t(self) -> float:
-        return 1.0 / self.alpha
-
-
 def _check_alpha(alpha: float) -> None:
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")

@@ -16,14 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import SizeGuardError
-from .prob import Dmc, is_cond_typical, is_typical, kl_divergence
+# is_cond_typical is not called here; it stays importable as
+# intermit.sim.is_cond_typical, where perfbench/layers.py wraps it.
+from .prob import (Dmc, _vec, cond_typical_rows, is_cond_typical,  # noqa: F401
+                   is_typical, kl_divergence, typical_rows)
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
+_CHUNK_ENTRIES = 1 << 18  # index entries a decoder evaluates at once
 
 
 @dataclass(frozen=True)
@@ -186,13 +190,94 @@ def decode_zero_rate(y, w: Dmc, cfg: SimConfig) -> int | None:
     return 0 if is_typical(ys, w.star_row(), cfg.mu) else 1
 
 
-def _pattern_iter(n: int, k: int):
-    count = math.comb(n, k)
+def _pattern_chunks(n: int, k: int, rows: int):
+    """The k-subsets of range(n) in lexicographic order (the order of
+    itertools.combinations), as int64 arrays of at most `rows` rows each."""
+    total = math.comb(n, k)
+    flat = chain.from_iterable(combinations(range(n), k))
+    for start in range(0, total, rows):
+        size = min(rows, total - start)
+        yield np.fromiter(flat, dtype=np.int64, count=size * k).reshape(size, k)
+
+
+def _row_counts(a: np.ndarray, size: int) -> np.ndarray:
+    """Occurrences of each value 0..size-1 in every row of a 2-D int array."""
+    flat = a + size * np.arange(a.shape[0])[:, None]
+    return np.bincount(flat.ravel(), minlength=a.shape[0] * size).reshape(-1, size)
+
+
+def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
+    """Unique-typicality decoding over every k-subset of output instants.
+
+    Scans the subsets in lexicographic order; a message is witnessed when
+    some subset's symbols are conditionally typical with its codeword, and
+    the scan stops at the second distinct witnessed message (ambiguity, an
+    error).  With `gate` = (output law, noise row), a subset reaches the
+    codeword checks only if its symbols are typical for the output law and
+    the remaining symbols for the noise row.
+
+    The subsets are evaluated in chunks of at most _CHUNK_ENTRIES index
+    entries, every test of a chunk at once; the counters are rebuilt from
+    the chunk's table, so they read as those of the one-subset-at-a-time
+    scan with its early exit.
+    """
+    ys = np.asarray(y, dtype=np.int64)
+    cb = np.asarray(codebook, dtype=np.int64)
+    nin, nout = w.rows.shape
+    if k < 1:
+        raise ValueError("codeword length k must be >= 1")
+    if cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != k:
+        raise ValueError("codebook must hold at least one codeword of length k")
+    if (ys.size and (ys.min() < 0 or ys.max() >= nout)) or (
+            cb.size and (cb.min() < 0 or cb.max() >= nin)):
+        raise ValueError("sequence contains out-of-alphabet symbols")
+    count = math.comb(ys.size, k)
     if count > ENUM_GUARD:
         raise SizeGuardError(
-            f"C({n},{k}) = {count} instant patterns exceed the enumeration guard {ENUM_GUARD}"
+            f"C({ys.size},{k}) = {count} instant patterns exceed the enumeration guard {ENUM_GUARD}"
         )
-    return combinations(range(n), k)
+    n_msg = cb.shape[0]
+    totals = np.bincount(ys, minlength=nout)
+    rows = max(1, _CHUNK_ENTRIES // (n_msg * max(k, nin * nout)))
+    examined = second = checks = 0
+    known = None  # the one message witnessed so far
+    for patterns in _pattern_chunks(ys.size, k, rows):
+        size = patterns.shape[0]
+        sub = ys[patterns]
+        if gate is None:
+            passed = np.ones(size, dtype=bool)
+        else:
+            kept = _row_counts(sub, nout)
+            passed = typical_rows(kept, gate[0], mu) & typical_rows(totals - kept, gate[1], mu)
+        pairs = (cb * nout)[None] + sub[passed][:, None]  # (subset, message, position)
+        joint = _row_counts(pairs.reshape(-1, k), nin * nout).reshape(len(pairs), n_msg, nin, nout)
+        hit = np.zeros((size, n_msg), dtype=bool)
+        hit[passed] = cond_typical_rows(joint, w, mu)
+        # first[m]: the subset at which message m is first witnessed (size
+        # if never, -1 if witnessed before this chunk)
+        first = np.where(hit.any(axis=0), hit.argmax(axis=0), size)
+        if known is not None:
+            first[known] = -1
+        order = [m for m in np.lexsort((np.arange(n_msg), first)) if first[m] < size]
+        if len(order) > 1:
+            stop, last = int(first[order[1]]), int(order[1])  # the second witness
+        else:
+            stop, last = size, -1
+        # a message is checked at every gated subset before `stop` up to and
+        # including the one that witnesses it, and at `stop` if it comes no
+        # later than the second witness
+        gated = np.cumsum(passed)
+        upto = np.minimum(first, stop - 1)
+        checks += int(np.where(upto >= 0, gated[upto], 0).sum())
+        checks += int(((np.arange(n_msg) <= last) & (first >= stop)).sum())
+        end = min(stop, size - 1)  # the last subset scanned
+        examined += end + 1
+        second += int(gated[end])
+        if stop < size:
+            return DecodeResult(None, examined, second if gate is not None else 0, checks)
+        if order:
+            known = int(order[0])
+    return DecodeResult(known, examined, second if gate is not None else 0, checks)
 
 
 def decode_exhaustive(y, k: int, codebook, w: Dmc, mu: float) -> DecodeResult:
@@ -200,24 +285,7 @@ def decode_exhaustive(y, k: int, codebook, w: Dmc, mu: float) -> DecodeResult:
     that admits a conditionally typical arrangement; ambiguity (two distinct
     messages each witnessed by some subset) or no witness at all is an error
     (message None)."""
-    ys = np.asarray(y, dtype=np.int64)
-    cb = np.asarray(codebook, dtype=np.int64)
-    examined = 0
-    checks = 0
-    witnessed: list = []
-    for pattern in _pattern_iter(ys.size, k):
-        examined += 1
-        ysub = ys[list(pattern)]
-        for m in range(cb.shape[0]):
-            if m in witnessed:
-                continue
-            checks += 1
-            if is_cond_typical(ysub, cb[m], w, mu):
-                witnessed.append(m)
-                if len(witnessed) > 1:
-                    return DecodeResult(None, examined, 0, checks)
-    message = witnessed[0] if len(witnessed) == 1 else None
-    return DecodeResult(message, examined, 0, checks)
+    return _decode(y, k, codebook, w, mu)
 
 
 def decode_pattern(y, k: int, codebook, w: Dmc, mu: float, input_dist) -> DecodeResult:
@@ -225,37 +293,7 @@ def decode_pattern(y, k: int, codebook, w: Dmc, mu: float, input_dist) -> Decode
     stage only if its subsequence is typical for the output marginal PW and
     the remaining symbols are typical for the noise output.  As with the
     exhaustive decoder, success requires a unique witnessed message."""
-    ys = np.asarray(y, dtype=np.int64)
-    cb = np.asarray(codebook, dtype=np.int64)
-    pvec = np.asarray(
-        input_dist.probs if hasattr(input_dist, "probs") else input_dist, dtype=float
-    )
-    pw = pvec @ w.rows
-    star_row = w.star_row()
-    examined = 0
-    second = 0
-    checks = 0
-    witnessed: list = []
-    mask = np.ones(ys.size, dtype=bool)
-    for pattern in _pattern_iter(ys.size, k):
-        examined += 1
-        idx = list(pattern)
-        ysub = ys[idx]
-        mask[:] = True
-        mask[idx] = False
-        if not (is_typical(ysub, pw, mu) and is_typical(ys[mask], star_row, mu)):
-            continue
-        second += 1
-        for m in range(cb.shape[0]):
-            if m in witnessed:
-                continue
-            checks += 1
-            if is_cond_typical(ysub, cb[m], w, mu):
-                witnessed.append(m)
-                if len(witnessed) > 1:
-                    return DecodeResult(None, examined, second, checks)
-    message = witnessed[0] if len(witnessed) == 1 else None
-    return DecodeResult(message, examined, second, checks)
+    return _decode(y, k, codebook, w, mu, gate=(_vec(input_dist) @ w.rows, w.star_row()))
 
 
 def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 2,
@@ -267,7 +305,10 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     scheme: "zero_rate", "exhaustive", or "pattern".  Messages cycle
     deterministically over trials.  For the pattern/exhaustive schemes a
     fresh codebook is drawn i.i.d. `input_dist` per trial unless a fixed
-    `codebook` is supplied; `input_dist` defaults to uniform.
+    `codebook` is supplied; `input_dist` defaults to uniform.  A trial whose
+    C(n, k) instant patterns exceed ENUM_GUARD declares no message and counts
+    as an error; its outcome records 0 choices examined, which no decoded
+    trial does.
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -282,9 +323,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     n_msg = 2 if scheme == "zero_rate" else (
         fixed_cb.shape[0] if fixed_cb is not None else n_messages
     )
-    pvec = np.full(w.input_size, 1.0 / w.input_size) if input_dist is None else np.asarray(
-        input_dist.probs if hasattr(input_dist, "probs") else input_dist, dtype=float
-    )
+    pvec = np.full(w.input_size, 1.0 / w.input_size) if input_dist is None else _vec(input_dist)
 
     errors = 0
     total_n = 0
@@ -302,12 +341,15 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         if scheme == "zero_rate":
             decoded = decode_zero_rate(y, w, cfg)
             examined = 1
-        elif scheme == "exhaustive":
-            res = decode_exhaustive(y, cfg.k, cb, w, cfg.mu)
-            decoded, examined = res.message, res.choices_examined
         else:
-            res = decode_pattern(y, cfg.k, cb, w, cfg.mu, pvec)
-            decoded, examined = res.message, res.choices_examined
+            try:
+                if scheme == "exhaustive":
+                    res = decode_exhaustive(y, cfg.k, cb, w, cfg.mu)
+                else:
+                    res = decode_pattern(y, cfg.k, cb, w, cfg.mu, pvec)
+                decoded, examined = res.message, res.choices_examined
+            except SizeGuardError:
+                decoded, examined = None, 0
         if decoded != m:
             errors += 1
         total_n += int(y.size)
@@ -342,9 +384,7 @@ def enumerate_exact_error(k: int, n: int, codebook, w: Dmc, mu: float,
         raise ValueError("codebook width must equal the codeword length k")
     if n < k:
         raise ValueError("received length n must be at least k")
-    pvec = np.full(w.input_size, 1.0 / w.input_size) if input_dist is None else np.asarray(
-        input_dist.probs if hasattr(input_dist, "probs") else input_dist, dtype=float
-    )
+    pvec = np.full(w.input_size, 1.0 / w.input_size) if input_dist is None else _vec(input_dist)
     n_msg = cb.shape[0]
     total = math.comb(n - 1, k - 1)
     err = {"exhaustive": 0, "pattern": 0}

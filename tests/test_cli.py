@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import intermit.insertion as insertion_mod
+import intermit.sim as sim_mod
 from insertion_oracle import all_blocks, insertion_table
 from intermit import blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel, Dmc
 from intermit.cli import main
@@ -218,6 +219,33 @@ def test_simulate_writes_deterministic_artifacts(capsys, tmp_path):
     header, rows = parse_csv(t1.decode())
     assert header == ["trial", "n_received", "decoded", "correct", "choices_examined"]
     assert len(rows) == 40
+
+
+def test_simulate_guard_trip_warns_and_writes(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(sim_mod, "ENUM_GUARD", 10)
+    code, _, err = run_cli(capsys, [
+        "simulate", "--scheme", "exhaustive", "--channel", "noiseless:2", "--k", "4",
+        "--alpha", "1.5", "--trials", "40", "--seed", "2", "--mu", "0.2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    _, rows = parse_csv((tmp_path / "trials.csv").read_text())
+    tripped = [row for row in rows if row[4] == "0"]
+    assert tripped and all(row[2:4] == ["-1", "0"] for row in tripped)
+    assert err == (f"warning: {len(tripped)} of 40 trials exceeded the enumeration guard "
+                   "and count as errors\n")
+    assert json.loads((tmp_path / "summary.json").read_text())["errors"] >= len(tripped)
+
+
+def test_simulate_warns_when_mu_is_below_half_a_type_step(capsys, tmp_path):
+    code, _, err = run_cli(capsys, [
+        "simulate", "--scheme", "pattern", "--channel", "bsc:0.05", "--k", "8",
+        "--alpha", "1.5", "--mu", "0.05", "--trials", "20", "--seed", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert err.startswith("warning: mu=0.05 is below 1/(2k)=0.0625;")
+    assert (tmp_path / "trials.csv").exists()
 
 
 def test_figures_fast(capsys, tmp_path):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoder_oracle import cond_typical, typical
 from intermit import (
     Dmc,
     Pmf,
     binary_entropy,
     cond_divergence,
+    cond_typical_rows,
     empirical_type,
     entropy,
     is_cond_typical,
@@ -19,6 +21,7 @@ from intermit import (
     kl_divergence,
     mutual_information,
     output_dist,
+    typical_rows,
 )
 
 LOG2_9 = np.log2(9.0)
@@ -167,6 +170,25 @@ def test_is_cond_typical():
     w = Dmc.identity(2, star=0)
     assert is_cond_typical([0, 1, 1], [0, 1, 1], w, mu=0.05)
     assert not is_cond_typical([1, 1, 1], [0, 1, 1], w, mu=0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4),
+       st.sampled_from([0.25, 1 / 3, 0.5, 0.1, 1 / 6]), st.integers(0, 2**32 - 1))
+def test_row_typicality_matches_per_sequence(length, batch, mu, seed):
+    # the batched tests decide every row as the per-sequence arithmetic does,
+    # including on the tie values mu = j/length
+    rng = np.random.default_rng(seed)
+    w = Dmc(np.array([[0.5, 0.25, 0.25], [0.0, 1 / 3, 2 / 3]]))
+    xs = rng.integers(0, 2, size=(batch, length))
+    ys = rng.integers(0, 3, size=(batch, length))
+    counts = np.array([np.bincount(row, minlength=3) for row in ys])
+    joint = np.array([np.bincount(x * 3 + y, minlength=6).reshape(2, 3)
+                      for x, y in zip(xs, ys)])
+    pw = np.array([0.25, 0.25, 0.5])
+    assert typical_rows(counts, pw, mu).tolist() == [typical(y, pw, mu) for y in ys]
+    expect = [length == 0 or cond_typical(y, x, w.rows, mu) for x, y in zip(xs, ys)]
+    assert cond_typical_rows(joint, w, mu).tolist() == expect
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))

@@ -8,7 +8,6 @@ import pytest
 import intermit.rates as rates_mod
 from intermit import (
     Dmc,
-    IntermittencySpec,
     binary_entropy,
     blahut_capacity,
     exhaustive_decoding_rate,
@@ -17,13 +16,6 @@ from intermit import (
     overhead_stationarity,
     pattern_decoding_rate,
 )
-
-
-def test_spec_validation():
-    assert IntermittencySpec(2.0).p_t == 0.5
-    assert IntermittencySpec(1.0).p_t == 1.0
-    with pytest.raises(ValueError):
-        IntermittencySpec(0.9)
 
 
 class TestExhaustiveRate:

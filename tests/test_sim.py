@@ -2,10 +2,15 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import intermit.sim as sim_mod
+from decoder_oracle import decode as oracle_decode
 from intermit import (
     Dmc,
     SimConfig,
@@ -174,6 +179,47 @@ class TestSequenceDecoders:
         assert 1 <= res.choices_examined <= math.comb(3, 2)
 
 
+@st.composite
+def decode_cases(draw):
+    """A channel, codebook, received block, slack and input law small enough
+    for the one-pattern-at-a-time oracle."""
+    nin = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        rows = np.eye(nin)  # deterministic: frequencies land on the tie values j/k
+    else:
+        nout = draw(st.integers(2, 3))
+        weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=nout, max_size=nout),
+                                         min_size=nin, max_size=nin)), dtype=float)
+        weights[weights.sum(axis=1) == 0] = 1.0
+        rows = weights / weights.sum(axis=1, keepdims=True)
+    w = Dmc(rows, star=0)
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, k + 4))
+    msgs = draw(st.integers(1, 3))
+    cb = np.array(draw(st.lists(st.lists(st.integers(0, nin - 1), min_size=k, max_size=k),
+                                min_size=msgs, max_size=msgs)))
+    y = np.array(draw(st.lists(st.integers(0, w.output_size - 1), min_size=n, max_size=n)))
+    mu = draw(st.one_of(st.sampled_from([j / k for j in range(1, k + 1)] + [1 / 3, 1 / 4]),
+                        st.floats(0.01, 0.7)))
+    law = np.array(draw(st.lists(st.integers(1, 4), min_size=nin, max_size=nin)), dtype=float)
+    return w, cb, y, mu, law / law.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(decode_cases(), st.sampled_from([1, 5, 40, sim_mod._CHUNK_ENTRIES]))
+def test_decoders_match_sequential_oracle(case, chunk):
+    # budgets down to one pattern per chunk put the stop at the second
+    # witnessed message both inside a chunk and on a chunk border
+    w, cb, y, mu, law = case
+    k = cb.shape[1]
+    with mock.patch.object(sim_mod, "_CHUNK_ENTRIES", chunk):
+        got = [decode_exhaustive(y, k, cb, w, mu), decode_pattern(y, k, cb, w, mu, law)]
+    want = [oracle_decode(y, k, cb, w, mu), oracle_decode(y, k, cb, w, mu, law)]
+    for res, expect in zip(got, want):
+        assert (res.message, res.choices_examined, res.second_stage_checks,
+                res.typicality_checks) == expect
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, bsc01):
         cfg = SimConfig(k=50, alpha=1.5, trials=300, seed=77)
@@ -201,6 +247,23 @@ class TestMonteCarlo:
         res = monte_carlo_error("pattern", cfg, NOISELESS)
         assert res.trials == 60
         assert 0.0 <= res.error_rate <= 1.0
+
+    def test_guard_trip_keeps_other_trials(self, monkeypatch):
+        cfg = SimConfig(k=4, alpha=1.5, trials=40, seed=2, mu=0.2)
+        full = monte_carlo_error("exhaustive", cfg, NOISELESS)
+        monkeypatch.setattr(sim_mod, "ENUM_GUARD", 10)
+        res = monte_carlo_error("exhaustive", cfg, NOISELESS)
+        tripped = 0
+        for o, ref in zip(res.outcomes, full.outcomes):
+            assert o.n_received == ref.n_received
+            if math.comb(o.n_received, 4) > 10:
+                tripped += 1
+                assert (o.decoded, o.choices_examined) == (None, 0)
+            else:
+                assert o == ref
+        assert tripped > 0
+        wrong = sum(o.decoded != t % 2 for t, o in enumerate(res.outcomes))
+        assert res.errors == wrong
 
     def test_unknown_scheme_rejected(self, bsc01):
         cfg = SimConfig(k=10, alpha=1.5, trials=10, seed=0)
