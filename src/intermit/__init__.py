@@ -13,7 +13,7 @@ from .insertion import (InsertionCapacity, RunProfile, insertion_capacity,
                         insertion_capacity_upper, insertion_counts,
                         insertion_loss, position_entropy,
                         position_entropy_terms, run_profile,
-                        uniform_insertion_channel, weight_class_channel)
+                        weight_class_channel)
 from .partialdiv import (PartialDivergence, convexity_lower_bound,
                          mismatch_exponent, partial_divergence,
                          partial_divergence_deriv, tilting_constant)

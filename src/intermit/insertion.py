@@ -20,7 +20,6 @@ from scipy import sparse
 
 from .blahut import blahut_capacity, union_capacity
 from .errors import ConvergenceError, SizeGuardError
-from .prob import Dmc
 
 # Desk-scale guard on the output block length; larger b (up to B_HARD) is an
 # explicit opt-in because the weight-class matrices and their Blahut-Arimoto
@@ -209,24 +208,6 @@ def insertion_counts(a: int, b: int, *, allow_large: bool = False):
     _check_block_sizes(a, b, allow_large)
     in_bits = (np.arange(1 << a)[:, None] >> np.arange(a - 1, -1, -1)) & 1
     return _count_matrix(in_bits, np.arange(1 << b), b, as_sparse=True)
-
-
-def uniform_insertion_channel(a: int, b: int, *, allow_large: bool = False) -> Dmc:
-    """The full 2^a x 2^b insertion channel as a Dmc.
-
-    Row/column indices read the blocks as big-endian binary integers, so row
-    int('01', 2) is input (0, 1).  Entries are exact multiples of 1/C(b, a).
-    """
-    if a < 1:
-        raise ValueError("full channel needs input length a >= 1")
-    _check_block_sizes(a, b, allow_large)
-    if (1 << a) * (1 << b) > _DENSE_LIMIT:
-        raise SizeGuardError(
-            f"dense 2^{a} x 2^{b} channel matrix exceeds the size guard; "
-            "use the per-weight-class decomposition instead"
-        )
-    counts = insertion_counts(a, b, allow_large=allow_large).toarray()
-    return Dmc(counts / math.comb(b, a))
 
 
 def weight_class_channel(a: int, b: int, weight: int, *, allow_large: bool = False):

@@ -4,8 +4,10 @@ does not know the transmission instants.
 
 Three schemes: exhaustive decoding over all instant patterns (rate penalty
 alpha*h(1/alpha)), pattern decoding whose penalty is the intermittency
-overhead f(P, W, alpha), and the closed-form optimization for the noiseless
-binary channel.  Rates are in bits per codeword symbol.
+overhead f(P, W, alpha) (in closed form, alpha times the gap between
+h(1/alpha) and a weighted Jensen-Shannon divergence of PW and the noise
+row), and its specialization to the noiseless binary channel.  Rates are in
+bits per codeword symbol.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blahut import blahut_capacity
-from .partialdiv import _tilt_root, _value as _pd
-from .prob import Dmc, Pmf, _vec, binary_entropy, mutual_information, output_dist
+from .errors import ConvergenceError
+from .partialdiv import _tilt_root
+from .prob import Dmc, Pmf, binary_entropy, mutual_information, output_dist
 from .search import grid_golden_max, pairwise_descent
 
 
@@ -78,46 +81,59 @@ def overhead_stationarity(p, w: Dmc, alpha: float, beta: float) -> float:
     )
 
 
-def intermittency_overhead(p, w: Dmc, alpha: float, *, coarse: int = 33,
-                           tol: float = 1e-10) -> OverheadResult:
+def intermittency_overhead(p, w: Dmc, alpha: float) -> OverheadResult:
     """The rate penalty f(P, W, alpha) of pattern decoding.
 
-    Maximizes over the split fraction beta in [0, 1/alpha]:
+    The paper defines f as a maximum over the split fraction beta in
+    [0, 1/alpha]:
 
         (alpha-1) h(beta) + h((alpha-1) beta)
-          - d_{(alpha-1) beta}(PW || W_star) - (alpha-1) d_beta(W_star || PW)
+          - d_{(alpha-1) beta}(PW || W*) - (alpha-1) d_beta(W* || PW),
 
-    The objective is concave in beta (value 0 at beta = 0), searched by a
-    coarse grid plus golden-section polish.
+    with W* the noise row.  The maximum has a closed form.  The first-order
+    condition (`overhead_stationarity`) reduces to c1 * c2 = 1, where c1 and
+    c2 are the two tilting constants.  Putting c1 = c and c2 = 1/c into the
+    two tilt equations and imposing rho = (alpha-1) beta gives
+
+        (c - (alpha-1)) * sum_y PW W* / (c W* + PW) = 0,
+
+    so c1 = alpha - 1 and
+
+        beta* = sum_y W*(y) PW(y) / (PW(y) + (alpha-1) W*(y)),
+
+    which is at most 1/alpha because xy/(x + ay) is concave and
+    1-homogeneous.  With M = (PW + (alpha-1) W*)/alpha the overhead is
+
+        f = alpha h(1/alpha) - D(PW || M) - (alpha-1) D(W* || M),
+
+    that is alpha * (h(1/alpha) - JS), with JS the Jensen-Shannon divergence
+    of PW and W* under weights (1/alpha, 1 - 1/alpha) (Lin, "Divergence
+    measures based on the Shannon entropy", IEEE T-IT 1991).  It is
+    evaluated as the sum of nonnegative terms s_y h(PW(y)/s_y) with
+    s = PW + (alpha-1) W*, so 0 <= f <= alpha h(1/alpha); terms outside the
+    common support of PW and W* vanish, so zeros in either need no special
+    path.
+
+    `stationarity_residual` is `overhead_stationarity` at beta*, computed
+    from independent tilt-root solves, as a certificate of the closed form.
     """
     _check_alpha(alpha)
     star = _star_row(w)
     if alpha == 1.0:
         return OverheadResult(0.0, 0.0, math.nan)
     pw = output_dist(p, w).probs
-    am1 = alpha - 1.0
-
-    def objective(beta: float) -> float:
-        rho = am1 * beta
-        if beta < 0.0 or rho > 1.0:
-            return -math.inf
-        base = am1 * float(binary_entropy(beta)) + float(binary_entropy(rho))
-        d1 = _pd(pw, star, rho)[0]
-        if math.isinf(d1):
-            return -math.inf
-        d2 = _pd(star, pw, beta)[0]
-        if math.isinf(d2):
-            return -math.inf
-        return base - d1 - am1 * d2
-
-    beta_star, value = grid_golden_max(objective, 0.0, 1.0 / alpha, coarse=coarse, tol=tol)
+    s = pw + (alpha - 1.0) * star
+    on = s > 0.0
+    share = pw[on] / s[on]
+    beta_star = float((star[on] * share).sum())
+    value = float((s[on] * binary_entropy(share)).sum())
     residual = math.nan
     if 1e-8 < beta_star < 1.0 / alpha - 1e-8:
         try:
             residual = overhead_stationarity(p, w, alpha, beta_star)
-        except Exception:
+        except (ConvergenceError, ValueError):
             residual = math.nan
-    return OverheadResult(float(value), float(beta_star), residual)
+    return OverheadResult(value, beta_star, residual)
 
 
 @dataclass(frozen=True)
@@ -201,45 +217,42 @@ class NoiselessRateResult:
     beta: float
 
 
-def noiseless_binary_rate(alpha: float, *, outer_coarse: int = 257,
-                          inner_coarse: int = 65) -> NoiselessRateResult:
+def _noiseless_objective(p0, am1: float):
+    """Pattern-decoding rate h(p0) - f of the noiseless binary channel at the
+    input law with noise-symbol mass p0 (vectorized over p0).
+
+    At beta*(p0) = p0/(am1 + p0) the overhead is s h(p0/s) with s = p0 + am1
+    (`intermittency_overhead` with PW = (p0, 1-p0) and W* = (1, 0))."""
+    p0 = np.asarray(p0, dtype=float)
+    s = p0 + am1
+    share = np.divide(p0, s, out=np.zeros_like(s), where=s > 0.0)
+    return binary_entropy(p0) - s * binary_entropy(share)
+
+
+def noiseless_binary_rate(alpha: float, *, outer_coarse: int = 257) -> NoiselessRateResult:
     """Pattern-decoding rate of the noiseless binary channel whose noise
-    symbol is 0, optimized in closed form over the input law:
+    symbol is 0, optimized over the input law:
 
         max_{p0} 2 h(p0) - max_beta [ (alpha-1) h(beta) + h(r)
                                        + (1-r) h((p0 - r)/(1 - r)) ],
 
-    with r = (alpha-1)*beta constrained to r <= min(1, p0).  Equals 1 bit at
-    alpha = 1 and reaches 0 at alpha = 2.
+    with r = (alpha-1)*beta constrained to r <= min(1, p0).  The inner
+    maximum is reached at beta*(p0) = p0/(alpha-1+p0), where it equals
+    h(p0) + s h(p0/s) with s = alpha-1+p0, so the outer objective is
+    h(p0) - s h(p0/s).  Its slope is log2((1-p0)/s), so the maximizer is
+    p0* = max(0, 1 - alpha/2), found here by a grid of `outer_coarse` points
+    and a golden-section polish.  Equals 1 bit at alpha = 1 and reaches 0 at
+    alpha = 2.
     """
     _check_alpha(alpha)
     am1 = alpha - 1.0
-
-    def inner_best(p0: float):
-        if am1 == 0.0:
-            return 0.0, float(binary_entropy(p0))
-        beta_max = min(1.0, p0) / am1
-
-        def inner(beta: float) -> float:
-            r = am1 * beta
-            tail = 1.0 - r
-            if tail <= 0.0:
-                leftover = 0.0
-            else:
-                leftover = tail * float(binary_entropy((p0 - r) / tail))
-            return am1 * float(binary_entropy(beta)) + float(binary_entropy(r)) + leftover
-
-        return grid_golden_max(inner, 0.0, beta_max, coarse=inner_coarse)
-
-    def outer(p0: float) -> float:
-        return 2.0 * float(binary_entropy(p0)) - inner_best(p0)[1]
-
     p0s = np.linspace(0.0, 1.0, outer_coarse)
-    vals = np.array([outer(v) for v in p0s])
+    vals = _noiseless_objective(p0s, am1)
     k = int(vals.argmax())
     lo, hi = p0s[max(k - 1, 0)], p0s[min(k + 1, outer_coarse - 1)]
-    p0_star, val = grid_golden_max(outer, lo, hi, coarse=9, tol=1e-10)
+    p0_star, val = grid_golden_max(lambda p0: _noiseless_objective(p0, am1), lo, hi,
+                                   coarse=9, tol=1e-10)
     if vals[k] > val:
         p0_star, val = float(p0s[k]), float(vals[k])
-    beta_star = inner_best(p0_star)[0] if am1 > 0.0 else 0.0
+    beta_star = p0_star / (am1 + p0_star) if am1 > 0.0 else 0.0
     return NoiselessRateResult(max(float(val), 0.0), float(p0_star), float(beta_star))

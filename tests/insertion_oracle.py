@@ -1,10 +1,14 @@
 """Brute-force zero-insertion counts, one output tuple at a time: the
-cross-check for the array builder in `intermit.insertion`."""
+cross-check for the array builder in `intermit.insertion`; and the dense
+full insertion channel, for cross-checks against the weight-class route."""
 
+import math
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
+
+from intermit import Dmc, insertion_counts
 
 
 def all_blocks(n: int):
@@ -41,3 +45,10 @@ def count_matrix(inputs, outputs, a: int, b: int) -> np.ndarray:
         for y, c in table[x].items():
             mat[i, col[y]] = c
     return mat
+
+
+def uniform_insertion_channel(a: int, b: int) -> Dmc:
+    """The full 2^a x 2^b insertion channel as a Dmc, from the exact integer
+    counts.  Row/column indices read the blocks as big-endian binary
+    integers, so row int('01', 2) is input (0, 1)."""
+    return Dmc(insertion_counts(a, b).toarray() / math.comb(b, a))

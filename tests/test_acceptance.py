@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from insertion_oracle import uniform_insertion_channel
 from intermit import (
     CostModel,
     Dmc,
@@ -40,7 +41,6 @@ from intermit import (
     partial_divergence_deriv,
     pattern_decoding_rate,
     sample_receive_lengths,
-    uniform_insertion_channel,
 )
 from intermit.cli import main as cli_main
 

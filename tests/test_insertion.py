@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import intermit.insertion as insertion_mod
-from insertion_oracle import all_blocks, count_matrix
+from insertion_oracle import all_blocks, count_matrix, uniform_insertion_channel
 from intermit import (
     ConvergenceError,
     Dmc,
@@ -24,7 +24,6 @@ from intermit import (
     position_entropy,
     position_entropy_terms,
     run_profile,
-    uniform_insertion_channel,
     weight_class_channel,
 )
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import intermit.rates as rates_mod
 from intermit import (
+    ConvergenceError,
     Dmc,
     binary_entropy,
     blahut_capacity,
@@ -16,6 +19,7 @@ from intermit import (
     overhead_stationarity,
     pattern_decoding_rate,
 )
+from rates_oracle import noiseless_search, overhead_search
 
 
 class TestExhaustiveRate:
@@ -59,6 +63,58 @@ class TestOverhead:
         res = intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
         off = overhead_stationarity(bsc01.star_row(), bsc01, 1.5, res.beta_star / 2)
         assert abs(off) > 1e-3
+
+    def test_tilt_failure_leaves_residual_nan(self, bsc01, monkeypatch):
+        def fail(*args):
+            raise ConvergenceError("no tilting constant")
+
+        monkeypatch.setattr(rates_mod, "overhead_stationarity", fail)
+        res = intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
+        assert math.isnan(res.stationarity_residual)
+        assert res.value == pytest.approx(1.3648393599545972, abs=1e-9)
+
+    def test_programming_error_in_residual_propagates(self, bsc01, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken certificate")
+
+        monkeypatch.setattr(rates_mod, "overhead_stationarity", broken)
+        with pytest.raises(TypeError):
+            intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
+
+
+@st.composite
+def overhead_cases(draw):
+    """A channel with 2-4 inputs and outputs, an input law and alpha in [1, 4];
+    zero entries are common, so W* and PW often have zeros.  With
+    `all_noise` the input is the noise symbol alone, so PW = W*."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    rows = np.array(draw(st.lists(st.lists(weight, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)))
+    rows[rows.sum(axis=1) == 0.0, draw(st.integers(0, m - 1))] = 1.0
+    star = draw(st.integers(0, n - 1))
+    p = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    all_noise = draw(st.booleans()) or p.sum() == 0.0
+    if all_noise:
+        p = np.eye(n)[star]
+    w = Dmc(rows / rows.sum(axis=1, keepdims=True), star=star)
+    return w, p / p.sum(), draw(st.floats(1.0, 4.0)), all_noise
+
+
+@settings(max_examples=15, deadline=None)
+@given(overhead_cases())
+def test_overhead_closed_form_matches_search(case):
+    w, p, alpha, all_noise = case
+    res = intermittency_overhead(p, w, alpha)
+    value, beta = overhead_search(p, w, alpha)
+    assert res.value == pytest.approx(value, abs=1e-12)
+    assert res.beta_star == pytest.approx(beta, abs=1e-7)
+    top = alpha * binary_entropy(1.0 / alpha)
+    assert 0.0 <= res.value <= top + 1e-12
+    if all_noise:
+        assert res.value == pytest.approx(top, abs=1e-12)
+    if 1e-8 < res.beta_star < 1.0 / alpha - 1e-8:
+        assert abs(res.stationarity_residual) < 1e-9
 
 
 class TestPatternRate:
@@ -124,6 +180,22 @@ class TestNoiselessBinary:
         res = noiseless_binary_rate(1.2)
         assert res.rate == pytest.approx(0.41997309402197525, abs=1e-9)
         assert res.p_zero == pytest.approx(0.4, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 1.95])
+    def test_closed_form_optimum(self, alpha):
+        res = noiseless_binary_rate(alpha)
+        assert res.p_zero == pytest.approx(1.0 - alpha / 2.0, abs=1e-7)
+        assert res.beta == pytest.approx((2.0 - alpha) / alpha, abs=1e-7)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_matches_search_oracle(self, alpha):
+        # a coarser p0 grid only brackets the optimum sooner; the
+        # golden-section polish sets the precision
+        rate, p_zero, beta = noiseless_search(alpha, outer_coarse=65)
+        res = noiseless_binary_rate(alpha)
+        assert res.rate == pytest.approx(rate, abs=1e-12)
+        assert res.p_zero == pytest.approx(p_zero, abs=1e-7)
+        assert res.beta == pytest.approx(beta, abs=1e-7)
 
     def test_matches_pattern_rate_on_identity_channel(self):
         w = Dmc.identity(2, star=0)
