@@ -18,8 +18,9 @@ _LN2 = math.log(2.0)
 class CapacityResult:
     """Certified capacity estimate in bits.
 
-    `capacity` is the mutual information of `input_dist`, hence always a
-    valid lower bound; `gap` bounds its distance to the true capacity.
+    `capacity` is the mutual information of `input_dist` (plus its mean
+    offset, if one was given), hence always a valid lower bound; `gap` bounds
+    its distance to the true capacity.
     `lb_history` is the nondecreasing sequence of per-iteration lower bounds.
     """
 
@@ -44,7 +45,8 @@ def _as_matrix(w):
     return m
 
 
-def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityResult:
+def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
+                    offset=None) -> CapacityResult:
     """Capacity of a DMC in bits, to within `tol` bits.
 
     Alternates the Blahut-Arimoto update on the input distribution and stops
@@ -52,6 +54,10 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRe
     `tol`.  Accepts a Dmc, a dense row-stochastic matrix, or a scipy sparse
     matrix (rows are trusted to be stochastic in the sparse case).  All-zero
     output columns are dropped; they cannot carry probability.
+
+    With a per-input `offset` b (bits) it maximizes I(r, W) + sum_x r(x) b(x),
+    Blahut's input-cost form: D(W_x || rW) + b(x) replaces D(W_x || rW) in the
+    update and the sandwich, and `capacity` and `gap` refer to that objective.
 
     If `max_iter` is exhausted first, the partial result is returned with
     converged=False and the achieved gap.
@@ -72,6 +78,7 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRe
         row_ent = (m * lw).sum(axis=1)
 
     tol_nats = tol * _LN2
+    offset = None if offset is None else np.asarray(offset, dtype=float) * _LN2
     r = np.full(nin, 1.0 / nin)
     history = []
     lb = -math.inf
@@ -85,12 +92,14 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000) -> CapacityRe
             d = row_ent - np.asarray(m.dot(logt)).ravel()
         else:
             d = row_ent - m @ logt
+        if offset is not None:
+            d = d + offset
         lb = float(r @ d)
         ub = float(d.max())
         history.append(lb / _LN2)
         gap = ub - lb
-        if gap < tol_nats:
-            break
+        if gap < tol_nats or iters == max_iter:
+            break  # so that `input_dist` is the law the bounds were taken at
         r = r * np.exp(d - ub)
         r /= r.sum()
     return CapacityResult(

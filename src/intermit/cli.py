@@ -27,7 +27,7 @@ from . import __version__
 from .blahut import blahut_capacity
 from .bounds import (CostModel, GenieBoundConfig, c1_limit, c1_upper, c2_upper,
                      cpuc_lower, cpuc_upper)
-from .errors import SizeGuardError
+from .errors import ConvergenceError, SizeGuardError
 from .insertion import (B_DESK, insertion_capacity, insertion_capacity_upper,
                         insertion_counts)
 from .partialdiv import partial_divergence, partial_divergence_deriv
@@ -208,6 +208,9 @@ def _cmd_aux_g(args) -> int:
     rows = []
     for a, b in pairs:
         cap = insertion_capacity(a, b, allow_large=args.allow_large)
+        if not cap.converged:
+            raise ConvergenceError(
+                f"Blahut-Arimoto did not converge on the ({a}, {b}) insertion channel")
         ub = insertion_capacity_upper(a, b, allow_large=args.allow_large)
         rows.append((a, b, cap.capacity, ub, cap.loss))
     if args.dump_channel is not None:

@@ -266,7 +266,8 @@ def mutual_information(p, w) -> float:
     for x in np.flatnonzero(pv > 0.0):
         row = wr[x]
         mask = row > 0.0
-        total += pv[x] * float((row[mask] * np.log2(row[mask] / t[mask])).sum())
+        # a difference of logs: the ratio overflows when t is subnormal
+        total += pv[x] * float((row[mask] * (np.log2(row[mask]) - np.log2(t[mask]))).sum())
     return total
 
 

@@ -6,8 +6,9 @@ Three schemes: exhaustive decoding over all instant patterns (rate penalty
 alpha*h(1/alpha)), pattern decoding whose penalty is the intermittency
 overhead f(P, W, alpha) (in closed form, alpha times the gap between
 h(1/alpha) and a weighted Jensen-Shannon divergence of PW and the noise
-row), and its specialization to the noiseless binary channel.  Rates are in
-bits per codeword symbol.
+row), and its specialization to the noiseless binary channel.  The best
+pattern-decoding rate is a capacity under a constraint on the noise-input
+mass (Blahut-Arimoto, certified gap).  Rates are in bits per codeword symbol.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 from .blahut import blahut_capacity
 from .errors import ConvergenceError
 from .partialdiv import _tilt_root
-from .prob import Dmc, Pmf, binary_entropy, mutual_information, output_dist
-from .search import grid_golden_max, pairwise_descent
+from .prob import Dmc, Pmf, binary_entropy, kl_divergence, output_dist
+# pairwise_descent is not called here; it stays importable as
+# intermit.rates.pairwise_descent, where perfbench/layers.py wraps it.
+from .search import grid_golden_max, pairwise_descent  # noqa: F401
 
 
 def _check_alpha(alpha: float) -> None:
@@ -140,70 +144,48 @@ def intermittency_overhead(p, w: Dmc, alpha: float) -> OverheadResult:
 class PatternRateResult:
     """Pattern-decoding rate with its maximizing input distribution.
 
-    `spread` is the gap between the best and worst multistart optima (0 for
-    the single-start binary search); a large spread flags a possibly
-    multimodal landscape."""
+    `rate` is (I(P, W) - f)^+ at P = `input_dist`, so it is achievable, and
+    `gap` is certified: rate <= R2 <= rate + gap."""
 
     rate: float
     input_dist: Pmf
-    spread: float
+    gap: float
 
 
-def pattern_decoding_rate(w: Dmc, alpha: float, *, starts: int = 20, seed: int = 0,
-                          tol: float = 1e-8) -> PatternRateResult:
-    """Rate of pattern decoding: max over input pmfs of (I(P, W) - f)^+.
+def pattern_decoding_rate(w: Dmc, alpha: float) -> PatternRateResult:
+    """Rate of pattern decoding: R2 = max over input pmfs P of (I(P, W) - f)^+.
 
-    Binary-input channels use a 1-D bracketed golden-section search over the
-    non-noise symbol mass; larger alphabets run pairwise-transfer ascent from
-    `starts` random starts plus the uniform and unconstrained-capacity inputs,
-    once per distinct start.
-    The capacity-achieving input is always evaluated, so the result never
-    falls below C_W minus the overhead at that input.
+    As I(P, W) - f = alpha I(P', W) - alpha h(1/alpha), P' = P/alpha +
+    (1 - 1/alpha) delta_*, R2 = (alpha C* - alpha h(1/alpha))^+ with
+    C* = max {I(P', W) : P'(*) >= 1 - 1/alpha}, a capacity under an input
+    constraint (Blahut, IEEE T-IT 1972): one Blahut-Arimoto run per KKT case.
+    Slack: the capacity-achieving Q has Q(*) >= 1 - 1/alpha, so C* = C_W at
+    P = alpha Q - (alpha - 1) delta_*.  Binding: P(*) = 0, and over the other
+    inputs I(P', W) = I(P~, W') + sum_x P~(x) b(x), W'_x = W_x/alpha +
+    (1 - 1/alpha) W*, b(x) = H(W'_x) - H(W_x)/alpha - (1 - 1/alpha) H(W*) >= 0;
+    the run's sandwich bounds those inputs and D(W* || P~W') the noise input.
+    The gap exceeds 1e-9 bits only when a run exhausts its iterations.
     """
     _check_alpha(alpha)
-    star = _star_row(w)  # validates the star designation up front
-    del star
-    ba = blahut_capacity(w)
-    if alpha == 1.0:
-        return PatternRateResult(max(ba.capacity, 0.0), ba.input_dist, 0.0)
-    n = w.input_size
-
-    def objective(pvec: np.ndarray) -> float:
-        return mutual_information(pvec, w) - intermittency_overhead(pvec, w, alpha).value
-
-    if n == 2:
-        other = 1 - w.star
-
-        def on_segment(t: float) -> float:
-            pvec = np.zeros(2)
-            pvec[w.star] = 1.0 - t
-            pvec[other] = t
-            return objective(pvec)
-
-        t_star, val = grid_golden_max(on_segment, 0.0, 1.0, coarse=33, tol=tol)
-        t_ba = float(ba.input_dist.probs[other])
-        val_ba = on_segment(t_ba)
-        if val_ba > val:
-            t_star, val = t_ba, val_ba
-        best = np.zeros(2)
-        best[w.star] = 1.0 - t_star
-        best[other] = t_star
-        return PatternRateResult(max(val, 0.0), Pmf(best), 0.0)
-
-    rng = np.random.default_rng(seed)
-    start_points = [np.full(n, 1.0 / n), ba.input_dist.probs.copy()]
-    start_points += [rng.dirichlet(np.ones(n)) for _ in range(starts)]
-    results = []
-    for i, p0 in enumerate(start_points):
-        if any(np.array_equal(p0, q) for q in start_points[:i]):
-            continue  # the same start descends to the same point
-        x, neg = pairwise_descent(lambda v: -objective(v), p0, 0.25, tol=1e-6)
-        results.append((-neg, x))
-    vals = [v for v, _ in results]
-    best_val, best_p = max(results, key=lambda t: t[0])
-    return PatternRateResult(
-        max(best_val, 0.0), Pmf(best_p), float(max(vals) - min(vals))
-    )
+    star = _star_row(w)
+    tol = 1e-9 / alpha  # so that alpha C* is certified to 1e-9 bits
+    ba = blahut_capacity(w, tol=tol)
+    p = alpha * ba.input_dist.probs - (alpha - 1.0) * np.eye(w.input_size)[w.star]
+    if p[w.star] >= 0.0:
+        res, upper = ba, ba.capacity + ba.gap
+    else:
+        others = np.arange(w.input_size) != w.star
+        rows = w.rows[others] / alpha + (1.0 - 1.0 / alpha) * star
+        offset = (entr(rows).sum(axis=1) - entr(w.rows[others]).sum(axis=1) / alpha
+                  - (1.0 - 1.0 / alpha) * entr(star).sum()) / math.log(2.0)
+        res = blahut_capacity(rows, tol=tol, offset=offset)
+        upper = max(res.capacity + res.gap,
+                    kl_divergence(star, res.input_dist.probs @ rows))
+        p = np.zeros(w.input_size)
+        p[others] = res.input_dist.probs
+    rate = alpha * res.capacity - alpha * float(binary_entropy(1.0 / alpha))
+    # rounding can put the sandwich's two sides an ulp out of order
+    return PatternRateResult(max(rate, 0.0), Pmf(p), alpha * max(upper - res.capacity, 0.0))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,23 @@
-"""Search-based intermittency overhead and noiseless-binary rate: the
-cross-checks for the closed forms in `intermit.rates`.
+"""Search-based intermittency overhead, pattern-decoding rate and
+noiseless-binary rate: the cross-checks for `intermit.rates`.
 
 `overhead_search` maximizes the paper's objective over the split fraction
 beta with a 33-point grid plus golden-section polish, evaluating both partial
 divergences through `intermit.partialdiv` (the `mismatch_exponent` grid
-oracle wherever the reference law has a zero).  `noiseless_search` runs the
-257 x 65 nested grid-and-golden search over (p0, beta)."""
+oracle wherever the reference law has a zero).  `pattern_rate_search`
+maximizes I(P, W) - f over the input law directly: a grid-and-golden search
+along the segment of binary inputs, pairwise descent for larger alphabets.  `noiseless_search` runs the 257 x 65 nested grid-and-golden
+search over (p0, beta)."""
 
 import math
 
 import numpy as np
 
+from intermit.blahut import blahut_capacity
 from intermit.partialdiv import _value as partial_div_value
-from intermit.prob import Dmc, binary_entropy, output_dist
-from intermit.search import grid_golden_max
+from intermit.prob import Dmc, binary_entropy, mutual_information, output_dist
+from intermit.rates import intermittency_overhead
+from intermit.search import grid_golden_max, pairwise_descent
 
 
 def overhead_search(p, w: Dmc, alpha: float, *, coarse: int = 33, tol: float = 1e-10):
@@ -39,6 +43,49 @@ def overhead_search(p, w: Dmc, alpha: float, *, coarse: int = 33, tol: float = 1
 
     beta_star, value = grid_golden_max(objective, 0.0, 1.0 / alpha, coarse=coarse, tol=tol)
     return float(value), float(beta_star)
+
+
+def pattern_rate_search(w: Dmc, alpha: float):
+    """(max(I - f, 0), argmax P) by direct search over the input law.
+
+    Binary inputs: grid-and-golden search over the non-noise mass, plus the
+    capacity-achieving input.  Larger alphabets: pairwise descent from the
+    uniform and the capacity-achieving inputs, once per distinct start (the
+    objective is concave, so more starts find the same maximum)."""
+    ba = blahut_capacity(w)
+    if alpha == 1.0:
+        return max(ba.capacity, 0.0), ba.input_dist.probs
+
+    def objective(pvec: np.ndarray) -> float:
+        return mutual_information(pvec, w) - intermittency_overhead(pvec, w, alpha).value
+
+    n = w.input_size
+    if n == 2:
+        other = 1 - w.star
+
+        def segment(t: float) -> np.ndarray:
+            pvec = np.zeros(2)
+            pvec[w.star] = 1.0 - t
+            pvec[other] = t
+            return pvec
+
+        t_star, val = grid_golden_max(lambda t: objective(segment(t)), 0.0, 1.0,
+                                      coarse=33, tol=1e-8)
+        t_ba = float(ba.input_dist.probs[other])
+        val_ba = objective(segment(t_ba))
+        if val_ba > val:
+            t_star, val = t_ba, val_ba
+        return max(val, 0.0), segment(t_star)
+
+    starts = [np.full(n, 1.0 / n)]
+    if not np.array_equal(starts[0], ba.input_dist.probs):
+        starts.append(ba.input_dist.probs)
+    best_val, best_p = -math.inf, None
+    for p0 in starts:
+        x, neg = pairwise_descent(lambda v: -objective(v), p0, 0.25, tol=1e-6)
+        if -neg > best_val:
+            best_val, best_p = -neg, x
+    return max(best_val, 0.0), best_p
 
 
 def noiseless_search(alpha: float, *, outer_coarse: int = 257, inner_coarse: int = 65):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from intermit import Dmc, binary_entropy, blahut_capacity, union_capacity
+from intermit import (Dmc, binary_entropy, blahut_capacity, mutual_information,
+                      union_capacity)
 
 
 def test_bsc_capacity_closed_form():
@@ -57,6 +58,28 @@ def test_max_iter_exhaustion_reports_not_converged():
     res = blahut_capacity(z, tol=1e-15, max_iter=3)
     assert not res.converged
     assert res.gap > 1e-15
+
+
+def test_exhausted_run_reports_its_own_input():
+    # the bounds and `input_dist` come from the same iterate
+    z = np.array([[1.0, 0.0], [0.3, 0.7]])
+    res = blahut_capacity(z, tol=1e-15, max_iter=3)
+    assert res.capacity == pytest.approx(mutual_information(res.input_dist.probs, z), abs=1e-14)
+
+
+def test_offset_maximizes_information_plus_offset():
+    # I(r, W) + sum_x r(x) b(x) over a grid of binary inputs
+    z = np.array([[1.0, 0.0], [0.3, 0.7]])
+    b = np.array([0.0, 0.4])
+    res = blahut_capacity(z, tol=1e-12, offset=b)
+    grid = np.linspace(0.0, 1.0, 20001)
+    best = max(mutual_information([1.0 - t, t], z) + 0.4 * t for t in grid)
+    value = mutual_information(res.input_dist.probs, z) + res.input_dist.probs @ b
+    assert res.converged
+    assert res.capacity == pytest.approx(value, abs=1e-12)
+    assert best - 1e-12 <= res.capacity + res.gap
+    assert res.capacity >= best - 1e-9
+    assert res.input_dist.probs[1] > blahut_capacity(z).input_dist.probs[1]
 
 
 def test_union_capacity():

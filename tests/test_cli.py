@@ -154,6 +154,21 @@ def test_upper_bound_refuses_unconverged_loss(capsys, monkeypatch):
     assert "ConvergenceError" in err
 
 
+def test_aux_g_refuses_unconverged_capacity(capsys, monkeypatch, tmp_path):
+    real = insertion_mod.blahut_capacity
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(insertion_mod, "blahut_capacity", unconverged)
+    out_file = tmp_path / "g.csv"
+    code, out, err = run_cli(capsys, ["aux-g", "--grid-b", "3", "--out", str(out_file)])
+    assert code == 1
+    assert out == ""
+    assert not out_file.exists()
+    assert "ConvergenceError" in err
+
+
 def test_upper_bound_c1_limit(capsys):
     code, out, _ = run_cli(capsys, ["upper-bound", "c1", "--s", "3", "--bmax", "8", "--limit"])
     assert code == 0

@@ -140,6 +140,13 @@ def test_mutual_information_bsc_uniform():
     assert mutual_information([0.5, 0.5], w) == pytest.approx(expect, abs=1e-12)
 
 
+def test_mutual_information_with_subnormal_input_mass():
+    # the only input reaching output 1 has mass 1e-316, so PW(1) is subnormal
+    w = np.array([[1.0, 0.0], [0.0, 1.0]])
+    value = mutual_information([1.0, 1e-316], w)
+    assert 0.0 <= value < 1e-300
+
+
 def test_cond_divergence_skips_zero_rows():
     w = Dmc.bsc(0.2)
     wp = Dmc.bsc(0.3)

@@ -15,11 +15,12 @@ from intermit import (
     blahut_capacity,
     exhaustive_decoding_rate,
     intermittency_overhead,
+    mutual_information,
     noiseless_binary_rate,
     overhead_stationarity,
     pattern_decoding_rate,
 )
-from rates_oracle import noiseless_search, overhead_search
+from rates_oracle import noiseless_search, overhead_search, pattern_rate_search
 
 
 class TestExhaustiveRate:
@@ -115,6 +116,26 @@ def test_overhead_closed_form_matches_search(case):
         assert res.value == pytest.approx(top, abs=1e-12)
     if 1e-8 < res.beta_star < 1.0 / alpha - 1e-8:
         assert abs(res.stationarity_residual) < 1e-9
+    # I(P, W) - f = alpha I(P', W) - alpha h(1/alpha), P' = P/alpha + (1 - 1/alpha) delta_*
+    p_prime = p / alpha + (1.0 - 1.0 / alpha) * np.eye(w.input_size)[w.star]
+    lhs = mutual_information(p, w) - res.value
+    rhs = alpha * mutual_information(p_prime, w) - top
+    assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(overhead_cases())
+def test_pattern_rate_is_certified_maximum(case):
+    w, _, alpha, _ = case
+    res = pattern_decoding_rate(w, alpha)
+    search, _ = pattern_rate_search(w, alpha)
+    p = res.input_dist.probs
+    objective = mutual_information(p, w) - intermittency_overhead(p, w, alpha).value
+    assert res.rate + res.gap >= search - 1e-12
+    assert res.rate >= search - 1e-9
+    assert res.rate >= exhaustive_decoding_rate(w, alpha) - 1e-12
+    assert res.rate == pytest.approx(max(objective, 0.0), abs=1e-9)
+    assert 0.0 <= res.gap <= 1e-9
 
 
 class TestPatternRate:
@@ -122,12 +143,12 @@ class TestPatternRate:
         res = pattern_decoding_rate(bsc01, 1.0)
         c = blahut_capacity(bsc01).capacity
         assert res.rate == pytest.approx(c, abs=1e-12)
-        assert res.spread == 0.0
+        assert res.gap <= 1e-9
 
     def test_frozen_value(self, bsc01):
         res = pattern_decoding_rate(bsc01, 1.05)
         assert res.rate == pytest.approx(0.2675494277009187, abs=1e-7)
-        assert res.spread == 0.0  # binary search path is deterministic
+        assert res.gap <= 1e-9
 
     def test_beats_exhaustive(self, bsc01):
         for alpha in (1.02, 1.05, 1.1):
@@ -142,33 +163,45 @@ class TestPatternRate:
     def test_ternary_channel(self):
         rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         w = Dmc(rows, star=0)
-        res = pattern_decoding_rate(w, 1.1, starts=8, seed=3)
+        res = pattern_decoding_rate(w, 1.1)
         r1 = exhaustive_decoding_rate(w, 1.1)
         c = blahut_capacity(w).capacity
         assert r1 - 1e-9 <= res.rate <= c + 1e-9
-        assert res.spread <= 1e-3
+        assert res.gap <= 1e-9
 
-    def test_equal_starts_descend_once(self, monkeypatch):
+    def test_ternary_closed_form(self):
+        # the uniform capacity-achieving input puts 1/3 >= 1 - 1/1.1 on the
+        # noise symbol, so R2 = alpha (C_W - h(1/alpha)) at alpha Q - (alpha-1) delta_*
         rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         w = Dmc(rows, star=0)
-        # Blahut-Arimoto's capacity-achieving input is exactly uniform here
-        assert np.array_equal(blahut_capacity(w).input_dist.probs, np.full(3, 1.0 / 3.0))
-        real = rates_mod.pairwise_descent
-        calls = []
+        res = pattern_decoding_rate(w, 1.1)
+        row_entropy = -(0.8 * math.log2(0.8) + 0.2 * math.log2(0.1))
+        expect = 1.1 * (math.log2(3.0) - row_entropy) - 1.1 * binary_entropy(1.0 / 1.1)
+        assert res.rate == pytest.approx(expect, abs=1e-12)
+        assert res.input_dist.probs == pytest.approx([4 / 15, 11 / 30, 11 / 30], abs=1e-9)
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_noiseless_closed_form(self, n):
+        # slack up to alpha = n/(n-1), where the uniform input puts 1/n on
+        # the noise symbol; beyond it P(*) = 0 and the other n-1 symbols
+        # carry log2(n-1) bits
+        w = Dmc.identity(n)
+        for alpha in (1.0, 1.05, 1.2, n / (n - 1.0), 1.7, 2.0, 2.6, 4.0):
+            if alpha <= n / (n - 1.0):
+                expect = alpha * math.log2(n) - alpha * binary_entropy(1.0 / alpha)
+            else:
+                expect = math.log2(n - 1.0)
+            assert pattern_decoding_rate(w, alpha).rate == pytest.approx(
+                expect, abs=1e-12), alpha
 
-        monkeypatch.setattr(rates_mod, "pairwise_descent", counted)
-        res = pattern_decoding_rate(w, 1.1, starts=0)
-        assert len(calls) == 1
-        # the values of descending from both starts
-        assert res.rate == pytest.approx(0.24589116080201212, abs=1e-12)
-        assert res.input_dist.probs == pytest.approx(
-            [0.2666676839192708, 0.36666615804036456, 0.36666615804036456], abs=1e-12
-        )
-        assert res.spread == 0.0
+    @pytest.mark.parametrize("flip", [0.0, 0.01, 0.1, 0.3])
+    def test_bsc_closed_form(self, flip):
+        w = Dmc.bsc(flip)
+        for alpha in (1.0, 1.02, 1.1, 1.3, 1.6, 2.0):
+            expect = max(alpha * (1.0 - binary_entropy(flip))
+                         - alpha * binary_entropy(1.0 / alpha), 0.0)
+            assert pattern_decoding_rate(w, alpha).rate == pytest.approx(
+                expect, abs=1e-12), alpha
 
 
 class TestNoiselessBinary:
