@@ -1,5 +1,6 @@
-"""Channel capacity by the Blahut-Arimoto iteration, with a certified
-optimality gap, plus the capacity of a disjoint union of channels."""
+"""Channel capacity by the Blahut-Arimoto iteration, accelerated near the
+optimum by safeguarded Newton steps, with a certified optimality gap; plus
+the capacity of a disjoint union of channels."""
 
 from __future__ import annotations
 
@@ -12,6 +13,17 @@ from scipy import sparse
 from .prob import RENORM_TOL, Dmc, Pmf
 
 _LN2 = math.log(2.0)
+# The Newton step is tried once the sandwich is below this many nats (1e-3
+# bits), on the inputs with r(x) > _SUPPORT_REL * max r, and only while there
+# are at most _NEWTON_MAX_SUPPORT of them: its KKT system is dense.
+_NEWTON_GAP = 1e-3 * _LN2
+_SUPPORT_REL = 1e-12
+_NEWTON_MAX_SUPPORT = 2048
+# Ridge on the scaled Hessian, whose entries lie in [-1, 0]: it keeps the KKT
+# system regular when the support holds more inputs than independent rows.
+_RIDGE = 1e-10
+# Entries of one column chunk of a dense channel in the Hessian build.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,48 @@ def _as_matrix(w):
     return m
 
 
+def _newton_step(m, r, t, d):
+    """One Newton step for max I(r, W) + sum_x r(x) b(x) subject to
+    sum r = 1, on the support of r, or None when it cannot be taken.
+
+    `t` = rW and `d` = D(W_x || t) + b(x) in nats are taken at r.  The
+    gradient is d - 1 and the Hessian H = -sum_y W(y|x) W(y|x') / t(y).  The
+    KKT system is solved for u = delta / sqrt(r), where the Hessian becomes
+    sqrt(r) H sqrt(r) (less _RIDGE on its diagonal) and the constraint
+    sqrt(r).u = 0; the step is cut to 0.99 of the way to the first r(x) = 0.
+    """
+    supp = np.flatnonzero(r > _SUPPORT_REL * r.max())
+    k = supp.size
+    if k < 2 or k > _NEWTON_MAX_SUPPORT:
+        return None
+    if sparse.issparse(m):
+        rows = m[supp]
+        neg_hess = (rows.multiply(1.0 / t).tocsr() @ rows.T).toarray()
+    else:
+        neg_hess = np.zeros((k, k))
+        step = max(1, _CHUNK_ENTRIES // k)
+        for c0 in range(0, t.size, step):
+            block = m[supp, c0:c0 + step]
+            neg_hess += (block / t[c0:c0 + step]) @ block.T
+    root = np.sqrt(r[supp])
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = -neg_hess * root[:, None] * root
+    kkt[np.arange(k), np.arange(k)] -= _RIDGE
+    kkt[:k, k] = kkt[k, :k] = root
+    rhs = np.append(root * (1.0 - d[supp]), 0.0)  # minus the scaled gradient
+    try:
+        delta = root * np.linalg.solve(kkt, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(delta).all():
+        return None
+    down = delta < 0.0
+    tau = min(1.0, 0.99 * float((r[supp][down] / -delta[down]).min())) if down.any() else 1.0
+    cand = r.copy()
+    cand[supp] += tau * delta
+    return cand / cand.sum()
+
+
 def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
                     offset=None) -> CapacityResult:
     """Capacity of a DMC in bits, to within `tol` bits.
@@ -55,9 +109,17 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
     matrix (rows are trusted to be stochastic in the sparse case).  All-zero
     output columns are dropped; they cannot carry probability.
 
+    Once the sandwich is below _NEWTON_GAP, each iteration first tries a
+    Newton step on the support of r (see `_newton_step`) and keeps it only if
+    it strictly raises the lower bound I; otherwise, or when the step cannot
+    be taken, it makes the Blahut-Arimoto update.  So the lower bounds never
+    decrease, and convergence near the optimum is fast even where the plain
+    update slows down to 1/n.
+
     With a per-input `offset` b (bits) it maximizes I(r, W) + sum_x r(x) b(x),
     Blahut's input-cost form: D(W_x || rW) + b(x) replaces D(W_x || rW) in the
-    update and the sandwich, and `capacity` and `gap` refer to that objective.
+    update, the Newton step and the sandwich, and `capacity` and `gap` refer
+    to that objective.
 
     If `max_iter` is exhausted first, the partial result is returned with
     converged=False and the achieved gap.
@@ -76,32 +138,42 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             lw = np.where(m > 0.0, np.log(m), 0.0)
         row_ent = (m * lw).sum(axis=1)
-
-    tol_nats = tol * _LN2
     offset = None if offset is None else np.asarray(offset, dtype=float) * _LN2
-    r = np.full(nin, 1.0 / nin)
-    history = []
-    lb = -math.inf
-    gap = math.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
+
+    def bounds(r):
+        """rW, D(W_x || rW) + b(x) in nats for every input x, and I + r.b."""
         t = m.T.dot(r) if is_sparse else r @ m
         logt = np.log(t)
-        # D(W_x || rW) in nats for every input x
         if is_sparse:
             d = row_ent - np.asarray(m.dot(logt)).ravel()
         else:
             d = row_ent - m @ logt
         if offset is not None:
             d = d + offset
-        lb = float(r @ d)
+        return t, d, float(r @ d)
+
+    tol_nats = tol * _LN2
+    r = np.full(nin, 1.0 / nin)
+    t, d, lb = bounds(r)
+    history = []
+    gap = math.inf
+    iters = 0
+    for iters in range(1, max_iter + 1):
         ub = float(d.max())
         history.append(lb / _LN2)
         gap = ub - lb
         if gap < tol_nats or iters == max_iter:
             break  # so that `input_dist` is the law the bounds were taken at
+        if gap < _NEWTON_GAP:
+            cand = _newton_step(m, r, t, d)
+            if cand is not None:
+                ct, cd, clb = bounds(cand)
+                if clb > lb:
+                    r, t, d, lb = cand, ct, cd, clb
+                    continue
         r = r * np.exp(d - ub)
         r /= r.sum()
+        t, d, lb = bounds(r)
     return CapacityResult(
         capacity=lb / _LN2,
         input_dist=Pmf(r),

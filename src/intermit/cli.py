@@ -181,12 +181,16 @@ def _cmd_rate(args) -> int:
         w = _parse_channel(args.channel, args.star)
         if w.star is None:
             raise UsageError("scheme needs a designated noise input; pass --star")
-        cap = blahut_capacity(w)
-        for alpha in alphas:
-            if args.scheme == "r1":
+        if args.scheme == "r1":
+            cap = blahut_capacity(w)
+            if not cap.converged:
+                raise ConvergenceError(
+                    f"Blahut-Arimoto did not converge on the channel {args.channel}")
+            for alpha in alphas:
                 rate = exhaustive_decoding_rate(w, alpha, capacity=cap.capacity)
                 rows.append((alpha, rate, math.nan, _fmt_vec(cap.input_dist.probs)))
-            else:
+        else:
+            for alpha in alphas:
                 res = pattern_decoding_rate(w, alpha)
                 beta = intermittency_overhead(res.input_dist.probs, w, alpha).beta_star
                 rows.append((alpha, res.rate, beta, _fmt_vec(res.input_dist.probs)))

@@ -2,8 +2,8 @@
 
 Each test is one observable guarantee of the toolkit, checked at a pinned
 tolerance.  Run with -v to get one pass/fail line per guarantee.  The
-full-size long-window reproduction is marked `paper_scale` (hours of CPU)
-and is skipped unless RUN_PAPER_SCALE=1.
+full-size long-window reproduction is marked `paper_scale` (about 26 s on
+2 vCPUs) and is skipped unless RUN_PAPER_SCALE=1.
 """
 
 import itertools

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+import intermit.blahut as blahut_mod
+from blahut_oracle import plain_blahut_capacity
+from insertion_oracle import uniform_insertion_channel
 from intermit import (Dmc, binary_entropy, blahut_capacity, mutual_information,
-                      union_capacity)
+                      union_capacity, weight_class_channel)
 
 
 def test_bsc_capacity_closed_form():
@@ -80,6 +85,87 @@ def test_offset_maximizes_information_plus_offset():
     assert best - 1e-12 <= res.capacity + res.gap
     assert res.capacity >= best - 1e-9
     assert res.input_dist.probs[1] > blahut_capacity(z).input_dist.probs[1]
+
+
+def test_nearly_tied_inputs_converge():
+    # the first and last rows nearly coincide and the middle input is nearly
+    # useless, so the plain iteration slows to 1/n: 100 000 iterations leave
+    # a gap of 2e-6 bits
+    w = np.array([[0.61599, 0.0, 0.38401, 0.0],
+                  [0.15209, 0.54856, 0.0, 0.29935],
+                  [0.61601, 0.0, 0.38399, 0.0]])
+    res = blahut_capacity(w)
+    assert res.converged
+    assert res.gap <= 1e-9
+    assert res.iterations <= 1_000
+    assert res.capacity == pytest.approx(mutual_information(res.input_dist.probs, w), abs=1e-14)
+
+
+def test_without_newton_steps_the_loop_is_the_plain_iteration(monkeypatch):
+    # no support is small enough for a Newton step, so every iteration takes
+    # the Blahut-Arimoto update: the same floats as the oracle
+    monkeypatch.setattr(blahut_mod, "_NEWTON_MAX_SUPPORT", 1)
+    w = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+    for offset in (None, [0.0, 0.3, 0.1]):
+        res = blahut_capacity(w, tol=1e-12, offset=offset)
+        ref = plain_blahut_capacity(w, tol=1e-12, offset=offset)
+        assert res.lb_history == ref.lb_history
+        assert np.array_equal(res.input_dist.probs, ref.input_dist.probs)
+
+
+def test_hessian_chunks_do_not_change_the_result(monkeypatch):
+    # one output column per chunk against the whole channel in one chunk
+    w, _, _ = weight_class_channel(6, 10, 3)
+    whole = blahut_capacity(w, tol=1e-12)
+    assert whole.iterations < plain_blahut_capacity(w, tol=1e-12).iterations
+    monkeypatch.setattr(blahut_mod, "_CHUNK_ENTRIES", 1)
+    chunked = blahut_capacity(w, tol=1e-12)
+    assert chunked.capacity == pytest.approx(whole.capacity, abs=1e-12)
+    assert chunked.converged
+
+
+def test_full_insertion_channel_matches_plain_iteration():
+    # the full channel is a disjoint union of weight classes, so its Hessian
+    # is block diagonal and the Newton step has to move mass between blocks
+    w = uniform_insertion_channel(4, 6).rows
+    res = blahut_capacity(w)
+    ref = plain_blahut_capacity(w)
+    assert res.converged
+    assert ref.capacity - 1e-12 <= res.capacity <= ref.capacity + ref.gap + 1e-14
+
+
+@st.composite
+def channels(draw):
+    """A channel with 2-6 inputs and outputs, often with zero entries and a
+    duplicated row, and an optional per-input offset in bits."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    rows = np.array(draw(st.lists(st.lists(weight, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)))
+    rows[rows.sum(axis=1) == 0.0, draw(st.integers(0, m - 1))] = 1.0
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = rows[draw(st.integers(0, n - 1))]
+    offset = draw(st.one_of(st.none(), st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                                 max_size=n)))
+    return rows / rows.sum(axis=1, keepdims=True), offset
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels())
+def test_newton_steps_match_plain_iteration(case):
+    # certified to 1e-12, the accelerated run is within 1e-12 of the capacity,
+    # so at least the oracle's lower bound less 1e-12 and at most its upper
+    # bound; the plain loop would need up to 1e12 iterations for that
+    w, offset = case
+    res = blahut_capacity(w, tol=1e-12, offset=offset)
+    ref = plain_blahut_capacity(w, offset=offset)
+    assert res.converged
+    assert np.all(np.diff(res.lb_history) >= -1e-13)
+    assert res.capacity >= ref.capacity - 1e-12
+    assert res.capacity <= ref.capacity + ref.gap + 1e-14  # the gap's rounding
+    csr = blahut_capacity(sparse.csr_matrix(w), tol=1e-12, offset=offset)
+    assert csr.converged
+    assert csr.capacity == pytest.approx(res.capacity, abs=1e-12)
 
 
 def test_union_capacity():

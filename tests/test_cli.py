@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import intermit.cli as cli_mod
 import intermit.insertion as insertion_mod
 import intermit.sim as sim_mod
 from insertion_oracle import all_blocks, insertion_table
@@ -163,6 +164,20 @@ def test_aux_g_refuses_unconverged_capacity(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(insertion_mod, "blahut_capacity", unconverged)
     out_file = tmp_path / "g.csv"
     code, out, err = run_cli(capsys, ["aux-g", "--grid-b", "3", "--out", str(out_file)])
+    assert code == 1
+    assert out == ""
+    assert not out_file.exists()
+    assert "ConvergenceError" in err
+
+
+def test_rate_r1_refuses_unconverged_capacity(capsys, monkeypatch, tmp_path):
+    # an exhausted run: the Z-channel's optimum is not certified after one step
+    exhausted = blahut_capacity(np.array([[1.0, 0.0], [0.3, 0.7]]), max_iter=1)
+    assert not exhausted.converged
+    monkeypatch.setattr(cli_mod, "blahut_capacity", lambda *args, **kwargs: exhausted)
+    out_file = tmp_path / "r1.csv"
+    code, out, err = run_cli(capsys, ["rate", "--scheme", "r1", "--channel", "bsc:0.1",
+                                      "--alpha-grid", "1:2:0.5", "--out", str(out_file)])
     assert code == 1
     assert out == ""
     assert not out_file.exists()

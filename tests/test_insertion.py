@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import intermit.insertion as insertion_mod
+from blahut_oracle import plain_blahut_capacity
 from insertion_oracle import all_blocks, count_matrix, uniform_insertion_channel
 from intermit import (
     ConvergenceError,
@@ -154,6 +155,21 @@ def test_capacity_2_to_3_two_routes():
     direct = blahut_capacity(uniform_insertion_channel(2, 3)).capacity
     assert via_classes == pytest.approx(1.84293903978736, abs=1e-9)
     assert direct == pytest.approx(via_classes, abs=1e-6)
+
+
+def test_capacity_matches_plain_iteration():
+    # every desk-size (a, b) with b <= 10, class by class against the plain
+    # Blahut-Arimoto loop: at least its lower bound, at most its upper bound
+    for b in range(1, 11):
+        for a in range(1, b + 1):
+            res = insertion_capacity(a, b)
+            assert res.converged
+            for w, cap in enumerate(res.class_capacities):
+                if math.comb(a, w) == 1:
+                    continue
+                ref = plain_blahut_capacity(weight_class_channel(a, b, w)[0])
+                # 1e-14: a class certified at its first iterate can have a gap of -3e-16
+                assert ref.capacity - 1e-12 <= cap <= ref.capacity + ref.gap + 1e-14, (a, b, w)
 
 
 def test_class_capacities_recorded():

@@ -169,6 +169,13 @@ class TestPatternRate:
         assert r1 - 1e-9 <= res.rate <= c + 1e-9
         assert res.gap <= 1e-9
 
+    def test_binding_run_is_certified_when_an_input_copies_the_noise_row(self):
+        # input 1 repeats the noise row; with the plain update alone the
+        # binding run used up its 100 000 iterations and left a gap of 5.8e-9
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.8366, 0.1634, 0.0]])
+        res = pattern_decoding_rate(Dmc(rows, star=0), 2.65625)
+        assert 0.0 <= res.gap <= 1e-9
+
     def test_ternary_closed_form(self):
         # the uniform capacity-achieving input puts 1/3 >= 1 - 1/1.1 on the
         # noise symbol, so R2 = alpha (C_W - h(1/alpha)) at alpha Q - (alpha-1) delta_*
