@@ -100,7 +100,7 @@ def _newton_step(m, r, t, d):
 
 
 def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
-                    offset=None) -> CapacityResult:
+                    offset=None, start=None) -> CapacityResult:
     """Capacity of a DMC in bits, to within `tol` bits.
 
     Alternates the Blahut-Arimoto update on the input distribution and stops
@@ -120,6 +120,9 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
     Blahut's input-cost form: D(W_x || rW) + b(x) replaces D(W_x || rW) in the
     update, the Newton step and the sandwich, and `capacity` and `gap` refer
     to that objective.
+
+    The iteration starts from the uniform input law, or from `start`:
+    positive per-input weights, normalized here.
 
     If `max_iter` is exhausted first, the partial result is returned with
     converged=False and the achieved gap.
@@ -152,8 +155,14 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
             d = d + offset
         return t, d, float(r @ d)
 
+    if start is None:
+        r = np.full(nin, 1.0 / nin)
+    else:
+        r = np.asarray(start, dtype=float)
+        if r.shape != (nin,) or not (np.isfinite(r).all() and (r > 0.0).all()):
+            raise ValueError(f"start must hold {nin} positive finite weights")
+        r = r / r.sum()
     tol_nats = tol * _LN2
-    r = np.full(nin, 1.0 / nin)
     t, d, lb = bounds(r)
     history = []
     gap = math.inf

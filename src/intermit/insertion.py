@@ -6,13 +6,15 @@ Provides exact (rational-count) channel construction, capacity via per-weight
 decomposition + Blahut-Arimoto, and a run-length combinatorial upper bound.
 Hamming weight is preserved by zero insertion, so the channel splits into
 independent weight classes and the capacity is the union capacity of the
-class capacities.
+class capacities.  Zero insertion also commutes with reversing the block, so
+each class is solved on its reversal orbits (see `WeightClass`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -29,8 +31,8 @@ B_HARD = 17
 # The combinatorial upper bound enumerates all 2^a inputs.
 UPPER_A_MAX = 20
 _DENSE_LIMIT = 1 << 22  # max entries for a dense class/full matrix
-# Entries of one chunk of a count build (its output codes, and its block of
-# counts); larger chunks build faster but raise the peak memory.
+# Output codes in one chunk of a count build; larger chunks build faster but
+# raise the peak memory.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -148,56 +150,83 @@ def position_entropy(x, b: int) -> float:
     return float(sum(w * h for w, h in zip(weights, entropies)) / total)
 
 
-def _class_inputs(a: int, weight: int):
-    """All weight-`weight` binary a-tuples, in lexicographic order."""
-    if a == 0:
-        return [()]
-    out = []
-    for ones in combinations(range(a), weight):
-        bits = [0] * a
-        for pos in ones:
-            bits[pos] = 1
-        out.append(tuple(bits))
-    return out
+@lru_cache(maxsize=2)
+def _block_tables(n: int):
+    """Hamming weight and big-endian code of the reversal, for every n-bit
+    block code."""
+    codes = np.arange(1 << n, dtype=np.int64)
+    weight = np.zeros(1 << n, dtype=np.int64)
+    rev = np.zeros(1 << n, dtype=np.int64)
+    for k in range(n):
+        bit = (codes >> k) & 1
+        weight += bit
+        rev |= bit << (n - 1 - k)
+    weight.flags.writeable = rev.flags.writeable = False  # shared through the cache
+    return weight, rev
 
 
-def _count_matrix(in_bits, out_codes, b: int, as_sparse: bool):
-    """Integer insertion counts from the input blocks `in_bits` (one row of
-    `a` big-endian bits per input) to the outputs with big-endian codes
-    `out_codes`, over all C(b, a) kept-position sets.
+def _bits(codes, n: int):
+    """Rows of the n big-endian bits of each code."""
+    return (np.asarray(codes)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
-    Every output an input reaches must be listed in `out_codes`.  Rows are
-    built in chunks of at most _CHUNK_ENTRIES output codes and counts, so
-    the memory beyond the result stays bounded; the result is a dense int64
-    array, or scipy CSR with sorted indices when `as_sparse`.
-    """
-    nin, a = in_bits.shape
-    nout = out_codes.size
+
+def _orbits(n: int, weight: int):
+    """Reversal orbits of the weight-`weight` n-bit blocks: the codes of their
+    representatives (the blocks whose code is at most that of their reversal),
+    in increasing order, and the orbit sizes (1 for palindromes, else 2)."""
+    wt, rev = _block_tables(n)
+    codes = np.flatnonzero((wt == weight) & (np.arange(1 << n) <= rev))
+    return codes, np.where(rev[codes] == codes, 1, 2)
+
+
+@lru_cache(maxsize=1)
+def _keep_codes(a: int, b: int):
+    """Output codes of every a-bit input over the C(b, a) kept-position sets,
+    as two tables: the outputs of input x are high[x >> shift] + low[x &
+    (2^shift - 1)], one column per kept-position set.  Each table sums the
+    code weights 2^(b-1-pos) of one half of the input bits."""
     keep = np.array(list(combinations(range(b), a)), dtype=np.int64).reshape(math.comb(b, a), a)
-    place = (1 << (b - 1 - keep)).T  # code weight of each input bit, per keep set
-    order = np.argsort(out_codes)
-    sorted_codes = out_codes[order]
-    step = max(1, _CHUNK_ENTRIES // max(place.shape[1], nout))
-    dense = None if as_sparse else np.empty((nin, nout), dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for r0 in range(0, nin, step):
-        codes = in_bits[r0:r0 + step] @ place
-        n = codes.shape[0]
-        flat = order[np.searchsorted(sorted_codes, codes)] + nout * np.arange(n)[:, None]
-        block = np.bincount(flat.ravel(), minlength=n * nout).reshape(n, nout)
-        if as_sparse:
-            r, c = np.nonzero(block)
-            rows.append(r + r0)
-            cols.append(c)
-            vals.append(block[r, c])
-        else:
-            dense[r0:r0 + n] = block
-    if not as_sparse:
-        return dense
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nin, nout),
-    )
+    place = (1 << (b - 1 - keep)).T.astype(np.int32)  # b <= 17: codes fit
+
+    def table(rows):
+        out = np.zeros((1, place.shape[1]), dtype=np.int32)
+        for row in rows:  # the next bit is the new least significant one
+            out = np.stack((out, out + row), axis=1).reshape(-1, place.shape[1])
+        return out
+
+    shift = (a + 1) // 2
+    high, low = table(place[:a - shift]), table(place[a - shift:])
+    high.flags.writeable = low.flags.writeable = False  # shared through the cache
+    return high, low, shift
+
+
+def _count_chunks(in_codes, a: int, b: int, col):
+    """Nonzero insertion counts from the a-bit inputs `in_codes`, with output
+    code y counted in column col[y], over all C(b, a) kept-position sets.
+
+    Yields (r0, n, rows, cols, counts) per chunk of n inputs from in_codes[r0],
+    with rows relative to r0 and entries in row-major order.  Each row's
+    columns are sorted and counted by runs, so the work follows the C(b, a)
+    outputs of a row, not the width of the class.  A chunk holds at most
+    _CHUNK_ENTRIES output codes, so the memory beyond the result stays
+    bounded."""
+    high, low, shift = _keep_codes(a, b)
+    nkeep = high.shape[1]
+    step = max(1, _CHUNK_ENTRIES // nkeep)
+    for r0 in range(0, in_codes.size, step):
+        x = in_codes[r0:r0 + step]
+        cols = col[high[x >> shift] + low[x & ((1 << shift) - 1)]]
+        cols.sort(axis=1)
+        starts = np.ones(cols.shape, dtype=bool)
+        np.not_equal(cols[:, 1:], cols[:, :-1], out=starts[:, 1:])
+        first = np.flatnonzero(starts)
+        yield r0, x.size, first // nkeep, cols.ravel()[first], np.diff(first, append=cols.size)
+
+
+def _csr(rows, cols, vals, shape):
+    """scipy CSR from per-chunk entries in row-major order."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(np.concatenate(rows), minlength=shape[0]))))
+    return sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=shape)
 
 
 def insertion_counts(a: int, b: int, *, allow_large: bool = False):
@@ -206,33 +235,85 @@ def insertion_counts(a: int, b: int, *, allow_large: bool = False):
     Row/column indices read the blocks as big-endian binary integers; each
     row sums to C(b, a) and lists its outputs in increasing order."""
     _check_block_sizes(a, b, allow_large)
-    in_bits = (np.arange(1 << a)[:, None] >> np.arange(a - 1, -1, -1)) & 1
-    return _count_matrix(in_bits, np.arange(1 << b), b, as_sparse=True)
+    nin = 1 << a
+    rows, cols, vals = [], [], []
+    for r0, _, r, c, cnt in _count_chunks(np.arange(nin), a, b, np.arange(1 << b, dtype=np.int32)):
+        rows.append(r + r0)
+        cols.append(c)
+        vals.append(cnt)
+    return _csr(rows, cols, vals, (nin, 1 << b))
 
 
-def weight_class_channel(a: int, b: int, weight: int, *, allow_large: bool = False):
-    """The insertion channel restricted to inputs of one Hamming weight.
+@dataclass(frozen=True)
+class WeightClass:
+    """One weight class of the insertion channel, folded over block reversal.
 
-    Returns (matrix, inputs, outputs) with the matrix dense or scipy-sparse
-    depending on size; rows are in the lexicographic order of `inputs`.
+    Zero insertion commutes with reversing the block, so the class capacity
+    is reached by a reversal-invariant input law and the class can be solved
+    on orbits.  Row O of `matrix` is V(Yo|O) = sum_{y in Yo} W(y|x) for the
+    representative x of input orbit O, over the output orbits Yo.  For an
+    invariant law with orbit masses rho,
+
+        D(W_x || rW) = D(V_O || rho V) + offset(O),
+        offset(O) = H(V_O) + sum_Yo V(Yo|O) log2 |Yo| - H(W_x) >= 0,
+
+    so the class capacity is `blahut_capacity(matrix, offset=offset)`, whose
+    sandwich equals the unfolded one at the same law.
+
+    `matrix` is dense, or scipy CSR above _DENSE_LIMIT entries; `offset` is
+    in bits; `sizes` holds the input orbit sizes; `inputs` and `outputs` the
+    big-endian codes of the input and output orbit representatives (the
+    blocks whose code is at most that of their reversal), in increasing order.
     """
+
+    matrix: object
+    offset: np.ndarray
+    sizes: np.ndarray
+    inputs: np.ndarray
+    outputs: np.ndarray
+
+
+def _xlog2x(v):
+    return v * np.log2(v)
+
+
+def weight_class_channel(a: int, b: int, weight: int, *,
+                         allow_large: bool = False) -> WeightClass:
+    """The insertion channel restricted to inputs of one Hamming weight,
+    folded over block reversal (see `WeightClass`)."""
     _check_block_sizes(a, b, allow_large)
     if not 0 <= weight <= a:
         raise ValueError(f"weight {weight} out of range for block length {a}")
-    inputs = _class_inputs(a, weight)
-    outputs = _class_inputs(b, weight)
-    as_sparse = len(inputs) * len(outputs) > _DENSE_LIMIT
-    in_bits = np.array(inputs, dtype=np.int64).reshape(len(inputs), a)
-    out_bits = np.array(outputs, dtype=np.int64).reshape(len(outputs), b)
-    counts = _count_matrix(in_bits, out_bits @ (1 << np.arange(b - 1, -1, -1)), b,
-                           as_sparse=as_sparse)
+    inputs, sizes = _orbits(a, weight)
+    outputs, out_sizes = _orbits(b, weight)
+    nin, nout = inputs.size, outputs.size
+    # the two blocks of output orbit k count in columns 2k and 2k + 1, so the
+    # entries of one orbit are adjacent in every chunk
+    col = np.empty(1 << b, dtype=np.int32)
+    col[_block_tables(b)[1][outputs]] = 2 * np.arange(nout) + 1
+    col[outputs] = 2 * np.arange(nout)
     denom = math.comb(b, a)
-    if as_sparse:
-        mat = counts.astype(np.float64)
-        mat.data /= denom  # scipy's `/` multiplies by 1/denom, which rounds differently
-    else:
-        mat = counts / denom
-    return mat, inputs, outputs
+    offset = np.empty(nin)
+    rows, cols, vals = [], [], []
+    for r0, n, r, c, cnt in _count_chunks(inputs, a, b, col):
+        key = r * nout + (c >> 1)
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        folded = np.add.reduceat(cnt, first)
+        fr, fc = r[first], c[first] >> 1
+        # denom * offset = sum n log2 n - sum f log2 f + sum_{|Yo| = 2} f
+        offset[r0:r0 + n] = (
+            np.bincount(r, weights=_xlog2x(cnt), minlength=n)
+            - np.bincount(fr, weights=_xlog2x(folded) - folded * (out_sizes[fc] - 1),
+                          minlength=n)
+        ) / denom
+        rows.append(fr + r0)
+        cols.append(fc)
+        vals.append(folded / denom)
+    matrix = _csr(rows, cols, vals, (nin, nout))
+    if nin * nout <= _DENSE_LIMIT:
+        matrix = matrix.toarray()
+    return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
+                       outputs=outputs)
 
 
 @dataclass(frozen=True)
@@ -259,12 +340,13 @@ def insertion_capacity(a: int, b: int, *, tol: float = 1e-9,
     caps = []
     converged = True
     for w in range(a + 1):
-        inputs = _class_inputs(a, w)
-        if len(inputs) == 1:
+        if math.comb(a, w) == 1:
             caps.append(0.0)
             continue
-        mat, _, _ = weight_class_channel(a, b, w, allow_large=allow_large)
-        res = blahut_capacity(mat, tol=tol, max_iter=max_iter)
+        cls = weight_class_channel(a, b, w, allow_large=allow_large)
+        # orbit sizes as the start: the uniform law of the unfolded class
+        res = blahut_capacity(cls.matrix, tol=tol, max_iter=max_iter, offset=cls.offset,
+                              start=cls.sizes)
         converged = converged and res.converged
         caps.append(res.capacity)
     # the union of the class lower bounds cannot really exceed a bits, but
@@ -312,8 +394,9 @@ def insertion_capacity_upper(a: int, b: int, *, allow_large: bool = False) -> fl
         raise ValueError("upper bound needs input length a >= 1")
     if a > UPPER_A_MAX:
         raise SizeGuardError(f"upper bound enumerates 2^a inputs; a={a} exceeds {UPPER_A_MAX}")
+    wt, _ = _block_tables(a)
     terms = []
     for j in range(a + 1):
-        fmax = max(position_entropy(x, b) for x in _class_inputs(a, j))
+        fmax = max(position_entropy(x, b) for x in _bits(np.flatnonzero(wt == j), a))
         terms.append(math.log2(math.comb(b, j)) + fmax)
     return float(np.logaddexp2.reduce(terms) - math.log2(math.comb(b, a)))

@@ -1,6 +1,7 @@
 """Brute-force zero-insertion counts, one output tuple at a time: the
-cross-check for the array builder in `intermit.insertion`; and the dense
-full insertion channel, for cross-checks against the weight-class route."""
+cross-check for the array builder in `intermit.insertion`; the dense full
+insertion channel and its weight classes without the reversal fold, for
+cross-checks against the folded weight-class route."""
 
 import math
 from collections import Counter
@@ -52,3 +53,18 @@ def uniform_insertion_channel(a: int, b: int) -> Dmc:
     counts.  Row/column indices read the blocks as big-endian binary
     integers, so row int('01', 2) is input (0, 1)."""
     return Dmc(insertion_counts(a, b).toarray() / math.comb(b, a))
+
+
+def weight_blocks(n: int, weight: int):
+    """Every weight-`weight` binary n-tuple, in increasing big-endian value."""
+    return [x for x in all_blocks(n) if sum(x) == weight]
+
+
+def unfolded_class_channel(a: int, b: int, weight: int):
+    """The insertion channel restricted to weight-`weight` inputs, without
+    the reversal fold, sliced from `insertion_counts`: (dense matrix, inputs,
+    outputs), rows and columns in increasing big-endian value."""
+    rows = [i for i in range(1 << a) if i.bit_count() == weight]
+    cols = [j for j in range(1 << b) if j.bit_count() == weight]
+    counts = insertion_counts(a, b)[rows][:, cols].toarray()
+    return counts / math.comb(b, a), weight_blocks(a, weight), weight_blocks(b, weight)

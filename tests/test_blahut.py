@@ -8,9 +8,9 @@ from scipy import sparse
 
 import intermit.blahut as blahut_mod
 from blahut_oracle import plain_blahut_capacity
-from insertion_oracle import uniform_insertion_channel
+from insertion_oracle import unfolded_class_channel, uniform_insertion_channel
 from intermit import (Dmc, binary_entropy, blahut_capacity, mutual_information,
-                      union_capacity, weight_class_channel)
+                      union_capacity)
 
 
 def test_bsc_capacity_closed_form():
@@ -113,9 +113,26 @@ def test_without_newton_steps_the_loop_is_the_plain_iteration(monkeypatch):
         assert np.array_equal(res.input_dist.probs, ref.input_dist.probs)
 
 
+def test_start_law():
+    w = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+    # equal weights are the default uniform start, float for float
+    default = blahut_capacity(w, tol=1e-12)
+    even = blahut_capacity(w, tol=1e-12, start=[2.0, 2.0, 2.0])
+    assert even.lb_history == default.lb_history
+    assert np.array_equal(even.input_dist.probs, default.input_dist.probs)
+    # the first lower bound is the information of the normalized start
+    skewed = blahut_capacity(w, tol=1e-12, start=[1.0, 2.0, 5.0])
+    first = mutual_information(np.array([1.0, 2.0, 5.0]) / 8.0, w)
+    assert skewed.lb_history[0] == pytest.approx(first, abs=1e-14)
+    assert skewed.capacity == pytest.approx(default.capacity, abs=1e-12)
+    for bad in ([1.0, 2.0], [1.0, 0.0, 1.0], [1.0, np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            blahut_capacity(w, start=bad)
+
+
 def test_hessian_chunks_do_not_change_the_result(monkeypatch):
     # one output column per chunk against the whole channel in one chunk
-    w, _, _ = weight_class_channel(6, 10, 3)
+    w, _, _ = unfolded_class_channel(6, 10, 3)
     whole = blahut_capacity(w, tol=1e-12)
     assert whole.iterations < plain_blahut_capacity(w, tol=1e-12).iterations
     monkeypatch.setattr(blahut_mod, "_CHUNK_ENTRIES", 1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intermit import (
     CostModel,
@@ -13,6 +15,7 @@ from intermit import (
     cpuc_lower,
     cpuc_upper,
     kl_divergence,
+    pattern_decoding_rate,
     ppm_burst_length,
     z_pmf,
     z_quantile,
@@ -85,6 +88,18 @@ class TestSecondGenieBound:
     def test_tightens_with_larger_window(self):
         vals = [c2_upper(s, 1.5) for s in range(3, 7)]
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.0, 4.0),
+       st.integers(1, 8).flatmap(lambda s: st.tuples(st.just(s), st.integers(s, 12))))
+def test_pattern_rate_below_both_genie_bounds(alpha, window):
+    # an achievable rate of the noiseless binary channel never exceeds a
+    # converse bound on its capacity; R2 is certified to 1e-9 bits
+    s, b_max = window
+    rate = pattern_decoding_rate(Dmc.identity(2), alpha).rate
+    assert rate <= c1_upper(GenieBoundConfig(s, b_max, alpha)) + 1e-9
+    assert rate <= c2_upper(s, alpha) + 1e-9
 
 
 class TestCostCapacity:

@@ -1,6 +1,7 @@
 """Command-line interface: CSV shape, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -198,6 +199,26 @@ def test_upper_bound_c2(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert float(rows[0][2]) == pytest.approx(c2_upper(3, 1.5), abs=1e-12)
+
+
+# SHA-256 of the stdout of converse-bound and insertion-capacity sweeps: any
+# change to a printed digit of g or phi shows here
+PINNED_STDOUT = [
+    (["upper-bound", "c1", "--s", "7", "--bmax", "12", "--alpha-grid", "1:3:0.25"],
+     "ae6da661c6647cd9f8cc5a4a42ed7864856b96d083ca7e01150cd1ffb564ce1c"),
+    (["upper-bound", "c2", "--s", "10", "--alpha-grid", "1:3:0.25"],
+     "f1a2e9d845d0ec97a84c4e66d094ec2b23173f5d1000ccc44e3e00eeca671fea"),
+    (["aux-g", "--grid-b", "9"],
+     "bbdd7b0826c6265b72c34b64ed47755f4c975bad72c6670ec210743efea9b17e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
+def test_pinned_stdout_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cpuc_rows(capsys, bsc01):

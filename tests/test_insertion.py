@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.special import entr
 
 import intermit.insertion as insertion_mod
 from blahut_oracle import plain_blahut_capacity
-from insertion_oracle import all_blocks, count_matrix, uniform_insertion_channel
+from insertion_oracle import (all_blocks, count_matrix, unfolded_class_channel,
+                              uniform_insertion_channel, weight_blocks)
 from intermit import (
     ConvergenceError,
     Dmc,
@@ -46,11 +48,18 @@ def test_exact_counts_length_2_to_3():
 
 
 def test_weight_class_split_of_full_channel():
-    m, inputs, outputs = weight_class_channel(2, 3, 1)
-    assert inputs == [(1, 0), (0, 1)]
-    assert outputs == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    dense = np.asarray(m.todense()) if hasattr(m, "todense") else np.asarray(m)
-    assert np.array_equal(dense * 3, np.array([[2, 1, 0], [0, 1, 2]]))
+    m, inputs, outputs = unfolded_class_channel(2, 3, 1)
+    assert inputs == [(0, 1), (1, 0)]
+    assert outputs == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert np.array_equal(m * 3, np.array([[2, 1, 0], [0, 1, 2]]))
+    # folded: 01 and 10 form one input orbit, 001 and 100 one output orbit
+    cls = weight_class_channel(2, 3, 1)
+    assert cls.inputs.tolist() == [0b01]
+    assert cls.sizes.tolist() == [2]
+    assert cls.outputs.tolist() == [0b001, 0b010]
+    assert np.array_equal(cls.matrix * 3, np.array([[2, 1]]))
+    # H(V) + E log2|Yo| - H(W_x) = h(1/3) + 2/3 - h(1/3)
+    assert cls.offset[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 # chunk budgets from one row per chunk up to the module's own
@@ -64,17 +73,47 @@ def class_sizes(draw):
     return a, b, draw(st.integers(0, a))
 
 
+def _code(x) -> int:
+    return int("".join(map(str, x)) or "0", 2)
+
+
+def _representatives(blocks):
+    """The blocks whose code is at most that of their reversal."""
+    return [x for x in blocks if _code(x) <= _code(x[::-1])]
+
+
+def _entropy_bits(rows):
+    return entr(rows).sum(axis=1) / math.log(2.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(class_sizes(), CHUNKS)
 def test_class_counts_match_oracle(sizes, chunk):
     a, b, w = sizes
     with mock.patch.object(insertion_mod, "_CHUNK_ENTRIES", chunk):
-        mat, inputs, outputs = weight_class_channel(a, b, w)
-    expect = count_matrix(inputs, outputs, a, b)
+        cls = weight_class_channel(a, b, w)
+    inputs, outputs = weight_blocks(a, w), weight_blocks(b, w)
+    in_reps, out_reps = _representatives(inputs), _representatives(outputs)
+    assert cls.inputs.tolist() == [_code(x) for x in in_reps]
+    assert cls.outputs.tolist() == [_code(y) for y in out_reps]
+    # every palindromic input is an orbit of its own
+    assert cls.sizes.tolist() == [1 if x == x[::-1] else 2 for x in in_reps]
+    expect = count_matrix(in_reps, outputs, a, b)
     denom = math.comb(b, a)
-    assert np.array_equal(expect.sum(axis=1), np.full(len(inputs), denom))
-    assert np.array_equal(np.rint(mat * denom).astype(np.int64), expect)
-    assert np.array_equal(mat, expect / denom)  # bit for bit
+    assert np.array_equal(expect.sum(axis=1), np.full(len(in_reps), denom))
+    # the oracle's counts summed over each output orbit {y, reversed y}
+    orbit = {y: k for k, rep in enumerate(out_reps) for y in (rep, rep[::-1])}
+    fold = np.zeros((len(outputs), len(out_reps)), dtype=np.int64)
+    fold[np.arange(len(outputs)), [orbit[y] for y in outputs]] = 1
+    folded = expect @ fold
+    mat = cls.matrix.toarray() if sparse.issparse(cls.matrix) else cls.matrix
+    assert np.array_equal(np.rint(mat * denom).astype(np.int64), folded)
+    assert np.array_equal(mat, folded / denom)  # bit for bit
+    out_sizes = np.array([1 if y == y[::-1] else 2 for y in out_reps])
+    v = folded / denom
+    offset = _entropy_bits(v) + v @ np.log2(out_sizes) - _entropy_bits(expect / denom)
+    assert np.allclose(cls.offset, offset, rtol=0.0, atol=1e-12)
+    assert (cls.offset >= -1e-12).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -92,16 +131,37 @@ def test_full_channel_counts_match_oracle(sizes, chunk):
 
 def test_sparse_class_matches_dense(monkeypatch):
     a, b, tol = 5, 9, 1e-9
-    dense = [weight_class_channel(a, b, w)[0] for w in range(a + 1)]
+    dense = [weight_class_channel(a, b, w) for w in range(a + 1)]
     dense_caps = insertion_capacity(a, b, tol=tol).class_capacities
     monkeypatch.setattr(insertion_mod, "_DENSE_LIMIT", 4)
     monkeypatch.setattr(insertion_mod, "_CHUNK_ENTRIES", 200)  # several chunks per class
     for w in range(1, a):
-        m, _, _ = weight_class_channel(a, b, w)
-        assert sparse.issparse(m)
-        assert np.array_equal(m.toarray(), dense[w])
+        cls = weight_class_channel(a, b, w)
+        assert sparse.issparse(cls.matrix)
+        assert cls.matrix.has_sorted_indices
+        assert np.array_equal(cls.matrix.toarray(), dense[w].matrix)
+        assert np.array_equal(cls.offset, dense[w].offset)
     sparse_caps = insertion_capacity(a, b, tol=tol).class_capacities
     assert np.allclose(sparse_caps, dense_caps, rtol=0.0, atol=tol)
+
+
+def test_folded_certificate_is_the_unfolded_one():
+    # at the invariant law that spreads each orbit's mass evenly, the
+    # unfolded class has the folded run's objective and sandwich
+    for a, b, w in [(4, 7, 2), (5, 9, 2), (6, 10, 3)]:
+        cls = weight_class_channel(a, b, w)
+        res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+        m, inputs, _ = unfolded_class_channel(a, b, w)
+        orbit = {code: k for k, code in enumerate(cls.inputs.tolist())}
+        rho = res.input_dist.probs
+        r = np.array([rho[orbit[min(_code(x), _code(x[::-1]))]] / (1 if x == x[::-1] else 2)
+                      for x in inputs])
+        t = r @ m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(m > 0.0, m * np.log2(m / t), 0.0).sum(axis=1)
+        assert res.converged
+        assert float(r @ d) == pytest.approx(res.capacity, abs=1e-12)
+        assert float(d.max() - r @ d) == pytest.approx(res.gap, abs=1e-12)
 
 
 def test_unconverged_loss_raises_and_caches_nothing(monkeypatch):
@@ -167,7 +227,7 @@ def test_capacity_matches_plain_iteration():
             for w, cap in enumerate(res.class_capacities):
                 if math.comb(a, w) == 1:
                     continue
-                ref = plain_blahut_capacity(weight_class_channel(a, b, w)[0])
+                ref = plain_blahut_capacity(unfolded_class_channel(a, b, w)[0])
                 # 1e-14: a class certified at its first iterate can have a gap of -3e-16
                 assert ref.capacity - 1e-12 <= cap <= ref.capacity + ref.gap + 1e-14, (a, b, w)
 
