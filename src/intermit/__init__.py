@@ -9,11 +9,9 @@ from .bounds import (CostCapacityBound, CostModel, GenieBoundConfig, c1_limit,
                      c1_upper, c2_upper, cpuc_lower, cpuc_upper,
                      ppm_burst_length, z_pmf, z_quantile)
 from .errors import ConvergenceError, SizeGuardError
-from .insertion import (InsertionCapacity, RunProfile, insertion_capacity,
+from .insertion import (InsertionCapacity, insertion_capacity,
                         insertion_capacity_upper, insertion_counts,
-                        insertion_loss, position_entropy,
-                        position_entropy_terms, run_profile,
-                        WeightClass, weight_class_channel)
+                        insertion_loss, WeightClass, weight_class_channel)
 from .partialdiv import (PartialDivergence, convexity_lower_bound,
                          mismatch_exponent, partial_divergence,
                          partial_divergence_deriv, tilting_constant)
@@ -23,8 +21,7 @@ from .prob import (Dmc, EmpiricalType, Pmf, binary_entropy, cond_divergence,
                    typical_rows)
 from .rates import (NoiselessRateResult, OverheadResult, PatternRateResult,
                     exhaustive_decoding_rate, intermittency_overhead,
-                    noiseless_binary_rate, overhead_stationarity,
-                    pattern_decoding_rate)
+                    noiseless_binary_rate, pattern_decoding_rate)
 from .sim import (DecodeResult, SimConfig, SimResult, TrialOutcome, apply_dmc,
                   best_distinguishing_symbol, decode_exhaustive,
                   decode_pattern, decode_zero_rate, enumerate_exact_error,

@@ -30,8 +30,8 @@ from .bounds import (CostModel, GenieBoundConfig, c1_limit, c1_upper, c2_upper,
 from .errors import ConvergenceError, SizeGuardError
 from .insertion import (B_DESK, insertion_capacity, insertion_capacity_upper,
                         insertion_counts)
-from .partialdiv import partial_divergence, partial_divergence_deriv
-from .prob import Dmc
+from .partialdiv import partial_divergence
+from .prob import Dmc, Pmf
 from .rates import (exhaustive_decoding_rate, intermittency_overhead,
                     noiseless_binary_rate, pattern_decoding_rate)
 from .sim import SimConfig, monte_carlo_error
@@ -119,6 +119,13 @@ def _parse_grid(text: str) -> list:
     return [lo + i * step for i in range(count + 1)]
 
 
+def _parse_alpha_grid(text: str) -> list:
+    alphas = _parse_grid(text)
+    if not all(alpha >= 1.0 for alpha in alphas):
+        raise UsageError(f"alpha grid {text!r} has a value below 1")
+    return alphas
+
+
 def _parse_channel(spec: str, star: int | None) -> Dmc:
     kind, _, arg = spec.partition(":")
     try:
@@ -153,23 +160,29 @@ def _cmd_partial_div(args) -> int:
     q = _parse_vector(args.q)
     if p.size != q.size:
         raise UsageError("--p and --q must have the same length")
+    for flag, vec in (("--p", p), ("--q", q)):
+        try:
+            Pmf(vec)
+        except ValueError as e:
+            raise UsageError(f"{flag} is not a pmf: {e}") from None
     rhos = _parse_grid(args.rho_grid)
     sweep = SweepSpec("partial-div", {"p": p.tolist(), "q": q.tolist(),
                                       "rho_grid": args.rho_grid})
     rows = []
     for rho in rhos:
         res = partial_divergence(p, q, rho)
-        if res.method == "closed-form" and 0.0 < rho < 1.0:
-            deriv = partial_divergence_deriv(p, q, rho)
+        # d/drho = log2(c (1 - rho)/rho); +inf at the boundary rho = P(supp Q)
+        if res.tilt is not None and 0.0 < rho < 1.0:
+            deriv = math.log2(res.tilt * (1.0 - rho) / rho)
         else:
             deriv = math.nan
-        rows.append((rho, res.value, deriv, res.tilt, res.method))
-    _emit(BoundReport(("rho", "d", "d_deriv", "c_star", "method"), rows, sweep), args.out)
+        rows.append((rho, res.value, deriv, res.tilt))
+    _emit(BoundReport(("rho", "d", "d_deriv", "c_star"), rows, sweep), args.out)
     return 0
 
 
 def _cmd_rate(args) -> int:
-    alphas = _parse_grid(args.alpha_grid)
+    alphas = _parse_alpha_grid(args.alpha_grid)
     sweep = SweepSpec("rate", {"scheme": args.scheme, "channel": args.channel,
                                "star": args.star, "alpha_grid": args.alpha_grid})
     rows = []
@@ -250,7 +263,7 @@ def _cmd_upper_bound(args) -> int:
             rows.append((args.s, args.bmax, "inf", c1_limit(args.s, args.bmax,
                                                             allow_large=allow)))
         else:
-            for alpha in _parse_grid(args.alpha_grid):
+            for alpha in _parse_alpha_grid(args.alpha_grid):
                 cfg = GenieBoundConfig(s=args.s, b_max=args.bmax, alpha=alpha)
                 rows.append((args.s, args.bmax, alpha, c1_upper(cfg, allow_large=allow)))
         _emit(BoundReport(("s", "b_max", "alpha", "bound"), rows, sweep), args.out)
@@ -258,7 +271,7 @@ def _cmd_upper_bound(args) -> int:
         allow = args.allow_large or args.s > B_DESK
         sweep = SweepSpec("upper-bound-c2", {"s": args.s, "alpha_grid": args.alpha_grid})
         rows = []
-        for alpha in _parse_grid(args.alpha_grid):
+        for alpha in _parse_alpha_grid(args.alpha_grid):
             rows.append((args.s, alpha, c2_upper(args.s, alpha, allow_large=allow)))
         _emit(BoundReport(("s", "alpha", "bound"), rows, sweep), args.out)
     return 0
@@ -280,7 +293,7 @@ def _cmd_cpuc(args) -> int:
     sweep = SweepSpec("cpuc", {"channel": args.channel, "star": args.star,
                                "gamma": gamma.tolist(), "alpha_grid": args.alpha_grid})
     rows = []
-    for alpha in _parse_grid(args.alpha_grid):
+    for alpha in _parse_alpha_grid(args.alpha_grid):
         rows.append((alpha, cpuc_lower(w, cost, alpha).value, upper.value))
     _emit(BoundReport(("alpha", "lower", "upper"), rows, sweep), args.out)
     return 0

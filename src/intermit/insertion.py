@@ -3,7 +3,8 @@ is stretched to length b by inserting b-a zeros at a uniformly random one of
 the C(b, b-a) position sets.
 
 Provides exact (rational-count) channel construction, capacity via per-weight
-decomposition + Blahut-Arimoto, and a run-length combinatorial upper bound.
+decomposition + Blahut-Arimoto, and a combinatorial upper bound from the
+entropy of the insertion positions.
 Hamming weight is preserved by zero insertion, so the channel splits into
 independent weight classes and the capacity is the union capacity of the
 class capacities.  Zero insertion also commutes with reversing the block, so
@@ -28,8 +29,6 @@ from .errors import ConvergenceError, SizeGuardError
 # runs grow combinatorially.
 B_DESK = 12
 B_HARD = 17
-# The combinatorial upper bound enumerates all 2^a inputs.
-UPPER_A_MAX = 20
 _DENSE_LIMIT = 1 << 22  # max entries for a dense class/full matrix
 # Output codes in one chunk of a count build; larger chunks build faster but
 # raise the peak memory.
@@ -47,109 +46,6 @@ def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RunProfile:
-    """Run-length summary of a binary block.
-
-    `zero_runs` lists the zero-run lengths in order, including a length-0 run
-    at the front/back when the block starts/ends with a one; `one_runs` lists
-    only the one-runs of length >= 2 (isolated ones create no insertion
-    ambiguity of their own).
-    """
-
-    weight: int
-    zero_runs: tuple
-    one_runs: tuple
-    length: int
-
-    @property
-    def n_zero_slots(self) -> int:
-        return len(self.zero_runs)
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.zero_runs) + len(self.one_runs)
-
-
-def run_profile(x) -> RunProfile:
-    """Run-length profile of a nonempty binary sequence."""
-    bits = [int(v) for v in x]
-    if not bits:
-        raise ValueError("sequence must be nonempty")
-    if any(v not in (0, 1) for v in bits):
-        raise ValueError("sequence must be binary")
-    runs = []
-    for v in bits:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    zero_runs = [r for v, r in runs if v == 0]
-    if bits[0] == 1:
-        zero_runs.insert(0, 0)
-    if bits[-1] == 1:
-        zero_runs.append(0)
-    one_runs = [r for v, r in runs if v == 1 and r >= 2]
-    return RunProfile(
-        weight=sum(bits),
-        zero_runs=tuple(zero_runs),
-        one_runs=tuple(one_runs),
-        length=len(bits),
-    )
-
-
-def _compositions(total: int, parts: int):
-    """Yield all tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def position_entropy_terms(x, b: int):
-    """Insertion-count split distribution for input x stretched to length b.
-
-    Returns (weights, entropies, total): integer multiplicities per split of
-    the b-a insertions across the runs of x, the conditional position entropy
-    (bits) of each split, and the total count (= C(b, a) exactly).
-    """
-    prof = run_profile(x)
-    a = prof.length
-    if b < a:
-        raise ValueError(f"target length b={b} shorter than input length {a}")
-    ins = b - a
-    slot_sizes = list(prof.zero_runs) + [m - 2 for m in prof.one_runs]
-    l0 = prof.n_zero_slots
-    weights = []
-    entropies = []
-    total = 0
-    for split in _compositions(ins, len(slot_sizes)):
-        mult = 1
-        h = 0.0
-        for j, (size, i) in enumerate(zip(slot_sizes, split)):
-            c = math.comb(size + i, i)
-            mult *= c
-            if j < l0 and c > 1:
-                h += math.log2(c)
-        weights.append(mult)
-        entropies.append(h)
-        total += mult
-    if total != math.comb(b, a):
-        raise RuntimeError(
-            f"insertion split counts sum to {total}, expected C({b},{a})={math.comb(b, a)}"
-        )
-    return weights, entropies, total
-
-
-def position_entropy(x, b: int) -> float:
-    """Expected conditional entropy (bits) of the insertion positions given
-    input x and the channel output, for x stretched to length b."""
-    weights, entropies, total = position_entropy_terms(x, b)
-    return float(sum(w * h for w, h in zip(weights, entropies)) / total)
-
-
 @lru_cache(maxsize=2)
 def _block_tables(n: int):
     """Hamming weight and big-endian code of the reversal, for every n-bit
@@ -163,11 +59,6 @@ def _block_tables(n: int):
         rev |= bit << (n - 1 - k)
     weight.flags.writeable = rev.flags.writeable = False  # shared through the cache
     return weight, rev
-
-
-def _bits(codes, n: int):
-    """Rows of the n big-endian bits of each code."""
-    return (np.asarray(codes)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def _orbits(n: int, weight: int):
@@ -383,20 +274,24 @@ def insertion_loss(a: int, b: int, *, allow_large: bool = False) -> float:
 
 
 def insertion_capacity_upper(a: int, b: int, *, allow_large: bool = False) -> float:
-    """Run-length combinatorial upper bound on the insertion-channel capacity:
+    """Combinatorial upper bound on the insertion-channel capacity:
 
         log2( sum_j C(b, j) 2^{Fmax_j} ) - log2 C(b, a),
 
-    where Fmax_j maximizes the expected insertion-position entropy over
-    weight-j inputs.  Enumerates all inputs, so a is capped at 20."""
+    where Fmax_j maximizes over weight-j inputs x the expected entropy of the
+    insertion positions given x and the output,
+
+        F(x) = sum_y n(x, y) log2 n(x, y) / C(b, a),
+
+    with n(x, y) the integer insertion counts, read chunk by chunk."""
     _check_block_sizes(a, b, allow_large)
     if a < 1:
         raise ValueError("upper bound needs input length a >= 1")
-    if a > UPPER_A_MAX:
-        raise SizeGuardError(f"upper bound enumerates 2^a inputs; a={a} exceeds {UPPER_A_MAX}")
     wt, _ = _block_tables(a)
-    terms = []
-    for j in range(a + 1):
-        fmax = max(position_entropy(x, b) for x in _bits(np.flatnonzero(wt == j), a))
-        terms.append(math.log2(math.comb(b, j)) + fmax)
+    fmax = np.full(a + 1, -np.inf)
+    for r0, n, r, _, cnt in _count_chunks(np.arange(1 << a), a, b,
+                                          np.arange(1 << b, dtype=np.int32)):
+        f = np.bincount(r, weights=_xlog2x(cnt), minlength=n) / math.comb(b, a)
+        np.maximum.at(fmax, wt[r0:r0 + n], f)
+    terms = [math.log2(math.comb(b, j)) for j in range(a + 1)] + fmax
     return float(np.logaddexp2.reduce(terms) - math.log2(math.comb(b, a)))

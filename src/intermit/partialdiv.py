@@ -3,11 +3,10 @@ is to *contain* a subsample of type P, rather than to *be* of type P.
 
 For a mixing fraction rho in [0, 1], the partial divergence d_rho(P||Q)
 interpolates between 0 (rho = 0) and the full divergence D(P||Q) (rho = 1).
-For strictly positive Q it has a closed form driven by a scalar tilting
-constant c*; for Q with zeroed symbols the quantity is still well defined as
-a constrained two-source divergence minimization, which `mismatch_exponent`
-evaluates directly and which doubles as an independent oracle for the closed
-form.  All values are in bits.
+It has a closed form driven by a scalar tilting constant c*, solved on the
+common support of P and Q; it is finite up to rho = P(supp Q) and +inf
+beyond.  `mismatch_exponent` evaluates the general two-source exponent by
+constrained minimization over the split.  All values are in bits.
 """
 
 from __future__ import annotations
@@ -69,71 +68,75 @@ def tilting_constant(p, q, rho: float) -> float:
     return _tilt_root(pv, qv, rho)
 
 
-def _closed_form_value(p: np.ndarray, q: np.ndarray, rho: float, c: float) -> float:
-    mask = p > 0.0
-    pm = p[mask]
-    body = float((pm * np.log2(pm / (c * q[mask] + pm))).sum())
-    return body + rho * math.log2(c) + float(binary_entropy(rho))
-
-
-def _value(p: np.ndarray, q: np.ndarray, rho: float):
-    """Dispatch: closed form for strictly positive Q, oracle otherwise.
-
-    Returns (value_bits, tilt_or_None, method).
-    """
-    if rho == 0.0:
-        return 0.0, 0.0, "closed-form"
-    if rho == 1.0:
-        return kl_divergence(p, q), math.inf, "closed-form"
-    if q.min() > 0.0:
-        c = _tilt_root(p, q, rho)
-        return _closed_form_value(p, q, rho, c), c, "closed-form"
-    return mismatch_exponent(p, q, p, rho), None, "oracle"
+def _check_pair(p, q, rho: float):
+    pv, qv = _vec(p), _vec(q)
+    if pv.shape != qv.shape:
+        raise ValueError("distributions live on different alphabet sizes")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    return pv, qv
 
 
 @dataclass(frozen=True)
 class PartialDivergence:
-    """Value of d_rho(P||Q) plus the tilting constant when the closed form
-    applies (`tilt` is None on the oracle path)."""
+    """Value of d_rho(P||Q) plus its tilting constant: +inf at the boundary
+    rho = P(supp Q), None where rho exceeds it and no split exists."""
 
     value: float
     rho: float
     tilt: float | None
-    method: str
 
 
 def partial_divergence(p, q, rho: float) -> PartialDivergence:
     """Partial divergence d_rho(P||Q) in bits.
 
-    Exact endpoints: d_0 = 0 and d_1 = D(P||Q).  For Q with zero entries the
-    value is computed by constrained minimization (`mismatch_exponent`) and
-    flagged with method="oracle".
+    Exact endpoints: d_0 = 0 and d_1 = D(P||Q).  Inside, the closed form
+
+        sum_x p log2(p / (c q + p)) + rho log2 c + h(rho)
+
+    with c the tilting constant solved on supp(P) and supp(Q); this needs
+    rho below the P-mass of supp(Q).  At rho = P(supp Q) the value is the
+    c -> inf limit sum_{supp Q} p log2(p/q) + h(rho), the split that draws
+    exactly the symbols in supp(Q) from Q; above it no split exists and the
+    value is +inf.
     """
-    pv, qv = _vec(p), _vec(q)
-    if pv.shape != qv.shape:
-        raise ValueError("distributions live on different alphabet sizes")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    value, tilt, method = _value(pv, qv, rho)
-    return PartialDivergence(value=float(value), rho=rho, tilt=tilt, method=method)
+    pv, qv = _check_pair(p, q, rho)
+    if rho == 0.0:
+        return PartialDivergence(0.0, rho, 0.0)
+    if rho == 1.0:
+        return PartialDivergence(kl_divergence(pv, qv), rho, math.inf)
+    on = (qv > 0.0) & (pv > 0.0)
+    ps = pv[on]
+    mass = ps.sum()
+    if rho > mass:
+        return PartialDivergence(math.inf, rho, None)
+    h = float(binary_entropy(rho))
+    if rho == mass:
+        return PartialDivergence(float((ps * np.log2(ps / qv[on])).sum()) + h, rho, math.inf)
+    c = _tilt_root(pv, qv, rho)
+    mask = pv > 0.0
+    pm = pv[mask]
+    body = float((pm * np.log2(pm / (c * qv[mask] + pm))).sum())
+    return PartialDivergence(body + rho * math.log2(c) + h, rho, c)
 
 
 def partial_divergence_deriv(p, q, rho: float) -> float:
     """d/drho of d_rho(P||Q) in bits: log2(c* (1-rho)/rho).
 
-    Same domain as `tilting_constant` (strictly positive Q, interior rho).
+    Needs rho inside (0, 1) and below the P-mass of supp(Q), where the
+    tilting constant c* is finite.
     """
-    c = tilting_constant(p, q, rho)
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie strictly inside (0, 1)")
+    c = partial_divergence(p, q, rho).tilt
+    if c is None or math.isinf(c):
+        raise ValueError(f"no finite tilting constant: rho={rho} is not below P(supp Q)")
     return math.log2(c * (1.0 - rho) / rho)
 
 
 def convexity_lower_bound(p, q, rho: float) -> float:
     """The pointwise lower bound D(P || rho*Q + (1-rho)*P) <= d_rho(P||Q)."""
-    pv, qv = _vec(p), _vec(q)
-    if pv.shape != qv.shape:
-        raise ValueError("distributions live on different alphabet sizes")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    pv, qv = _check_pair(p, q, rho)
     return kl_divergence(pv, rho * qv + (1.0 - rho) * pv)
 
 

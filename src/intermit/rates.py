@@ -20,8 +20,6 @@ import numpy as np
 from scipy.special import entr
 
 from .blahut import blahut_capacity
-from .errors import ConvergenceError
-from .partialdiv import _tilt_root
 from .prob import Dmc, Pmf, binary_entropy, kl_divergence, output_dist
 # pairwise_descent is not called here; it stays importable as
 # intermit.rates.pairwise_descent, where perfbench/layers.py wraps it.
@@ -51,38 +49,10 @@ def exhaustive_decoding_rate(w: Dmc, alpha: float, *, capacity: float | None = N
 @dataclass(frozen=True)
 class OverheadResult:
     """Intermittency overhead f (bits) with its maximizing split fraction
-    beta_star; `stationarity_residual` is the first-order condition value at
-    beta_star (NaN when the maximizer sits on the boundary or alpha = 1)."""
+    beta_star."""
 
     value: float
     beta_star: float
-    stationarity_residual: float
-
-
-def overhead_stationarity(p, w: Dmc, alpha: float, beta: float) -> float:
-    """First-order condition of the overhead objective at an interior beta:
-
-        log((1-b)/b) + log((1-r)/r) - log(c1 (1-r)/r) - log(c2 (1-b)/b)
-
-    in bits, with r = (alpha-1)*beta and c1, c2 the tilting constants of the
-    two partial-divergence terms.  Zero at the maximizing beta; its sign
-    matches the objective slope."""
-    _check_alpha(alpha)
-    if alpha == 1.0:
-        raise ValueError("stationarity is undefined at alpha = 1 (no noise symbols)")
-    rho = (alpha - 1.0) * beta
-    if not (0.0 < beta < 1.0 / alpha and 0.0 < rho < 1.0):
-        raise ValueError("beta must be strictly interior to (0, 1/alpha)")
-    star = _star_row(w)
-    pw = output_dist(p, w).probs
-    c1 = _tilt_root(pw, star, rho)
-    c2 = _tilt_root(star, pw, beta)
-    return (
-        math.log2((1.0 - beta) / beta)
-        + math.log2((1.0 - rho) / rho)
-        - math.log2(c1 * (1.0 - rho) / rho)
-        - math.log2(c2 * (1.0 - beta) / beta)
-    )
 
 
 def intermittency_overhead(p, w: Dmc, alpha: float) -> OverheadResult:
@@ -95,9 +65,9 @@ def intermittency_overhead(p, w: Dmc, alpha: float) -> OverheadResult:
           - d_{(alpha-1) beta}(PW || W*) - (alpha-1) d_beta(W* || PW),
 
     with W* the noise row.  The maximum has a closed form.  The first-order
-    condition (`overhead_stationarity`) reduces to c1 * c2 = 1, where c1 and
-    c2 are the two tilting constants.  Putting c1 = c and c2 = 1/c into the
-    two tilt equations and imposing rho = (alpha-1) beta gives
+    condition in beta reduces to c1 * c2 = 1, where c1 and c2 are the tilting
+    constants of the two partial divergences.  Putting c1 = c and c2 = 1/c
+    into the two tilt equations and imposing rho = (alpha-1) beta gives
 
         (c - (alpha-1)) * sum_y PW W* / (c W* + PW) = 0,
 
@@ -117,27 +87,18 @@ def intermittency_overhead(p, w: Dmc, alpha: float) -> OverheadResult:
     s = PW + (alpha-1) W*, so 0 <= f <= alpha h(1/alpha); terms outside the
     common support of PW and W* vanish, so zeros in either need no special
     path.
-
-    `stationarity_residual` is `overhead_stationarity` at beta*, computed
-    from independent tilt-root solves, as a certificate of the closed form.
     """
     _check_alpha(alpha)
     star = _star_row(w)
     if alpha == 1.0:
-        return OverheadResult(0.0, 0.0, math.nan)
+        return OverheadResult(0.0, 0.0)
     pw = output_dist(p, w).probs
     s = pw + (alpha - 1.0) * star
     on = s > 0.0
     share = pw[on] / s[on]
     beta_star = float((star[on] * share).sum())
     value = float((s[on] * binary_entropy(share)).sum())
-    residual = math.nan
-    if 1e-8 < beta_star < 1.0 / alpha - 1e-8:
-        try:
-            residual = overhead_stationarity(p, w, alpha, beta_star)
-        except (ConvergenceError, ValueError):
-            residual = math.nan
-    return OverheadResult(value, beta_star, residual)
+    return OverheadResult(value, beta_star)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,59 @@
 """Search-based intermittency overhead, pattern-decoding rate and
-noiseless-binary rate: the cross-checks for `intermit.rates`.
+noiseless-binary rate, and the first-order condition of the overhead: the
+cross-checks for `intermit.rates`.
 
 `overhead_search` maximizes the paper's objective over the split fraction
-beta with a 33-point grid plus golden-section polish, evaluating both partial
-divergences through `intermit.partialdiv` (the `mismatch_exponent` grid
-oracle wherever the reference law has a zero).  `pattern_rate_search`
-maximizes I(P, W) - f over the input law directly: a grid-and-golden search
-along the segment of binary inputs, pairwise descent for larger alphabets.  `noiseless_search` runs the 257 x 65 nested grid-and-golden
-search over (p0, beta)."""
+beta with a 33-point grid plus golden-section polish.  It evaluates both
+partial divergences with `partial_div_value`: the closed form of
+`intermit.partialdiv` for a strictly positive reference law, the
+`mismatch_exponent` grid oracle wherever it has a zero.
+`overhead_stationarity` is the first-order condition in beta from two
+independent tilt-root solves; it vanishes at the closed-form beta*.
+`pattern_rate_search` maximizes I(P, W) - f over the input law directly: a
+grid-and-golden search along the segment of binary inputs, pairwise descent
+for larger alphabets.  `noiseless_search` runs the 257 x 65 nested
+grid-and-golden search over (p0, beta)."""
 
 import math
 
 import numpy as np
 
 from intermit.blahut import blahut_capacity
-from intermit.partialdiv import _value as partial_div_value
+from intermit.partialdiv import _tilt_root, mismatch_exponent, partial_divergence
 from intermit.prob import Dmc, binary_entropy, mutual_information, output_dist
 from intermit.rates import intermittency_overhead
 from intermit.search import grid_golden_max, pairwise_descent
+
+
+def partial_div_value(p: np.ndarray, q: np.ndarray, rho: float) -> float:
+    """d_rho(P||Q): the closed form for strictly positive Q, the
+    `mismatch_exponent` grid oracle otherwise."""
+    if q.min() > 0.0:
+        return partial_divergence(p, q, rho).value
+    return mismatch_exponent(p, q, p, rho)
+
+
+def overhead_stationarity(p, w: Dmc, alpha: float, beta: float) -> float:
+    """First-order condition of the overhead objective at an interior beta:
+
+        log((1-b)/b) + log((1-r)/r) - log(c1 (1-r)/r) - log(c2 (1-b)/b)
+
+    in bits, with r = (alpha-1)*beta and c1, c2 the tilting constants of the
+    two partial-divergence terms.  Zero at the maximizing beta; its sign
+    matches the objective slope."""
+    rho = (alpha - 1.0) * beta
+    if not (alpha > 1.0 and 0.0 < beta < 1.0 / alpha and 0.0 < rho < 1.0):
+        raise ValueError("beta must be strictly interior to (0, 1/alpha), with alpha > 1")
+    star = w.star_row()
+    pw = output_dist(p, w).probs
+    c1 = _tilt_root(pw, star, rho)
+    c2 = _tilt_root(star, pw, beta)
+    return (
+        math.log2((1.0 - beta) / beta)
+        + math.log2((1.0 - rho) / rho)
+        - math.log2(c1 * (1.0 - rho) / rho)
+        - math.log2(c2 * (1.0 - beta) / beta)
+    )
 
 
 def overhead_search(p, w: Dmc, alpha: float, *, coarse: int = 33, tol: float = 1e-10):
@@ -33,10 +69,10 @@ def overhead_search(p, w: Dmc, alpha: float, *, coarse: int = 33, tol: float = 1
         if beta < 0.0 or rho > 1.0:
             return -math.inf
         base = am1 * float(binary_entropy(beta)) + float(binary_entropy(rho))
-        d1 = partial_div_value(pw, star, rho)[0]
+        d1 = partial_div_value(pw, star, rho)
         if math.isinf(d1):
             return -math.inf
-        d2 = partial_div_value(star, pw, beta)[0]
+        d2 = partial_div_value(star, pw, beta)
         if math.isinf(d2):
             return -math.inf
         return base - d1 - am1 * d2

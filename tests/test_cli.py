@@ -12,7 +12,8 @@ import intermit.cli as cli_mod
 import intermit.insertion as insertion_mod
 import intermit.sim as sim_mod
 from insertion_oracle import all_blocks, insertion_table
-from intermit import blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel, Dmc
+from intermit import (blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel, Dmc,
+                      partial_divergence_deriv)
 from intermit.cli import main
 
 
@@ -44,11 +45,12 @@ def test_partial_div_stdout(capsys):
     )
     assert code == 0
     header, rows = parse_csv(out)
-    assert header == ["rho", "d", "d_deriv", "c_star", "method"]
+    assert header == ["rho", "d", "d_deriv", "c_star"]
     assert len(rows) == 5
     assert rows[0][1] == "0"
     assert float(rows[-1][1]) == pytest.approx(0.6200893643729612, abs=1e-9)
-    assert rows[2][4] == "closed-form"
+    deriv = partial_divergence_deriv([0.25] * 4, [0.1, 0.1, 0.1, 0.7], 0.5)
+    assert float(rows[2][2]) == pytest.approx(deriv, rel=1e-11)
 
 
 def test_partial_div_deterministic_output(capsys):
@@ -56,6 +58,14 @@ def test_partial_div_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("p, q", [("0.5,0.7", "0.5,0.5"), ("0.5,0.5", "1.5,-0.5")])
+def test_partial_div_rejects_non_pmf(capsys, p, q):
+    code, out, err = run_cli(capsys, ["partial-div", "--p", p, "--q", q, "--rho-grid", "0.5"])
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
 
 
 def test_rate_r1_matches_library(capsys, bsc01):
@@ -325,6 +335,21 @@ def test_exit_code_usage_error(capsys):
     code, _, err = run_cli(capsys, ["rate", "--scheme", "r1", "--channel", "bsc:1.5"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--scheme", "r1"],
+    ["rate", "--scheme", "r2"],
+    ["rate", "--scheme", "insertion"],
+    ["upper-bound", "c1", "--s", "3"],
+    ["upper-bound", "c2", "--s", "3"],
+    ["cpuc", "--gamma", "0,1"],
+])
+def test_exit_code_alpha_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--alpha-grid", "0.5:1.5:0.5"])
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
 
 
 def test_exit_code_size_guard(capsys):

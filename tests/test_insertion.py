@@ -13,8 +13,10 @@ from scipy.special import entr
 
 import intermit.insertion as insertion_mod
 from blahut_oracle import plain_blahut_capacity
-from insertion_oracle import (all_blocks, count_matrix, unfolded_class_channel,
-                              uniform_insertion_channel, weight_blocks)
+from insertion_oracle import (all_blocks, count_matrix, position_entropy,
+                              position_entropy_terms, run_length_upper, run_profile,
+                              unfolded_class_channel, uniform_insertion_channel,
+                              weight_blocks)
 from intermit import (
     ConvergenceError,
     Dmc,
@@ -24,9 +26,6 @@ from intermit import (
     insertion_capacity_upper,
     insertion_counts,
     insertion_loss,
-    position_entropy,
-    position_entropy_terms,
-    run_profile,
     weight_class_channel,
 )
 
@@ -251,11 +250,19 @@ def test_loss_nonnegative_and_cached():
 
 
 def test_upper_bound_dominates():
-    for b in range(1, 9):
+    for b in range(1, 11):
         for a in range(1, b + 1):
             g = insertion_capacity(a, b).capacity
             ub = insertion_capacity_upper(a, b)
             assert ub >= g - 1e-7, (a, b)
+
+
+def test_upper_bound_matches_run_length_oracle():
+    # position entropies from the integer counts against the run-length formula
+    for b in range(1, 11):
+        for a in range(1, b + 1):
+            assert insertion_capacity_upper(a, b) == pytest.approx(
+                run_length_upper(a, b), abs=1e-12), (a, b)
 
 
 def test_size_guards():

@@ -1,7 +1,11 @@
 """Partial divergence: closed form, tilting constant, grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intermit import (
     convexity_lower_bound,
@@ -20,6 +24,9 @@ PAIRS = [
     (P4, Q1),
     (np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])),
 ]
+# P(supp Q) = 0.44059547...; the grid oracle returns +inf at rho = 0.44
+NEAR_MASS_P = np.array([0.55940452, 0.23441942, 0.20617605]) / 0.99999999
+NEAR_MASS_Q = np.array([0.0, 0.72720132, 0.27279868])
 
 
 def test_rho_zero_is_exactly_zero():
@@ -69,8 +76,12 @@ def test_monotone_convex_bounded():
 
 def test_derivative_matches_finite_difference():
     h = 1e-6
-    for p, q in PAIRS:
-        for rho in (0.1, 0.35, 0.6, 0.9):
+    zero_refs = [(np.array([0.5, 0.5]), np.array([1.0, 0.0])),
+                 (np.array([0.2, 0.3, 0.5]), np.array([0.0, 0.5, 0.5])),
+                 (NEAR_MASS_P, NEAR_MASS_Q)]
+    for p, q in PAIRS + zero_refs:
+        # fractions of P(supp Q), which is 1 for the strictly positive pairs
+        for rho in p[q > 0.0].sum() * np.array([0.1, 0.35, 0.6, 0.9]):
             an = partial_divergence_deriv(p, q, rho)
             fd = (
                 partial_divergence(p, q, rho + h).value
@@ -92,7 +103,6 @@ def test_closed_form_matches_grid_oracle():
     for p, q in PAIRS:
         for rho in (0.2, 0.5, 0.8):
             closed = partial_divergence(p, q, rho)
-            assert closed.method == "closed-form"
             oracle = mismatch_exponent(p, q, p, rho)
             assert closed.value == pytest.approx(oracle, abs=1e-4)
 
@@ -106,13 +116,81 @@ def test_oracle_endpoints():
 
 
 def test_zero_entry_reference_uses_oracle_path():
+    # Q with a zero goes through the same closed form, checked here against
+    # the mismatch_exponent oracle
     p = np.array([0.5, 0.5])
     q = np.array([1.0, 0.0])
     r = partial_divergence(p, q, 0.3)
-    assert r.method == "oracle"
     assert np.isfinite(r.value)
+    assert r.value == pytest.approx(mismatch_exponent(p, q, p, 0.3), abs=1e-6)
     # mass on supp(q) is 0.5, so rho beyond it is infeasible
     assert partial_divergence(p, q, 0.7).value == np.inf
+
+
+def _tilt_split_value(p, q, rho, c):
+    """rho D(P1||Q) + (1-rho) D(P2||P) at the split the tilt c defines:
+    rho P1 = c q p/(c q + p), (1-rho) P2 = p^2/(c q + p)."""
+    p1 = c * q * p / (c * q + p) / rho
+    p2 = p * p / (c * q + p) / (1.0 - rho)
+    assert p1.sum() == pytest.approx(1.0, abs=1e-12)
+    assert p2.sum() == pytest.approx(1.0, abs=1e-12)
+    assert rho * p1 + (1.0 - rho) * p2 == pytest.approx(p, abs=1e-15)
+    return rho * kl_divergence(p1, q) + (1.0 - rho) * kl_divergence(p2, p)
+
+
+def test_zero_entry_near_support_mass_is_finite():
+    p, q = NEAR_MASS_P, NEAR_MASS_Q
+    for rho in np.arange(0.3, 0.4401, 0.02):
+        r = partial_divergence(p, q, float(rho))
+        assert math.isfinite(r.value) and math.isfinite(r.tilt)
+        assert r.value == pytest.approx(_tilt_split_value(p, q, float(rho), r.tilt), abs=1e-12)
+    assert partial_divergence(p, q, 0.44).value == pytest.approx(0.5174514378326652, abs=1e-12)
+
+
+def test_value_at_and_beyond_support_mass():
+    p = np.array([0.5, 0.25, 0.25])
+    q = np.array([0.0, 0.5, 0.5])
+    # at rho = P(supp Q) = 0.5 the only split is P1 = Q, P2 = point mass on 0:
+    # sum_{supp Q} p log2(p/q) + h(1/2) = -0.5 + 1
+    r = partial_divergence(p, q, 0.5)
+    assert r.value == 0.5
+    assert r.tilt == math.inf
+    assert partial_divergence(p, q, 0.5 - 1e-12).value == pytest.approx(0.5, abs=1e-9)
+    beyond = partial_divergence(p, q, 0.5 + 1e-12)
+    assert beyond.value == math.inf
+    assert beyond.tilt is None
+    with pytest.raises(ValueError):
+        partial_divergence_deriv(p, q, 0.5)
+
+
+@st.composite
+def zero_reference_cases(draw):
+    """(P, Q, rho): Q on 2-4 symbols with at least one zero, P with mass
+    P(supp Q) in [0.05, 0.95] (zeros allowed inside), rho <= P(supp Q) - 0.02."""
+    n = draw(st.integers(2, 4))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    q = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    zero = draw(st.integers(0, n - 1))
+    q[zero] = 0.0
+    if q.sum() == 0.0:
+        q[(zero + 1) % n] = 1.0
+    on = q > 0.0
+    p = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    mass = draw(st.floats(0.05, 0.95))
+    for part, share in ((on, mass), (~on, 1.0 - mass)):
+        if p[part].sum() == 0.0:
+            p[np.flatnonzero(part)[0]] = 1.0
+        p[part] *= share / p[part].sum()
+    rho = draw(st.floats(0.01, 1.0)) * (p[on].sum() - 0.02)
+    return p, q / q.sum(), rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_reference_cases())
+def test_zero_reference_closed_form_matches_oracle(case):
+    p, q, rho = case
+    assert partial_divergence(p, q, rho).value == pytest.approx(
+        mismatch_exponent(p, q, p, rho), abs=1e-6)
 
 
 def test_point_mass_reference_value():

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import intermit.rates as rates_mod
 from intermit import (
-    ConvergenceError,
     Dmc,
     binary_entropy,
     blahut_capacity,
@@ -17,10 +15,10 @@ from intermit import (
     intermittency_overhead,
     mutual_information,
     noiseless_binary_rate,
-    overhead_stationarity,
     pattern_decoding_rate,
 )
-from rates_oracle import noiseless_search, overhead_search, pattern_rate_search
+from rates_oracle import (noiseless_search, overhead_search, overhead_stationarity,
+                          pattern_rate_search)
 
 
 class TestExhaustiveRate:
@@ -53,7 +51,7 @@ class TestOverhead:
         res = intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
         assert res.value == pytest.approx(1.3648393599545972, abs=1e-9)
         assert res.beta_star == pytest.approx(0.6593632232702759, abs=1e-6)
-        assert abs(res.stationarity_residual) < 1e-6
+        assert abs(overhead_stationarity(bsc01.star_row(), bsc01, 1.5, res.beta_star)) < 1e-6
 
     def test_increasing_in_alpha(self, bsc01):
         p = np.array([0.5, 0.5])
@@ -64,23 +62,6 @@ class TestOverhead:
         res = intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
         off = overhead_stationarity(bsc01.star_row(), bsc01, 1.5, res.beta_star / 2)
         assert abs(off) > 1e-3
-
-    def test_tilt_failure_leaves_residual_nan(self, bsc01, monkeypatch):
-        def fail(*args):
-            raise ConvergenceError("no tilting constant")
-
-        monkeypatch.setattr(rates_mod, "overhead_stationarity", fail)
-        res = intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
-        assert math.isnan(res.stationarity_residual)
-        assert res.value == pytest.approx(1.3648393599545972, abs=1e-9)
-
-    def test_programming_error_in_residual_propagates(self, bsc01, monkeypatch):
-        def broken(*args):
-            raise TypeError("broken certificate")
-
-        monkeypatch.setattr(rates_mod, "overhead_stationarity", broken)
-        with pytest.raises(TypeError):
-            intermittency_overhead(bsc01.star_row(), bsc01, 1.5)
 
 
 @st.composite
@@ -115,7 +96,7 @@ def test_overhead_closed_form_matches_search(case):
     if all_noise:
         assert res.value == pytest.approx(top, abs=1e-12)
     if 1e-8 < res.beta_star < 1.0 / alpha - 1e-8:
-        assert abs(res.stationarity_residual) < 1e-9
+        assert abs(overhead_stationarity(p, w, alpha, res.beta_star)) < 1e-9
     # I(P, W) - f = alpha I(P', W) - alpha h(1/alpha), P' = P/alpha + (1 - 1/alpha) delta_*
     p_prime = p / alpha + (1.0 - 1.0 / alpha) * np.eye(w.input_size)[w.star]
     lhs = mutual_information(p, w) - res.value
