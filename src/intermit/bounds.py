@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .insertion import insertion_loss
 from .prob import Dmc, kl_divergence
@@ -52,12 +51,40 @@ def z_pmf(z: int, s: int, p_t: float) -> float:
     return float(math.comb(b, s) * (1.0 - p_t) ** (b - s) * p_t ** (s + 1))
 
 
+def _span_survival(z: int, s: int, p_t: float) -> float:
+    """P(span > z): fewer than s+1 codeword symbols land in z slots, so
+
+        P(Bin(z, p_t) <= s) = sum_{i<=s} C(z,i) p_t^i (1-p_t)^{z-i},
+
+    summed in logs so that large z cannot underflow a term."""
+    lp, lq = math.log(p_t), math.log1p(-p_t)
+    logs = [math.lgamma(z + 1) - math.lgamma(i + 1) - math.lgamma(z - i + 1)
+            + i * lp + (z - i) * lq for i in range(s + 1)]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+
 def z_quantile(s: int, p_t: float, tail: float = 1e-12) -> int:
-    """Smallest z with P(span > z) <= tail (negative-binomial tail)."""
-    if p_t >= 1.0:
+    """Smallest z >= s+1 with P(span > z) <= tail (negative-binomial tail),
+    found by doubling and then bisection on the binomial survival sum."""
+    if s < 1:
+        raise ValueError("genie span s must be >= 1")
+    if not 0.0 < p_t <= 1.0:
+        raise ValueError("p_t must lie in (0, 1]")
+    if not tail > 0.0:
+        raise ValueError("tail must be positive")
+    if p_t == 1.0:
         return s + 1
-    extra = stats.nbinom.ppf(1.0 - tail, s + 1, p_t)
-    return int(extra) + s + 1
+    lo, hi = s, s + 1  # the answer lies in (lo, hi] once P(span > hi) <= tail
+    while _span_survival(hi, s, p_t) > tail:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _span_survival(mid, s, p_t) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def c1_upper(cfg: GenieBoundConfig, *, allow_large: bool = False) -> float:

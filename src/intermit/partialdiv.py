@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
-from .prob import _vec, binary_entropy, kl_divergence
+from .prob import _is_pmf_vector, _vec, binary_entropy, kl_divergence
 from .search import pairwise_descent, simplex_grid
 
 _FEAS_TOL = 1e-12
@@ -34,6 +33,10 @@ def _tilt_root(p: np.ndarray, q: np.ndarray, rho: float) -> float:
     The left side increases from 0 to the P-mass of supp(Q), so a root exists
     iff rho is below that mass.
     """
+    # imported here: scipy.optimize is slow to import, and no other code in
+    # the package needs it
+    from scipy.optimize import brentq
+
     mask = (q > 0.0) & (p > 0.0)
     ps, qs = p[mask], q[mask]
     mass = ps.sum()
@@ -58,9 +61,7 @@ def tilting_constant(p, q, rho: float) -> float:
     Requires a strictly positive Q and rho in (0, 1).  Unique because the
     defining equation is monotone in c; equals rho/(1-rho) iff P = Q.
     """
-    pv, qv = _vec(p), _vec(q)
-    if pv.shape != qv.shape:
-        raise ValueError("distributions live on different alphabet sizes")
+    pv, qv = _pmf_vectors(p, q)
     if qv.min() <= 0.0:
         raise ValueError("tilting constant requires a strictly positive Q")
     if not 0.0 < rho < 1.0:
@@ -68,10 +69,20 @@ def tilting_constant(p, q, rho: float) -> float:
     return _tilt_root(pv, qv, rho)
 
 
-def _check_pair(p, q, rho: float):
-    pv, qv = _vec(p), _vec(q)
-    if pv.shape != qv.shape:
+def _pmf_vectors(*dists) -> list:
+    """Float vectors of `dists`, which must be pmfs on one alphabet.  They are
+    not renormalized, so a value is that of the vectors as given."""
+    vs = [_vec(d) for d in dists]
+    if any(v.shape != vs[0].shape for v in vs):
         raise ValueError("distributions live on different alphabet sizes")
+    for v in vs:
+        if not _is_pmf_vector(v):
+            raise ValueError(f"not a pmf: {v.tolist()}")
+    return vs
+
+
+def _check_pair(p, q, rho: float):
+    pv, qv = _pmf_vectors(p, q)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     return pv, qv
@@ -171,9 +182,7 @@ def mismatch_exponent(p, q, q_alt, rho: float, *, steps: int | None = None,
     With q_alt = P this is an independent route to d_rho(P||Q), used to
     cross-check the closed form.
     """
-    pv, qv, av = _vec(p), _vec(q), _vec(q_alt)
-    if not (pv.shape == qv.shape == av.shape):
-        raise ValueError("distributions live on different alphabet sizes")
+    pv, qv, av = _pmf_vectors(p, q, q_alt)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     if rho == 0.0:

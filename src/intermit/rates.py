@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 from .blahut import blahut_capacity
 from .prob import Dmc, Pmf, binary_entropy, kl_divergence, output_dist
@@ -29,6 +28,14 @@ from .search import grid_golden_max, pairwise_descent  # noqa: F401
 def _check_alpha(alpha: float) -> None:
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+
+
+def _entr(x: np.ndarray) -> np.ndarray:
+    """-x ln x elementwise, 0 where x = 0 (nats)."""
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = -x[pos] * np.log(x[pos])
+    return out
 
 
 def _star_row(w: Dmc) -> np.ndarray:
@@ -137,8 +144,8 @@ def pattern_decoding_rate(w: Dmc, alpha: float) -> PatternRateResult:
     else:
         others = np.arange(w.input_size) != w.star
         rows = w.rows[others] / alpha + (1.0 - 1.0 / alpha) * star
-        offset = (entr(rows).sum(axis=1) - entr(w.rows[others]).sum(axis=1) / alpha
-                  - (1.0 - 1.0 / alpha) * entr(star).sum()) / math.log(2.0)
+        offset = (_entr(rows).sum(axis=1) - _entr(w.rows[others]).sum(axis=1) / alpha
+                  - (1.0 - 1.0 / alpha) * _entr(star).sum()) / math.log(2.0)
         res = blahut_capacity(rows, tol=tol, offset=offset)
         upper = max(res.capacity + res.gap,
                     kl_divergence(star, res.input_dist.probs @ rows))

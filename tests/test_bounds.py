@@ -1,5 +1,8 @@
 """Genie-aided converse bounds and capacity per unit cost."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +58,44 @@ class TestBlockLengthPmf:
 
     def test_quantile_monotone_in_tail(self):
         assert z_quantile(3, 0.5, tail=1e-12) >= z_quantile(3, 0.5, tail=1e-6)
+
+    @staticmethod
+    def _tails_above(z: int, s: int, p: Fraction, tail: float) -> tuple:
+        """Exactly, whether P(span > z-1) and P(span > z) exceed `tail`, with
+        P(span > n) = P(Bin(n, p) <= s) put over the denominator b^z."""
+        a, b = p.numerator, p.denominator
+        c = b - a
+        common = c ** (z - 1 - s)
+        prev = b * common * sum(math.comb(z - 1, i) * a**i * c**(s - i) for i in range(s + 1))
+        this = c * common * sum(math.comb(z, i) * a**i * c**(s - i) for i in range(s + 1))
+        t = Fraction(tail)
+        limit = t.numerator * b**z
+        return prev * t.denominator > limit, this * t.denominator > limit
+
+    def test_quantile_is_smallest_span_within_tail(self):
+        # p = 0.001 reaches spans of 75 000 slots, where the exact sums take
+        # most of the time
+        for p in ("0.001", "0.01", "0.05", "0.1", "0.3", "0.5", "0.7", "0.9", "0.999"):
+            for s in range(1, 20):
+                for tail in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14):
+                    z = z_quantile(s, float(p), tail)
+                    assert z >= s + 1
+                    assert self._tails_above(z, s, Fraction(p), tail) == (True, False), \
+                        (s, p, tail, z)
+
+    def test_quantile_near_one_minus_tail(self):
+        # one slot past a 1 - tail quantile rounded near 1: at s = 1, p_t = 0.3
+        # exactly P(span > 101) = 1.0027e-14 and P(span > 102) = 7.09e-15
+        assert z_quantile(1, 0.3, 1e-14) == 102
+        assert z_quantile(15, 0.05, 1e-14) == 1331
+        assert z_quantile(2, 0.01, 1e-14) == 3874
+
+    def test_quantile_edges(self):
+        assert z_quantile(3, 1.0) == 4
+        assert z_quantile(3, 0.5, tail=1.0) == 4
+        for s, p, tail in ((0, 0.5, 1e-6), (3, 0.0, 1e-6), (3, 1.5, 1e-6), (3, 0.5, 0.0)):
+            with pytest.raises(ValueError):
+                z_quantile(s, p, tail)
 
 
 class TestFirstGenieBound:

@@ -1,0 +1,44 @@
+"""Importing intermit loads numpy and scipy.sparse, not the rest of scipy.
+
+scipy.stats, scipy.optimize, scipy.special and scipy.linalg together take
+most of a second to import, and every CLI call would pay for them.  The
+check runs in a fresh interpreter, so modules imported by other tests do
+not count.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import sys
+
+import numpy as np
+
+import intermit
+import intermit.cli
+
+HEAVY = {"scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg"}
+print(sorted(HEAVY & set(sys.modules)))
+
+w = intermit.Dmc.bsc(0.05)
+# alpha = 2.5 puts R2 on its binding case, which computes per-input offsets
+intermit.pattern_decoding_rate(w, 2.5)
+intermit.c1_upper(intermit.GenieBoundConfig(3, 10, 1.5))
+rng = np.random.default_rng(1)
+codebook = rng.integers(0, 2, size=(4, 6))
+y = rng.integers(0, 2, size=9)
+intermit.decode_pattern(y, 6, codebook, w, 0.1, np.array([0.5, 0.5]))
+print(sorted(HEAVY & set(sys.modules)))
+"""
+
+
+def test_import_and_jobs_load_no_heavy_scipy_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["[]", "[]"]

@@ -63,6 +63,26 @@ def test_tilting_constant_validates_input():
         tilting_constant([0.5, 0.5], [0.5, 0.5], 1.0)
 
 
+def test_non_pmf_vectors_are_refused():
+    # the closed form of a p summing to 1.2 used to read -0.04 bits
+    for p, q in (([0.5, 0.7], [0.5, 0.5]), ([0.5, 0.5], [0.6, 0.6]),
+                 ([1.1, -0.1], [0.5, 0.5])):
+        for f in (partial_divergence, convexity_lower_bound):
+            with pytest.raises(ValueError, match="not a pmf"):
+                f(p, q, 0.5)
+        with pytest.raises(ValueError, match="not a pmf"):
+            mismatch_exponent(p, q, [0.5, 0.5], 0.5)
+        with pytest.raises(ValueError, match="not a pmf"):
+            tilting_constant(p, q, 0.5)
+    with pytest.raises(ValueError, match="not a pmf"):
+        mismatch_exponent([0.5, 0.5], [0.5, 0.5], [0.5, 0.7], 0.5)
+
+
+def test_pmfs_within_tolerance_are_used_as_given():
+    p, q = np.array([0.5, 0.5]) * (1.0 + 1e-10), np.array([0.25, 0.75])
+    assert partial_divergence(p, q, 0.3).value != partial_divergence(p / p.sum(), q, 0.3).value
+
+
 def test_monotone_convex_bounded():
     rhos = np.linspace(0.0, 1.0, 101)
     for p, q in PAIRS:
