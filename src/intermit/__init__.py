@@ -24,8 +24,8 @@ from .rates import (NoiselessRateResult, OverheadResult, PatternRateResult,
                     noiseless_binary_rate, pattern_decoding_rate)
 from .sim import (DecodeResult, SimConfig, SimResult, TrialOutcome, apply_dmc,
                   best_distinguishing_symbol, decode_exhaustive,
-                  decode_pattern, decode_zero_rate, enumerate_exact_error,
-                  monte_carlo_error, negbinom_pmf, sample_receive_lengths,
-                  transmit_intermittent, wilson_interval, zero_rate_codebook)
+                  decode_pattern, decode_zero_rate, monte_carlo_error,
+                  negbinom_pmf, sample_receive_lengths, transmit_intermittent,
+                  wilson_interval, zero_rate_codebook)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

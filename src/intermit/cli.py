@@ -28,8 +28,7 @@ from .blahut import blahut_capacity
 from .bounds import (CostModel, GenieBoundConfig, c1_limit, c1_upper, c2_upper,
                      cpuc_lower, cpuc_upper)
 from .errors import ConvergenceError, SizeGuardError
-from .insertion import (B_DESK, insertion_capacity, insertion_capacity_upper,
-                        insertion_counts)
+from .insertion import insertion_capacity, insertion_capacity_upper, insertion_counts
 from .partialdiv import partial_divergence
 from .prob import Dmc, Pmf
 from .rates import (exhaustive_decoding_rate, intermittency_overhead,
@@ -251,28 +250,26 @@ def _dump_channel_counts(pair, out, sweep, allow_large: bool) -> None:
 
 
 def _cmd_upper_bound(args) -> int:
-    # An explicitly typed --bmax/--s beyond the desk guard is treated as
-    # consent to the larger computation (still capped at the hard limit).
+    # A typed --bmax/--s is consent to its size: only the hard limit on b
+    # applies.
     if args.which == "c1":
-        allow = args.allow_large or args.bmax > B_DESK
         sweep = SweepSpec("upper-bound-c1", {"s": args.s, "bmax": args.bmax,
                                              "alpha_grid": args.alpha_grid,
                                              "limit": args.limit})
         rows = []
         if args.limit:
             rows.append((args.s, args.bmax, "inf", c1_limit(args.s, args.bmax,
-                                                            allow_large=allow)))
+                                                            allow_large=True)))
         else:
             for alpha in _parse_alpha_grid(args.alpha_grid):
                 cfg = GenieBoundConfig(s=args.s, b_max=args.bmax, alpha=alpha)
-                rows.append((args.s, args.bmax, alpha, c1_upper(cfg, allow_large=allow)))
+                rows.append((args.s, args.bmax, alpha, c1_upper(cfg, allow_large=True)))
         _emit(BoundReport(("s", "b_max", "alpha", "bound"), rows, sweep), args.out)
     else:
-        allow = args.allow_large or args.s > B_DESK
         sweep = SweepSpec("upper-bound-c2", {"s": args.s, "alpha_grid": args.alpha_grid})
         rows = []
         for alpha in _parse_alpha_grid(args.alpha_grid):
-            rows.append((args.s, alpha, c2_upper(args.s, alpha, allow_large=allow)))
+            rows.append((args.s, alpha, c2_upper(args.s, alpha, allow_large=True)))
         _emit(BoundReport(("s", "alpha", "bound"), rows, sweep), args.out)
     return 0
 
@@ -470,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha-grid", default="1:2:0.1", help="lo:hi:step")
     sp.add_argument("--limit", action="store_true",
                     help="c1 only: emit the alpha -> infinity limit")
-    sp.add_argument("--allow-large", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_upper_bound)
 

@@ -3,10 +3,13 @@ is to *contain* a subsample of type P, rather than to *be* of type P.
 
 For a mixing fraction rho in [0, 1], the partial divergence d_rho(P||Q)
 interpolates between 0 (rho = 0) and the full divergence D(P||Q) (rho = 1).
-It has a closed form driven by a scalar tilting constant c*, solved on the
-common support of P and Q; it is finite up to rho = P(supp Q) and +inf
-beyond.  `mismatch_exponent` evaluates the general two-source exponent by
-constrained minimization over the split.  All values are in bits.
+It is the general two-source exponent `mismatch_exponent`,
+
+    min over  rho*P1 + (1-rho)*P2 = P  of  rho*D(P1||Q) + (1-rho)*D(P2||A),
+
+at A = P.  Both come from one closed form driven by a scalar tilting
+constant c: the optimal split is rho*P1 = P*c*Q/(c*Q + A).  All values are in
+bits.
 """
 
 from __future__ import annotations
@@ -18,41 +21,73 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .prob import _is_pmf_vector, _vec, binary_entropy, kl_divergence
-from .search import pairwise_descent, simplex_grid
-
-_FEAS_TOL = 1e-12
-
-
-def _tilt_equation(c: float, p: np.ndarray, q: np.ndarray) -> float:
-    return float(c * (p * q / (c * q + p)).sum())
+# pairwise_descent is not called here; it stays importable as
+# intermit.partialdiv.pairwise_descent, where perfbench/layers.py wraps it.
+from .search import pairwise_descent  # noqa: F401
 
 
-def _tilt_root(p: np.ndarray, q: np.ndarray, rho: float) -> float:
-    """Root of c * sum_j p_j q_j / (c q_j + p_j) = rho on the support of Q.
+def _tilt_equation(c: float, p: np.ndarray, q: np.ndarray, a: np.ndarray) -> float:
+    return float(c * (p * q / (c * q + a)).sum())
 
-    The left side increases from 0 to the P-mass of supp(Q), so a root exists
-    iff rho is below that mass.
+
+def _tilt_root(p: np.ndarray, q: np.ndarray, a: np.ndarray, target: float) -> float:
+    """Root of c * sum_j p_j q_j / (c q_j + a_j) = target for positive p, q, a.
+
+    The left side increases from 0 to sum p, so the root exists for target
+    strictly inside that range.
     """
     # imported here: scipy.optimize is slow to import, and no other code in
     # the package needs it
     from scipy.optimize import brentq
 
-    mask = (q > 0.0) & (p > 0.0)
-    ps, qs = p[mask], q[mask]
-    mass = ps.sum()
-    if rho >= mass:
-        raise ConvergenceError(
-            f"no tilting constant: rho={rho} is not below the P-mass {mass} of supp(Q)"
-        )
     hi = 1.0
-    while _tilt_equation(hi, ps, qs) < rho:
+    while _tilt_equation(hi, p, q, a) < target:
         hi *= 2.0
         if hi > 1e300:
             raise ConvergenceError("tilting-constant bracket exceeded float range")
-    c = brentq(lambda c: _tilt_equation(c, ps, qs) - rho, 0.0, hi, xtol=1e-300, rtol=1e-15)
-    if abs(_tilt_equation(c, ps, qs) - rho) > 1e-10:
+    c = brentq(lambda c: _tilt_equation(c, p, q, a) - target, 0.0, hi, xtol=1e-300, rtol=1e-15)
+    if abs(_tilt_equation(c, p, q, a) - target) > 1e-10:
         raise ConvergenceError("tilting-constant solve did not meet residual tolerance")
     return float(c)
+
+
+def _split(pv: np.ndarray, qv: np.ndarray, av: np.ndarray, rho: float):
+    """(value, c) of min rho*D(P1||Q) + (1-rho)*D(P2||A) over the splits
+    rho*P1 + (1-rho)*P2 = P, in bits; c is None where no split exists.
+
+    A symbol of P with A = 0 goes wholly to P1 (forced mass m0), one with
+    Q = 0 wholly to P2.  A split exists iff no symbol of P has Q = A = 0 and
+    m0 <= rho <= P(supp Q).  Inside, with c the tilt root on the symbols
+    where P, Q and A are all positive,
+
+        sum_x p log2(p / (c q + a)) + rho log2 c + h(rho);
+
+    at rho = P(supp Q) (c -> inf) and at rho = m0 (c -> 0) every symbol goes
+    wholly to one side, to P1 iff Q > 0, respectively iff A = 0.
+    """
+    if rho == 0.0:
+        return kl_divergence(pv, av), 0.0
+    if rho == 1.0:
+        return kl_divergence(pv, qv), math.inf
+    on = pv > 0.0
+    p, q, a = pv[on], qv[on], av[on]
+    if ((q <= 0.0) & (a <= 0.0)).any():
+        return math.inf, None
+    forced = a <= 0.0
+    free = (q > 0.0) & ~forced
+    target = rho - p[forced].sum()
+    mass = p[free].sum()
+    if not 0.0 <= target <= mass:
+        return math.inf, None
+    h = float(binary_entropy(rho))
+    if target == mass or target == 0.0:
+        c = math.inf if target == mass else 0.0
+        to_q = q > 0.0 if target == mass else forced
+        pq, pa = p[to_q], p[~to_q]
+        value = float((pq * np.log2(pq / q[to_q])).sum())
+        return value + float((pa * np.log2(pa / a[~to_q])).sum()) + h, c
+    c = _tilt_root(p[free], q[free], a[free], target)
+    return float((p * np.log2(p / (c * q + a))).sum()) + rho * math.log2(c) + h, c
 
 
 def tilting_constant(p, q, rho: float) -> float:
@@ -66,7 +101,11 @@ def tilting_constant(p, q, rho: float) -> float:
         raise ValueError("tilting constant requires a strictly positive Q")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (0, 1)")
-    return _tilt_root(pv, qv, rho)
+    c = _split(pv, qv, pv, rho)[1]
+    if c is None or math.isinf(c):
+        raise ConvergenceError(
+            f"no tilting constant: rho={rho} is not below the P-mass of supp(Q)")
+    return c
 
 
 def _pmf_vectors(*dists) -> list:
@@ -112,23 +151,8 @@ def partial_divergence(p, q, rho: float) -> PartialDivergence:
     value is +inf.
     """
     pv, qv = _check_pair(p, q, rho)
-    if rho == 0.0:
-        return PartialDivergence(0.0, rho, 0.0)
-    if rho == 1.0:
-        return PartialDivergence(kl_divergence(pv, qv), rho, math.inf)
-    on = (qv > 0.0) & (pv > 0.0)
-    ps = pv[on]
-    mass = ps.sum()
-    if rho > mass:
-        return PartialDivergence(math.inf, rho, None)
-    h = float(binary_entropy(rho))
-    if rho == mass:
-        return PartialDivergence(float((ps * np.log2(ps / qv[on])).sum()) + h, rho, math.inf)
-    c = _tilt_root(pv, qv, rho)
-    mask = pv > 0.0
-    pm = pv[mask]
-    body = float((pm * np.log2(pm / (c * qv[mask] + pm))).sum())
-    return PartialDivergence(body + rho * math.log2(c) + h, rho, c)
+    value, c = _split(pv, qv, pv, rho)
+    return PartialDivergence(value, rho, c)
 
 
 def partial_divergence_deriv(p, q, rho: float) -> float:
@@ -151,79 +175,17 @@ def convexity_lower_bound(p, q, rho: float) -> float:
     return kl_divergence(pv, rho * qv + (1.0 - rho) * pv)
 
 
-def _rows_kl_bits(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Row-wise D(row||ref) in bits, +inf where a row escapes supp(ref)."""
-    out = np.zeros(rows.shape[0])
-    pos_ref = ref > 0.0
-    bad = (rows[:, ~pos_ref] > 0.0).any(axis=1) if (~pos_ref).any() else np.zeros(
-        rows.shape[0], dtype=bool
-    )
-    safe_rows = rows[:, pos_ref]
-    safe_ref = ref[pos_ref]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(safe_rows > 0.0, safe_rows * np.log2(safe_rows / safe_ref), 0.0)
-    out = terms.sum(axis=1)
-    out[bad] = np.inf
-    return out
-
-
-def mismatch_exponent(p, q, q_alt, rho: float, *, steps: int | None = None,
-                      refine_tol: float = 1e-8) -> float:
+def mismatch_exponent(p, q, q_alt, rho: float) -> float:
     """Exponent of drawing a length-n type P when a rho-fraction of symbols
-    comes i.i.d. from Q and the rest from Q_alt:
+    comes i.i.d. from Q and the rest from A = Q_alt:
 
-        min over  rho*P1 + (1-rho)*P2 = P  of  rho*D(P1||Q) + (1-rho)*D(P2||Q_alt).
+        min over  rho*P1 + (1-rho)*P2 = P  of  rho*D(P1||Q) + (1-rho)*D(P2||A).
 
-    Evaluated by dense simplex-grid search over P1 (restricted to supp(Q))
-    followed by pairwise-transfer refinement; the objective is convex, so the
-    greedy refinement converges to the global minimum.  Returns +inf when no
-    feasible split exists (e.g. rho exceeds the P-mass of supp(Q)).
-
-    With q_alt = P this is an independent route to d_rho(P||Q), used to
-    cross-check the closed form.
+    The closed form of `partial_divergence` with A in place of P (see
+    `_split`); +inf where no split exists.  Exact endpoints D(P||A) at
+    rho = 0 and D(P||Q) at rho = 1.
     """
     pv, qv, av = _pmf_vectors(p, q, q_alt)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if rho == 0.0:
-        return kl_divergence(pv, av)
-    if rho == 1.0:
-        return kl_divergence(pv, qv)
-
-    sup = np.flatnonzero(qv > 0.0)
-    if pv[sup].sum() + _FEAS_TOL < rho:
-        return float("inf")
-    if steps is None:
-        steps = 200 if pv.size <= 3 else 50
-    rbar = 1.0 - rho
-
-    grid = simplex_grid(steps, sup.size)
-    cands = np.zeros((grid.shape[0], pv.size))
-    cands[:, sup] = grid
-    p2 = (pv[None, :] - rho * cands) / rbar
-    feasible = p2.min(axis=1) >= -_FEAS_TOL
-    if not feasible.any():
-        return float("inf")
-    cands = cands[feasible]
-    p2 = np.clip(p2[feasible], 0.0, None)
-    obj = rho * _rows_kl_bits(cands, qv) + rbar * _rows_kl_bits(p2, av)
-    best = int(obj.argmin())
-    best_val = float(obj[best])
-    if not math.isfinite(best_val):
-        return float("inf")
-
-    def objective(p1_sup: np.ndarray) -> float:
-        if p1_sup.min() < -_FEAS_TOL:
-            return float("inf")
-        p1 = np.zeros(pv.size)
-        p1[sup] = np.clip(p1_sup, 0.0, None)
-        rest = (pv - rho * p1) / rbar
-        if rest.min() < -_FEAS_TOL:
-            return float("inf")
-        rest = np.clip(rest, 0.0, None)
-        t1 = _rows_kl_bits(p1[None, :], qv)[0]
-        t2 = _rows_kl_bits(rest[None, :], av)[0]
-        return rho * t1 + rbar * t2
-
-    x, val = pairwise_descent(objective, cands[best][sup], 1.0 / steps, tol=refine_tol)
-    return float(min(best_val, val))
+    return _split(pv, qv, av, rho)[0]

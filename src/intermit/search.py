@@ -1,10 +1,8 @@
-"""Small search utilities shared by the optimizers: golden-section on an
-interval (optionally bracketed by a coarse grid first) and simplex grids with
-pairwise-transfer refinement."""
+"""Small search utilities: golden-section on an interval (optionally
+bracketed by a coarse grid first), which the noiseless-binary rate uses, and
+pairwise-transfer descent over the simplex."""
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,34 +59,12 @@ def grid_golden_max(f, lo: float, hi: float, coarse: int = 33, tol: float = 1e-1
     return float(x), float(fx)
 
 
-@lru_cache(maxsize=64)
-def simplex_grid(steps: int, dims: int) -> np.ndarray:
-    """All points of the simplex grid {k/steps : k integer} in `dims` parts.
-
-    Returns an array of shape (C(steps+dims-1, dims-1), dims) whose rows sum
-    to 1 exactly (up to float rounding of k/steps).
-    """
-    if dims == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], steps, dims)
-    return np.asarray(out, dtype=float) / steps
-
-
 def pairwise_descent(f, x0: np.ndarray, step0: float, tol: float = 1e-8):
     """Minimize f over the simplex by pairwise mass transfers with a shrinking
     step, starting from x0.  f may return +inf for infeasible points.
 
     Returns (argmin, min).  Greedy and derivative-free; adequate for convex
-    objectives once a grid stage has landed near the optimum.
+    objectives from a start near the optimum.
     """
     x = np.array(x0, dtype=float)
     fx = f(x)

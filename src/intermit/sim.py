@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
@@ -365,37 +364,3 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         mean_n=total_n / cfg.trials,
         outcomes=tuple(outcomes),
     )
-
-
-def enumerate_exact_error(k: int, n: int, codebook, w: Dmc, mu: float,
-                          input_dist=None) -> dict:
-    """Exact decoder error probabilities on a deterministic channel,
-    conditioned on received length n, by enumerating all C(n-1, k-1) equally
-    likely instant patterns (the block always ends with the last codeword
-    symbol).  Returns exact Fractions keyed by decoder name."""
-    if w.star is None:
-        raise ValueError("channel must designate a noise input (star)")
-    rows = w.rows
-    if not np.all(rows.max(axis=1) == 1.0):
-        raise ValueError("exact enumeration requires a deterministic channel")
-    outmap = rows.argmax(axis=1)
-    cb = np.asarray(codebook, dtype=np.int64)
-    if cb.shape[1] != k:
-        raise ValueError("codebook width must equal the codeword length k")
-    if n < k:
-        raise ValueError("received length n must be at least k")
-    pvec = np.full(w.input_size, 1.0 / w.input_size) if input_dist is None else _vec(input_dist)
-    n_msg = cb.shape[0]
-    total = math.comb(n - 1, k - 1)
-    err = {"exhaustive": 0, "pattern": 0}
-    for m in range(n_msg):
-        for front in combinations(range(n - 1), k - 1):
-            idx = list(front) + [n - 1]
-            x = np.full(n, w.star, dtype=np.int64)
-            x[idx] = cb[m]
-            y = outmap[x]
-            if decode_exhaustive(y, k, cb, w, mu).message != m:
-                err["exhaustive"] += 1
-            if decode_pattern(y, k, cb, w, mu, pvec).message != m:
-                err["pattern"] += 1
-    return {name: Fraction(e, n_msg * total) for name, e in err.items()}

@@ -5,10 +5,11 @@ cross-checks for `intermit.rates`.
 `overhead_search` maximizes the paper's objective over the split fraction
 beta with a 33-point grid plus golden-section polish.  It evaluates both
 partial divergences with `partial_div_value`: the closed form of
-`intermit.partialdiv` for a strictly positive reference law, the
-`mismatch_exponent` grid oracle wherever it has a zero.
-`overhead_stationarity` is the first-order condition in beta from two
-independent tilt-root solves; it vanishes at the closed-form beta*.
+`intermit.partialdiv` for a strictly positive reference law, the grid-search
+oracle `partialdiv_oracle.split_search` wherever it has a zero.
+`overhead_stationarity` is the first-order condition in beta from the tilting
+constants of the two partial divergences; it vanishes at the closed-form
+beta*.
 `pattern_rate_search` maximizes I(P, W) - f over the input law directly: a
 grid-and-golden search along the segment of binary inputs, pairwise descent
 for larger alphabets.  `noiseless_search` runs the 257 x 65 nested
@@ -19,18 +20,19 @@ import math
 import numpy as np
 
 from intermit.blahut import blahut_capacity
-from intermit.partialdiv import _tilt_root, mismatch_exponent, partial_divergence
+from intermit.partialdiv import partial_divergence
 from intermit.prob import Dmc, binary_entropy, mutual_information, output_dist
 from intermit.rates import intermittency_overhead
 from intermit.search import grid_golden_max, pairwise_descent
+from partialdiv_oracle import split_search
 
 
 def partial_div_value(p: np.ndarray, q: np.ndarray, rho: float) -> float:
-    """d_rho(P||Q): the closed form for strictly positive Q, the
-    `mismatch_exponent` grid oracle otherwise."""
+    """d_rho(P||Q): the closed form for strictly positive Q, the grid-search
+    oracle otherwise."""
     if q.min() > 0.0:
         return partial_divergence(p, q, rho).value
-    return mismatch_exponent(p, q, p, rho)
+    return split_search(p, q, p, rho)
 
 
 def overhead_stationarity(p, w: Dmc, alpha: float, beta: float) -> float:
@@ -46,8 +48,8 @@ def overhead_stationarity(p, w: Dmc, alpha: float, beta: float) -> float:
         raise ValueError("beta must be strictly interior to (0, 1/alpha), with alpha > 1")
     star = w.star_row()
     pw = output_dist(p, w).probs
-    c1 = _tilt_root(pw, star, rho)
-    c2 = _tilt_root(star, pw, beta)
+    c1 = partial_divergence(pw, star, rho).tilt
+    c2 = partial_divergence(star, pw, beta).tilt
     return (
         math.log2((1.0 - beta) / beta)
         + math.log2((1.0 - rho) / rho)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from decoder_oracle import enumerate_exact_error
 from insertion_oracle import uniform_insertion_channel
 from intermit import (
     CostModel,
@@ -28,12 +29,10 @@ from intermit import (
     convexity_lower_bound,
     cpuc_lower,
     cpuc_upper,
-    enumerate_exact_error,
     exhaustive_decoding_rate,
     insertion_capacity,
     insertion_capacity_upper,
     kl_divergence,
-    mismatch_exponent,
     monte_carlo_error,
     negbinom_pmf,
     noiseless_binary_rate,
@@ -43,6 +42,7 @@ from intermit import (
     sample_receive_lengths,
 )
 from intermit.cli import main as cli_main
+from partialdiv_oracle import split_search
 
 
 def _random_pair(rng, n):
@@ -69,7 +69,7 @@ def test_01_closed_form_agrees_with_splitting_oracle():
         p, q = _random_pair(rng, n)
         for rho in np.arange(0.1, 0.91, 0.1):
             closed = partial_divergence(p, q, float(rho)).value
-            oracle = mismatch_exponent(p, q, p, float(rho))
+            oracle = split_search(p, q, p, float(rho))
             worst = max(worst, abs(closed - oracle))
     assert worst <= 1e-4, f"worst closed-form/oracle gap {worst:.3e}"
 

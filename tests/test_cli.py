@@ -358,6 +358,30 @@ def test_exit_code_size_guard(capsys):
     assert "refused:" in err
 
 
+def test_aux_g_needs_allow_large_beyond_desk_guard(capsys):
+    code, out, err = run_cli(capsys, ["aux-g", "--a", "3", "--b", "14"])
+    assert code == 3
+    assert "refused:" in err and out == ""
+    code, out, _ = run_cli(capsys, ["aux-g", "--a", "3", "--b", "14", "--allow-large"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[:2] for r in rows] == [["3", "14"]]
+
+
+def test_upper_bound_takes_typed_sizes_up_to_hard_limit(capsys):
+    code, out, _ = run_cli(capsys, ["upper-bound", "c1", "--s", "3", "--bmax", "13", "--limit"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0][3]) == pytest.approx(c1_limit(3, 13, allow_large=True), abs=1e-12)
+    for argv in (["c1", "--s", "3", "--bmax", "18", "--limit"],
+                 ["c2", "--s", "18", "--alpha-grid", "1.5"]):
+        code, out, err = run_cli(capsys, ["upper-bound"] + argv)
+        assert code == 3
+        assert "refused:" in err and out == ""
+    with pytest.raises(SystemExit):
+        main(["upper-bound", "c1", "--s", "3", "--bmax", "13", "--allow-large"])
+
+
 def test_exit_code_missing_pair(capsys):
     code, _, _ = run_cli(capsys, ["aux-g", "--a", "2"])
     assert code == 2

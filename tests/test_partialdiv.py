@@ -1,4 +1,5 @@
-"""Partial divergence: closed form, tilting constant, grid oracle."""
+"""Partial divergence and the two-source exponent: closed form, tilting
+constant, and the grid-search oracle."""
 
 import math
 
@@ -15,6 +16,8 @@ from intermit import (
     partial_divergence_deriv,
     tilting_constant,
 )
+from intermit.partialdiv import _split
+from partialdiv_oracle import split_search
 
 P4 = np.full(4, 0.25)
 Q1 = np.array([0.1, 0.1, 0.1, 0.7])
@@ -24,7 +27,7 @@ PAIRS = [
     (P4, Q1),
     (np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])),
 ]
-# P(supp Q) = 0.44059547...; the grid oracle returns +inf at rho = 0.44
+# P(supp Q) = 0.44059547...; the grid-search oracle returns +inf at rho = 0.44
 NEAR_MASS_P = np.array([0.55940452, 0.23441942, 0.20617605]) / 0.99999999
 NEAR_MASS_Q = np.array([0.0, 0.72720132, 0.27279868])
 
@@ -123,7 +126,7 @@ def test_closed_form_matches_grid_oracle():
     for p, q in PAIRS:
         for rho in (0.2, 0.5, 0.8):
             closed = partial_divergence(p, q, rho)
-            oracle = mismatch_exponent(p, q, p, rho)
+            oracle = split_search(p, q, p, rho)
             assert closed.value == pytest.approx(oracle, abs=1e-4)
 
 
@@ -137,12 +140,12 @@ def test_oracle_endpoints():
 
 def test_zero_entry_reference_uses_oracle_path():
     # Q with a zero goes through the same closed form, checked here against
-    # the mismatch_exponent oracle
+    # the grid-search oracle
     p = np.array([0.5, 0.5])
     q = np.array([1.0, 0.0])
     r = partial_divergence(p, q, 0.3)
     assert np.isfinite(r.value)
-    assert r.value == pytest.approx(mismatch_exponent(p, q, p, 0.3), abs=1e-6)
+    assert r.value == pytest.approx(split_search(p, q, p, 0.3), abs=1e-6)
     # mass on supp(q) is 0.5, so rho beyond it is infeasible
     assert partial_divergence(p, q, 0.7).value == np.inf
 
@@ -210,7 +213,7 @@ def zero_reference_cases(draw):
 def test_zero_reference_closed_form_matches_oracle(case):
     p, q, rho = case
     assert partial_divergence(p, q, rho).value == pytest.approx(
-        mismatch_exponent(p, q, p, rho), abs=1e-6)
+        split_search(p, q, p, rho), abs=1e-6)
 
 
 def test_point_mass_reference_value():
@@ -223,3 +226,91 @@ def test_point_mass_reference_value():
     assert partial_divergence(p, np.array([1.0, 0.0]), rho).value == pytest.approx(
         expect, abs=1e-9
     )
+
+
+def test_mismatch_exponent_with_a_zero_of_the_second_law():
+    # A = (0, 1) forces P1 = (7/9, 2/9), P2 = (0, 1): the grid search has no
+    # feasible point at rho = 0.9 and returns +inf
+    p, q, a = [0.7, 0.3], [0.6, 0.4], [0.0, 1.0]
+    value = mismatch_exponent(p, q, a, 0.9)
+    assert value == pytest.approx(0.0924774790, abs=1e-9)
+    assert value == pytest.approx(0.9 * kl_divergence([7 / 9, 2 / 9], q), abs=1e-15)
+    assert math.isinf(split_search(p, q, a, 0.9))
+    # at rho = 0.8 the grid holds P1(0) = 0.7/0.8 and the search is finite
+    assert mismatch_exponent(p, q, a, 0.8) == pytest.approx(split_search(p, q, a, 0.8), abs=1e-9)
+    # below the forced mass 0.7 no split exists
+    assert mismatch_exponent(p, q, a, 0.6) == math.inf
+
+
+def test_mismatch_exponent_near_support_mass():
+    p, q = NEAR_MASS_P, NEAR_MASS_Q
+    assert mismatch_exponent(p, q, p, 0.44) == pytest.approx(0.5174514378, abs=1e-9)
+    assert math.isinf(split_search(p, q, p, 0.44))
+
+
+def test_partial_divergence_is_mismatch_exponent_at_second_law_p():
+    cases = PAIRS + [(np.array([0.5, 0.25, 0.25]), np.array([0.0, 0.5, 0.5])),
+                     (NEAR_MASS_P, NEAR_MASS_Q)]
+    for p, q in cases:
+        mass = float(p[q > 0.0].sum())
+        for rho in (0.0, 0.1, 0.3, 0.44, mass - 1e-9, min(mass, 1.0), 0.7, 1.0):
+            assert partial_divergence(p, q, rho).value == mismatch_exponent(p, q, p, rho)
+
+
+def _weights(draw, n):
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                               min_size=n, max_size=n)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def split_cases(draw):
+    """(P, Q, A, rho) on 2-4 symbols with zeros in every law; rho is drawn
+    from [0.01, 0.99], or set to the forced mass P(A = 0) or to P(supp Q)."""
+    n = draw(st.integers(2, 4))
+    p, q, a = (_weights(draw, n) for _ in range(3))
+    where = draw(st.sampled_from(["inside", "forced", "support"]))
+    if where == "forced":
+        rho = float(p[(a == 0.0) & (q > 0.0)].sum())
+    elif where == "support":
+        rho = float(p[q > 0.0].sum())
+    else:
+        rho = draw(st.floats(0.01, 0.99))
+    return p, q, a, min(rho, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_mismatch_exponent_is_the_optimal_split(case):
+    p, q, a, rho = case
+    value, c = _split(p, q, a, rho)
+    assert mismatch_exponent(p, q, a, rho) == value
+    oracle = split_search(p, q, a, rho)
+    if math.isfinite(oracle):
+        assert value == pytest.approx(oracle, abs=1e-6)
+    if not math.isfinite(value):
+        return
+    if rho in (0.0, 1.0):
+        assert value == kl_divergence(p, a if rho == 0.0 else q)
+    if not 0.01 <= rho <= 0.99:
+        # the rebuilt P1 and P2 divide by rho and 1 - rho
+        return
+    # rebuild the split c defines: rho*P1 = P*c*Q/(c*Q + A), (1-rho)*P2 =
+    # P*A/(c*Q + A), with every symbol wholly on one side in the limits
+    on = p > 0.0
+    u, v = np.zeros_like(p), np.zeros_like(p)
+    if c == 0.0 or math.isinf(c):
+        to_q = on & ((q > 0.0) if math.isinf(c) else (a == 0.0))
+        u[to_q], v[on & ~to_q] = p[to_q], p[on & ~to_q]
+    else:
+        den = c * q[on] + a[on]
+        u[on], v[on] = p[on] * c * q[on] / den, p[on] * a[on] / den
+    p1, p2 = u / rho, v / (1.0 - rho)
+    for part in (p1, p2):
+        assert part.min() >= 0.0
+        assert part.sum() == pytest.approx(1.0, abs=1e-12)
+    assert rho * p1 + (1.0 - rho) * p2 == pytest.approx(p, abs=1e-15)
+    objective = rho * kl_divergence(p1, q) + (1.0 - rho) * kl_divergence(p2, a)
+    assert objective == pytest.approx(value, abs=1e-12)

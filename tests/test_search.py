@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from intermit.search import golden_max, grid_golden_max, pairwise_descent, simplex_grid
+from intermit.search import golden_max, grid_golden_max, pairwise_descent
+from partialdiv_oracle import simplex_grid
 
 
 def test_golden_max_quadratic():

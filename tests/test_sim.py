@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intermit.sim as sim_mod
-from decoder_oracle import decode as oracle_decode
+from decoder_oracle import decode as oracle_decode, enumerate_exact_error
 from intermit import (
     Dmc,
     SimConfig,
@@ -20,7 +20,6 @@ from intermit import (
     decode_exhaustive,
     decode_pattern,
     decode_zero_rate,
-    enumerate_exact_error,
     monte_carlo_error,
     negbinom_pmf,
     sample_receive_lengths,
