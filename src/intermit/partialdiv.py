@@ -76,9 +76,11 @@ def _split(pv: np.ndarray, qv: np.ndarray, av: np.ndarray, rho: float):
     forced = a <= 0.0
     free = (q > 0.0) & ~forced
     target = rho - p[forced].sum()
-    mass = p[free].sum()
-    if not 0.0 <= target <= mass:
+    if target < 0.0 or rho > p[q > 0.0].sum():
         return math.inf, None
+    # rho - m0 can round above the free mass although rho <= P(supp Q)
+    mass = p[free].sum()
+    target = min(target, mass)
     h = float(binary_entropy(rho))
     if target == mass or target == 0.0:
         c = math.inf if target == mass else 0.0

@@ -229,13 +229,14 @@ def test_point_mass_reference_value():
 
 
 def test_mismatch_exponent_with_a_zero_of_the_second_law():
-    # A = (0, 1) forces P1 = (7/9, 2/9), P2 = (0, 1): the grid search has no
-    # feasible point at rho = 0.9 and returns +inf
+    # A = (0, 1) forces P1 = (7/9, 2/9), P2 = (0, 1): no grid point is
+    # feasible at rho = 0.9, and the search finds the split from its
+    # proportional start
     p, q, a = [0.7, 0.3], [0.6, 0.4], [0.0, 1.0]
     value = mismatch_exponent(p, q, a, 0.9)
     assert value == pytest.approx(0.0924774790, abs=1e-9)
     assert value == pytest.approx(0.9 * kl_divergence([7 / 9, 2 / 9], q), abs=1e-15)
-    assert math.isinf(split_search(p, q, a, 0.9))
+    assert value == pytest.approx(split_search(p, q, a, 0.9), abs=1e-9)
     # at rho = 0.8 the grid holds P1(0) = 0.7/0.8 and the search is finite
     assert mismatch_exponent(p, q, a, 0.8) == pytest.approx(split_search(p, q, a, 0.8), abs=1e-9)
     # below the forced mass 0.7 no split exists
@@ -244,8 +245,9 @@ def test_mismatch_exponent_with_a_zero_of_the_second_law():
 
 def test_mismatch_exponent_near_support_mass():
     p, q = NEAR_MASS_P, NEAR_MASS_Q
-    assert mismatch_exponent(p, q, p, 0.44) == pytest.approx(0.5174514378, abs=1e-9)
-    assert math.isinf(split_search(p, q, p, 0.44))
+    value = mismatch_exponent(p, q, p, 0.44)
+    assert value == pytest.approx(0.5174514378, abs=1e-9)
+    assert value == pytest.approx(split_search(p, q, p, 0.44), abs=1e-9)
 
 
 def test_partial_divergence_is_mismatch_exponent_at_second_law_p():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intermit import (
@@ -15,6 +15,7 @@ from intermit import (
     intermittency_overhead,
     mutual_information,
     noiseless_binary_rate,
+    output_dist,
     pattern_decoding_rate,
 )
 from rates_oracle import (noiseless_search, overhead_search, overhead_stationarity,
@@ -83,8 +84,17 @@ def overhead_cases(draw):
     return w, p / p.sum(), draw(st.floats(1.0, 4.0)), all_noise
 
 
+# alpha one ulp above 1, and PW = W* with a zero: beta* = 1/alpha leaves the
+# grid search's split region only a rounding error wide
+_EDGE = Dmc(np.array([[0.0, 2.0 / 3.0, 1.0 / 3.0], [1.0, 0.0, 0.0]]), star=0)
+
+
 @settings(max_examples=15, deadline=None)
 @given(overhead_cases())
+@example((Dmc(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]), star=0), np.array([0.0, 1.0]),
+          1.0000000000000002, False))
+@example((_EDGE, np.array([1.0, 0.0]), 1.0000000000000002, True))
+@example((_EDGE, np.array([1.0, 0.0]), 1.00390625, True))
 def test_overhead_closed_form_matches_search(case):
     w, p, alpha, all_noise = case
     res = intermittency_overhead(p, w, alpha)
@@ -95,7 +105,11 @@ def test_overhead_closed_form_matches_search(case):
     assert 0.0 <= res.value <= top + 1e-12
     if all_noise:
         assert res.value == pytest.approx(top, abs=1e-12)
-    if 1e-8 < res.beta_star < 1.0 / alpha - 1e-8:
+    # the tilting constants are finite for beta below 1/alpha, W*(supp PW)
+    # and PW(supp W*)/(alpha - 1)
+    star, pw = w.star_row(), output_dist(p, w).probs
+    if 1e-8 < res.beta_star < min(1.0 / alpha, star[pw > 0.0].sum(),
+                                  pw[star > 0.0].sum() / (alpha - 1.0)) - 1e-8:
         assert abs(overhead_stationarity(p, w, alpha, res.beta_star)) < 1e-9
     # I(P, W) - f = alpha I(P', W) - alpha h(1/alpha), P' = P/alpha + (1 - 1/alpha) delta_*
     p_prime = p / alpha + (1.0 - 1.0 / alpha) * np.eye(w.input_size)[w.star]
