@@ -10,9 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .errors import ConvergenceError
 from .prob import RENORM_TOL, Dmc, Pmf
 
 _LN2 = math.log(2.0)
+# Iterations a run may take before it is refused.
+_MAX_ITER = 100_000
 # The Newton step is tried once the sandwich is below this many nats (1e-3
 # bits), on the inputs with r(x) > _SUPPORT_REL * max r, and only while there
 # are at most _NEWTON_MAX_SUPPORT of them: its KKT system is dense.
@@ -31,8 +34,8 @@ class CapacityResult:
     """Certified capacity estimate in bits.
 
     `capacity` is the mutual information of `input_dist` (plus its mean
-    offset, if one was given), hence always a valid lower bound; `gap` bounds
-    its distance to the true capacity.
+    offset, if one was given), hence always a valid lower bound; `gap`, below
+    the run's tolerance, bounds its distance to the true capacity.
     `lb_history` is the nondecreasing sequence of per-iteration lower bounds.
     """
 
@@ -40,7 +43,6 @@ class CapacityResult:
     input_dist: Pmf
     iterations: int
     gap: float
-    converged: bool
     lb_history: tuple
 
 
@@ -99,8 +101,7 @@ def _newton_step(m, r, t, d):
     return cand / cand.sum()
 
 
-def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
-                    offset=None, start=None) -> CapacityResult:
+def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> CapacityResult:
     """Capacity of a DMC in bits, to within `tol` bits.
 
     Alternates the Blahut-Arimoto update on the input distribution and stops
@@ -124,10 +125,11 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
     The iteration starts from the uniform input law, or from `start`:
     positive per-input weights, normalized here.
 
-    If `max_iter` is exhausted first, the partial result is returned with
-    converged=False and the achieved gap.
+    Raises ConvergenceError if _MAX_ITER iterations pass without certifying
+    `tol`: no uncertified capacity leaves this function.
     """
     m = _as_matrix(w)
+    shape = m.shape
     nin = m.shape[0]
     is_sparse = sparse.issparse(m)
     if is_sparse:
@@ -167,11 +169,11 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
     history = []
     gap = math.inf
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         ub = float(d.max())
         history.append(lb / _LN2)
         gap = ub - lb
-        if gap < tol_nats or iters == max_iter:
+        if gap < tol_nats:
             break  # so that `input_dist` is the law the bounds were taken at
         if gap < _NEWTON_GAP:
             cand = _newton_step(m, r, t, d)
@@ -183,12 +185,15 @@ def blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
         r = r * np.exp(d - ub)
         r /= r.sum()
         t, d, lb = bounds(r)
+    else:
+        raise ConvergenceError(
+            f"Blahut-Arimoto on a {shape[0]} x {shape[1]} channel stopped after {iters} "
+            f"iterations with gap {gap / _LN2:.3g} bits, above the tolerance {tol:g}")
     return CapacityResult(
         capacity=lb / _LN2,
         input_dist=Pmf(r),
         iterations=iters,
         gap=gap / _LN2,
-        converged=gap < tol_nats,
         lb_history=tuple(history),
     )
 

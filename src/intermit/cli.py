@@ -27,7 +27,7 @@ from . import __version__
 from .blahut import blahut_capacity
 from .bounds import (CostModel, GenieBoundConfig, c1_limit, c1_upper, c2_upper,
                      cpuc_lower, cpuc_upper)
-from .errors import ConvergenceError, SizeGuardError
+from .errors import SizeGuardError
 from .insertion import insertion_capacity, insertion_capacity_upper, insertion_counts
 from .partialdiv import partial_divergence
 from .prob import Dmc, Pmf
@@ -195,9 +195,6 @@ def _cmd_rate(args) -> int:
             raise UsageError("scheme needs a designated noise input; pass --star")
         if args.scheme == "r1":
             cap = blahut_capacity(w)
-            if not cap.converged:
-                raise ConvergenceError(
-                    f"Blahut-Arimoto did not converge on the channel {args.channel}")
             for alpha in alphas:
                 rate = exhaustive_decoding_rate(w, alpha, capacity=cap.capacity)
                 rows.append((alpha, rate, math.nan, _fmt_vec(cap.input_dist.probs)))
@@ -224,9 +221,6 @@ def _cmd_aux_g(args) -> int:
     rows = []
     for a, b in pairs:
         cap = insertion_capacity(a, b, allow_large=args.allow_large)
-        if not cap.converged:
-            raise ConvergenceError(
-                f"Blahut-Arimoto did not converge on the ({a}, {b}) insertion channel")
         ub = insertion_capacity_upper(a, b, allow_large=args.allow_large)
         rows.append((a, b, cap.capacity, ub, cap.loss))
     if args.dump_channel is not None:

@@ -186,14 +186,10 @@ def empirical_type(seq, alphabet_size: int) -> EmpiricalType:
 
 
 def entropy(p) -> float:
-    """Shannon entropy in bits; -inf if the argument is not a valid pmf.
-
-    The -inf sentinel makes entropy terms act as a domain exclusion when an
-    optimizer wanders outside the simplex.
-    """
+    """Shannon entropy in bits of a pmf; raises ValueError on anything else."""
     v = _vec(p)
     if not _is_pmf_vector(v):
-        return float("-inf")
+        raise ValueError(f"not a pmf: {v.tolist()}")
     nz = v[v > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 

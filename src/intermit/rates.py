@@ -132,7 +132,8 @@ def pattern_decoding_rate(w: Dmc, alpha: float) -> PatternRateResult:
     inputs I(P', W) = I(P~, W') + sum_x P~(x) b(x), W'_x = W_x/alpha +
     (1 - 1/alpha) W*, b(x) = H(W'_x) - H(W_x)/alpha - (1 - 1/alpha) H(W*) >= 0;
     the run's sandwich bounds those inputs and D(W* || P~W') the noise input.
-    The gap exceeds 1e-9 bits only when a run exhausts its iterations.
+    Each run certifies 1e-9/alpha bits or raises ConvergenceError, so `gap` is
+    at most 1e-9 bits unless D(W* || P~W') tops the binding run's upper bound.
     """
     _check_alpha(alpha)
     star = _star_row(w)

@@ -143,10 +143,11 @@ def apply_dmc(x, w: Dmc, rng) -> np.ndarray:
     return np.minimum((u[:, None] > cum).sum(axis=1), w.output_size - 1)
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int):
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    z = 1.96
     phat = errors / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -296,33 +297,27 @@ def decode_pattern(y, k: int, codebook, w: Dmc, mu: float, input_dist) -> Decode
 
 
 def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 2,
-                      codebook=None, input_dist=None, keep_outcomes: bool = True,
                       leading_and_trailing: bool = False) -> SimResult:
     """Estimate the decoding error probability of a scheme by independent
     trials.
 
     scheme: "zero_rate", "exhaustive", or "pattern".  Messages cycle
-    deterministically over trials.  For the pattern/exhaustive schemes a
-    fresh codebook is drawn i.i.d. `input_dist` per trial unless a fixed
-    `codebook` is supplied; `input_dist` defaults to uniform.  A trial whose
-    C(n, k) instant patterns exceed ENUM_GUARD declares no message and counts
-    as an error; its outcome records 0 choices examined, which no decoded
-    trial does.
+    deterministically over trials.  The zero-rate scheme sends the two
+    codewords of `zero_rate_codebook`; the pattern and exhaustive schemes
+    draw a fresh codebook of `n_messages` i.i.d. uniform codewords per trial.
+    A trial whose C(n, k) instant patterns exceed ENUM_GUARD declares no
+    message and counts as an error; its outcome records 0 choices examined,
+    which no decoded trial does.
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if w.star is None:
         raise ValueError("channel must designate a noise input (star)")
     if scheme == "zero_rate":
-        fixed_cb = zero_rate_codebook(w, cfg.k)
+        fixed_cb, n_msg = zero_rate_codebook(w, cfg.k), 2
     else:
-        fixed_cb = None if codebook is None else np.asarray(codebook, dtype=np.int64)
-        if fixed_cb is not None and fixed_cb.shape[1] != cfg.k:
-            raise ValueError("codebook width must equal the codeword length k")
-    n_msg = 2 if scheme == "zero_rate" else (
-        fixed_cb.shape[0] if fixed_cb is not None else n_messages
-    )
-    pvec = np.full(w.input_size, 1.0 / w.input_size) if input_dist is None else _vec(input_dist)
+        fixed_cb, n_msg = None, n_messages
+    pvec = np.full(w.input_size, 1.0 / w.input_size)
 
     errors = 0
     total_n = 0
@@ -330,10 +325,8 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         m = t % n_msg
-        if fixed_cb is None:
-            cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
-        else:
-            cb = fixed_cb
+        cb = fixed_cb if fixed_cb is not None else rng.choice(
+            w.input_size, size=(n_msg, cfg.k), p=pvec)
         x = transmit_intermittent(cb[m], cfg.alpha, w.star, rng,
                                   leading_and_trailing=leading_and_trailing)
         y = apply_dmc(x, w, rng)
@@ -352,8 +345,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         if decoded != m:
             errors += 1
         total_n += int(y.size)
-        if keep_outcomes:
-            outcomes.append(TrialOutcome(int(y.size), decoded, examined))
+        outcomes.append(TrialOutcome(int(y.size), decoded, examined))
     lo, hi = wilson_interval(errors, cfg.trials)
     return SimResult(
         error_rate=errors / cfg.trials,

@@ -63,6 +63,5 @@ def plain_blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
         input_dist=Pmf(r),
         iterations=iters,
         gap=gap / _LN2,
-        converged=gap < tol_nats,
         lb_history=tuple(history),
     )

@@ -9,14 +9,14 @@ from scipy import sparse
 import intermit.blahut as blahut_mod
 from blahut_oracle import plain_blahut_capacity
 from insertion_oracle import unfolded_class_channel, uniform_insertion_channel
-from intermit import (Dmc, binary_entropy, blahut_capacity, mutual_information,
-                      union_capacity)
+from intermit import (ConvergenceError, Dmc, binary_entropy, blahut_capacity,
+                      mutual_information, union_capacity)
 
 
 def test_bsc_capacity_closed_form():
     for p in (0.05, 0.1, 0.25, 0.4):
         res = blahut_capacity(Dmc.bsc(p))
-        assert res.converged
+        assert res.gap < 1e-9
         assert res.capacity == pytest.approx(1.0 - binary_entropy(p), abs=1e-8)
         assert np.allclose(res.input_dist.probs, 0.5, atol=1e-4)
 
@@ -56,19 +56,27 @@ def test_all_zero_output_column_pruned():
     assert res.capacity == pytest.approx(two_col.capacity, abs=1e-10)
 
 
-def test_max_iter_exhaustion_reports_not_converged():
+def test_max_iter_exhaustion_reports_not_converged(monkeypatch):
     # Z-channel: the optimal input is asymmetric, so the uniform start
     # cannot certify optimality within a couple of iterations
-    z = np.array([[1.0, 0.0], [0.3, 0.7]])
-    res = blahut_capacity(z, tol=1e-15, max_iter=3)
-    assert not res.converged
-    assert res.gap > 1e-15
+    monkeypatch.setattr(blahut_mod, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError):
+        blahut_capacity(np.array([[1.0, 0.0], [0.3, 0.7]]), tol=1e-15)
 
 
-def test_exhausted_run_reports_its_own_input():
-    # the bounds and `input_dist` come from the same iterate
+def test_exhausted_run_reports_its_own_input(monkeypatch):
+    # the refusal names the channel's shape (all-zero columns included), the
+    # iterations run and the gap reached
+    monkeypatch.setattr(blahut_mod, "_MAX_ITER", 3)
+    z = np.array([[1.0, 0.0, 0.0], [0.3, 0.7, 0.0]])
+    with pytest.raises(ConvergenceError, match=r"on a 2 x 3 channel stopped after 3 "
+                                               r"iterations with gap 0\.0[0-9]+ bits"):
+        blahut_capacity(z)
+
+
+def test_bounds_and_input_come_from_one_iterate():
     z = np.array([[1.0, 0.0], [0.3, 0.7]])
-    res = blahut_capacity(z, tol=1e-15, max_iter=3)
+    res = blahut_capacity(z)
     assert res.capacity == pytest.approx(mutual_information(res.input_dist.probs, z), abs=1e-14)
 
 
@@ -80,7 +88,7 @@ def test_offset_maximizes_information_plus_offset():
     grid = np.linspace(0.0, 1.0, 20001)
     best = max(mutual_information([1.0 - t, t], z) + 0.4 * t for t in grid)
     value = mutual_information(res.input_dist.probs, z) + res.input_dist.probs @ b
-    assert res.converged
+    assert res.gap < 1e-12
     assert res.capacity == pytest.approx(value, abs=1e-12)
     assert best - 1e-12 <= res.capacity + res.gap
     assert res.capacity >= best - 1e-9
@@ -95,7 +103,6 @@ def test_nearly_tied_inputs_converge():
                   [0.15209, 0.54856, 0.0, 0.29935],
                   [0.61601, 0.0, 0.38399, 0.0]])
     res = blahut_capacity(w)
-    assert res.converged
     assert res.gap <= 1e-9
     assert res.iterations <= 1_000
     assert res.capacity == pytest.approx(mutual_information(res.input_dist.probs, w), abs=1e-14)
@@ -138,7 +145,7 @@ def test_hessian_chunks_do_not_change_the_result(monkeypatch):
     monkeypatch.setattr(blahut_mod, "_CHUNK_ENTRIES", 1)
     chunked = blahut_capacity(w, tol=1e-12)
     assert chunked.capacity == pytest.approx(whole.capacity, abs=1e-12)
-    assert chunked.converged
+    assert chunked.gap < 1e-12
 
 
 def test_full_insertion_channel_matches_plain_iteration():
@@ -147,7 +154,7 @@ def test_full_insertion_channel_matches_plain_iteration():
     w = uniform_insertion_channel(4, 6).rows
     res = blahut_capacity(w)
     ref = plain_blahut_capacity(w)
-    assert res.converged
+    assert res.gap < 1e-9
     assert ref.capacity - 1e-12 <= res.capacity <= ref.capacity + ref.gap + 1e-14
 
 
@@ -176,12 +183,12 @@ def test_newton_steps_match_plain_iteration(case):
     w, offset = case
     res = blahut_capacity(w, tol=1e-12, offset=offset)
     ref = plain_blahut_capacity(w, offset=offset)
-    assert res.converged
+    assert res.gap < 1e-12
     assert np.all(np.diff(res.lb_history) >= -1e-13)
     assert res.capacity >= ref.capacity - 1e-12
     assert res.capacity <= ref.capacity + ref.gap + 1e-14  # the gap's rounding
     csr = blahut_capacity(sparse.csr_matrix(w), tol=1e-12, offset=offset)
-    assert csr.converged
+    assert csr.gap < 1e-12
     assert csr.capacity == pytest.approx(res.capacity, abs=1e-12)
 
 

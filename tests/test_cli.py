@@ -1,18 +1,13 @@
 """Command-line interface: CSV shape, determinism, exit codes."""
 
-import dataclasses
 import hashlib
 import json
-import math
 
-import numpy as np
 import pytest
 
-import intermit.cli as cli_mod
-import intermit.insertion as insertion_mod
 import intermit.sim as sim_mod
 from insertion_oracle import all_blocks, insertion_table
-from intermit import (blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel, Dmc,
+from intermit import (blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel,
                       partial_divergence_deriv)
 from intermit.cli import main
 
@@ -150,49 +145,6 @@ def test_aux_g_dump_channel_matches_oracle(capsys, tmp_path):
         for y, c in sorted(table[x].items())
     ]
     assert rows == expect
-
-
-def test_upper_bound_refuses_unconverged_loss(capsys, monkeypatch):
-    real = insertion_mod.blahut_capacity
-
-    def unconverged(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-    monkeypatch.setattr(insertion_mod, "blahut_capacity", unconverged)
-    monkeypatch.setattr(insertion_mod, "_loss_cache", {})
-    code, out, err = run_cli(capsys, ["upper-bound", "c1", "--s", "2", "--bmax", "3", "--limit"])
-    assert code == 1
-    assert out == ""
-    assert "ConvergenceError" in err
-
-
-def test_aux_g_refuses_unconverged_capacity(capsys, monkeypatch, tmp_path):
-    real = insertion_mod.blahut_capacity
-
-    def unconverged(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-    monkeypatch.setattr(insertion_mod, "blahut_capacity", unconverged)
-    out_file = tmp_path / "g.csv"
-    code, out, err = run_cli(capsys, ["aux-g", "--grid-b", "3", "--out", str(out_file)])
-    assert code == 1
-    assert out == ""
-    assert not out_file.exists()
-    assert "ConvergenceError" in err
-
-
-def test_rate_r1_refuses_unconverged_capacity(capsys, monkeypatch, tmp_path):
-    # an exhausted run: the Z-channel's optimum is not certified after one step
-    exhausted = blahut_capacity(np.array([[1.0, 0.0], [0.3, 0.7]]), max_iter=1)
-    assert not exhausted.converged
-    monkeypatch.setattr(cli_mod, "blahut_capacity", lambda *args, **kwargs: exhausted)
-    out_file = tmp_path / "r1.csv"
-    code, out, err = run_cli(capsys, ["rate", "--scheme", "r1", "--channel", "bsc:0.1",
-                                      "--alpha-grid", "1:2:0.5", "--out", str(out_file)])
-    assert code == 1
-    assert out == ""
-    assert not out_file.exists()
-    assert "ConvergenceError" in err
 
 
 def test_upper_bound_c1_limit(capsys):

@@ -100,6 +100,12 @@ def test_entropy_point_mass_zero():
     assert entropy(Pmf.point_mass(0, 5)) == 0.0
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.7], [1.2, -0.2], []])
+def test_entropy_rejects_non_pmf(p):
+    with pytest.raises(ValueError, match="not a pmf"):
+        entropy(p)
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert binary_entropy(0.0) == 0.0

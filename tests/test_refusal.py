@@ -1,0 +1,66 @@
+"""Every consumer of Blahut-Arimoto refuses a run that exhausts its
+iteration cap: the library raises ConvergenceError, and the CLI exits 1
+without writing its output."""
+
+import json
+
+import numpy as np
+import pytest
+
+import intermit.blahut as blahut_mod
+import intermit.insertion as insertion_mod
+from intermit import (ConvergenceError, Dmc, blahut_capacity, exhaustive_decoding_rate,
+                      insertion_capacity, insertion_loss, pattern_decoding_rate)
+from intermit.cli import main
+
+# The Z-channel's capacity-achieving input is not uniform, so two iterations
+# from the uniform start cannot certify it; a symmetric channel would certify
+# at once.  The (3, 5) insertion channel has such classes too.
+Z_ROWS = [[1.0, 0.0], [0.3, 0.7]]
+Z = Dmc(np.array(Z_ROWS), star=0)
+
+
+@pytest.fixture(autouse=True)
+def two_iterations(monkeypatch):
+    monkeypatch.setattr(blahut_mod, "_MAX_ITER", 2)
+    monkeypatch.setattr(insertion_mod, "_loss_cache", {})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: blahut_capacity(Z),
+    lambda: insertion_capacity(3, 5),
+    lambda: insertion_loss(3, 5),
+    lambda: pattern_decoding_rate(Z, 1.2),
+    lambda: exhaustive_decoding_rate(Z, 1.2),
+], ids=["blahut_capacity", "insertion_capacity", "insertion_loss",
+        "pattern_decoding_rate", "exhaustive_decoding_rate"])
+def test_library_refuses_unconverged_run(call):
+    with pytest.raises(ConvergenceError, match="stopped after 2 iterations"):
+        call()
+    assert insertion_mod._loss_cache == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--scheme", "r1", "--channel", "json:{z}", "--alpha-grid", "1:2:0.5"],
+    ["rate", "--scheme", "r2", "--channel", "json:{z}", "--alpha-grid", "1:2:0.5"],
+    ["aux-g", "--grid-b", "5"],
+    ["upper-bound", "c1", "--s", "3", "--bmax", "5", "--limit"],
+], ids=["rate-r1", "rate-r2", "aux-g", "upper-bound-c1-limit"])
+def test_cli_refuses_unconverged_run(capsys, tmp_path, argv):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps({"rows": Z_ROWS, "star": 0}))
+    out_file = tmp_path / "out.csv"
+    code = main([arg.format(z=z) for arg in argv] + ["--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert not out_file.exists()
+    assert "ConvergenceError" in err
+
+
+def test_figures_refuses_unconverged_run(capsys, tmp_path):
+    code = main(["figures", "--fast", "--out", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert not (tmp_path / "manifest.json").exists()
+    assert "ConvergenceError" in err

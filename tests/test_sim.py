@@ -235,8 +235,7 @@ class TestMonteCarlo:
 
     def test_exhaustive_noiseless_low_error(self):
         cfg = SimConfig(k=6, alpha=1.3, trials=300, seed=9)
-        cb = np.array([[0, 1, 1, 0, 1, 1], [1, 1, 0, 1, 1, 0]])
-        res = monte_carlo_error("exhaustive", cfg, NOISELESS, codebook=cb)
+        res = monte_carlo_error("exhaustive", cfg, NOISELESS)
         assert res.trials == 300
         assert res.error_rate < 0.5
         assert len(res.outcomes) == 300
