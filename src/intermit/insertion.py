@@ -210,11 +210,16 @@ def weight_class_channel(a: int, b: int, weight: int, *,
 @dataclass(frozen=True)
 class InsertionCapacity:
     """Capacity (bits) of the length-a-to-b insertion channel, decomposed by
-    input Hamming weight; `loss` is a minus the capacity."""
+    input Hamming weight, as a certified bracket: `capacity` is achievable
+    (the union of the class lower bounds) and `capacity_upper` is at least
+    the true capacity (the union of the class upper bounds).  `loss` is a
+    minus `capacity_upper`, so it never exceeds the true loss, as the genie
+    bounds, which decrease in the loss, need."""
 
     a: int
     b: int
     capacity: float
+    capacity_upper: float
     class_capacities: tuple
     loss: float
 
@@ -228,24 +233,28 @@ def insertion_capacity(a: int, b: int, *, allow_large: bool = False) -> Insertio
     if a < 1:
         raise ValueError(f"need at least one codeword symbol, got a={a}")
     _check_block_sizes(a, b, allow_large)
-    caps = []
+    caps, uppers = [], []
     for w in range(a + 1):
         if math.comb(a, w) == 1:
             caps.append(0.0)
+            uppers.append(0.0)
             continue
         cls = weight_class_channel(a, b, w, allow_large=allow_large)
         # orbit sizes as the start: the uniform law of the unfolded class
         res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
         caps.append(res.capacity)
-    # the union of the class lower bounds cannot really exceed a bits, but
-    # the exp2/log2 round trip may overshoot the ceiling by a couple of ulps
+        uppers.append(res.capacity + res.gap)
+    # neither union can really exceed a bits (the input alphabet), but the
+    # exp2/log2 round trip may overshoot the ceiling by a couple of ulps
     cap = min(union_capacity(caps), float(a))
+    upper = min(union_capacity(uppers), float(a))
     return InsertionCapacity(
         a=a,
         b=b,
         capacity=cap,
+        capacity_upper=upper,
         class_capacities=tuple(caps),
-        loss=a - cap,
+        loss=a - upper,
     )
 
 
@@ -253,8 +262,9 @@ _loss_cache: dict = {}
 
 
 def insertion_loss(a: int, b: int, *, allow_large: bool = False) -> float:
-    """a minus the insertion-channel capacity (bits); cached since the genie
-    bounds reevaluate the same (a, b) pairs across their sums.  (a, b) alone
+    """a minus the certified upper bound on the insertion-channel capacity
+    (bits), a lower bound on the loss; cached since the genie bounds
+    reevaluate the same (a, b) pairs across their sums.  (a, b) alone
     determines the value: `allow_large` only lifts the size guard.  A run
     that raises ConvergenceError leaves nothing in the cache."""
     key = (a, b)

@@ -167,11 +167,11 @@ def test_upper_bound_c2(capsys):
 # change to a printed digit of g or phi shows here
 PINNED_STDOUT = [
     (["upper-bound", "c1", "--s", "7", "--bmax", "12", "--alpha-grid", "1:3:0.25"],
-     "ae6da661c6647cd9f8cc5a4a42ed7864856b96d083ca7e01150cd1ffb564ce1c"),
+     "847c91c56586c9f1d8a2aadf6d9ebc8bc5c6486e509e38743970f3486c4435f6"),
     (["upper-bound", "c2", "--s", "10", "--alpha-grid", "1:3:0.25"],
-     "f1a2e9d845d0ec97a84c4e66d094ec2b23173f5d1000ccc44e3e00eeca671fea"),
+     "edc00f4d5f0c58aae890721f76772b73753202c06f2ce28ceafc01f4d214e6a6"),
     (["aux-g", "--grid-b", "9"],
-     "bbdd7b0826c6265b72c34b64ed47755f4c975bad72c6670ec210743efea9b17e"),
+     "ffd64f96a5709037ef0fcd1e04327a03cbb785f112f335e8332003b9b2e9a89a"),
 ]
 
 

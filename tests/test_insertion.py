@@ -24,6 +24,7 @@ from intermit import (
     insertion_capacity_upper,
     insertion_counts,
     insertion_loss,
+    union_capacity,
     weight_class_channel,
 )
 
@@ -203,16 +204,29 @@ def test_capacity_2_to_3_two_routes():
 
 def test_capacity_matches_plain_iteration():
     # every desk-size (a, b) with b <= 10, class by class against the plain
-    # Blahut-Arimoto loop: at least its lower bound, at most its upper bound
+    # Blahut-Arimoto loop: at least its lower bound, at most its upper bound;
+    # the certified upper capacity is at least the union of its lower bounds
     for b in range(1, 11):
         for a in range(1, b + 1):
             res = insertion_capacity(a, b)
+            ref_caps = []
             for w, cap in enumerate(res.class_capacities):
                 if math.comb(a, w) == 1:
+                    ref_caps.append(0.0)
                     continue
                 ref = plain_blahut_capacity(unfolded_class_channel(a, b, w)[0])
+                ref_caps.append(ref.capacity)
                 # 1e-14: a class certified at its first iterate can have a gap of -3e-16
                 assert ref.capacity - 1e-12 <= cap <= ref.capacity + ref.gap + 1e-14, (a, b, w)
+            assert res.capacity_upper >= min(union_capacity(ref_caps), a) - 1e-14, (a, b)
+
+
+def test_loss_is_a_minus_the_certified_upper_capacity():
+    for a, b in [(2, 3), (3, 9), (5, 9), (3, 10), (8, 8)]:
+        res = insertion_capacity(a, b)
+        assert res.loss == a - res.capacity_upper
+        assert res.capacity <= res.capacity_upper <= min(res.capacity + 1e-9, a)
+        assert insertion_loss(a, b) == res.loss
 
 
 def test_class_capacities_recorded():
