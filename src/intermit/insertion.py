@@ -233,17 +233,13 @@ def insertion_capacity(a: int, b: int, *, allow_large: bool = False) -> Insertio
     if a < 1:
         raise ValueError(f"need at least one codeword symbol, got a={a}")
     _check_block_sizes(a, b, allow_large)
-    caps, uppers = [], []
-    for w in range(a + 1):
-        if math.comb(a, w) == 1:
-            caps.append(0.0)
-            uppers.append(0.0)
-            continue
+    # weights 0 and a have a single input each: capacity 0
+    caps, uppers = [0.0] * (a + 1), [0.0] * (a + 1)
+    for w in range(1, a):
         cls = weight_class_channel(a, b, w, allow_large=allow_large)
         # orbit sizes as the start: the uniform law of the unfolded class
         res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
-        caps.append(res.capacity)
-        uppers.append(res.capacity + res.gap)
+        caps[w], uppers[w] = res.capacity, res.capacity + res.gap
     # neither union can really exceed a bits (the input alphabet), but the
     # exp2/log2 round trip may overshoot the ceiling by a couple of ulps
     cap = min(union_capacity(caps), float(a))

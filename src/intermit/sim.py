@@ -317,6 +317,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         fixed_cb, n_msg = zero_rate_codebook(w, cfg.k), 2
     else:
         fixed_cb, n_msg = None, n_messages
+    # uniform, yet passed as p=: rng.choice draws other codewords without it
     pvec = np.full(w.input_size, 1.0 / w.input_size)
 
     errors = 0
@@ -325,8 +326,10 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         m = t % n_msg
-        cb = fixed_cb if fixed_cb is not None else rng.choice(
-            w.input_size, size=(n_msg, cfg.k), p=pvec)
+        if fixed_cb is None:
+            cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
+        else:
+            cb = fixed_cb
         x = transmit_intermittent(cb[m], cfg.alpha, w.star, rng,
                                   leading_and_trailing=leading_and_trailing)
         y = apply_dmc(x, w, rng)
