@@ -5,10 +5,10 @@ the capacity of a disjoint union of channels."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError
 from .prob import RENORM_TOL, Dmc, Pmf
@@ -46,10 +46,17 @@ class CapacityResult:
     lb_history: tuple
 
 
+def _issparse(m) -> bool:
+    """Whether `m` is a scipy sparse matrix.  A caller that holds one has
+    imported scipy.sparse already, so it is looked up, never imported, here."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(m)
+
+
 def _as_matrix(w):
     if isinstance(w, Dmc):
         return w.rows
-    if sparse.issparse(w):
+    if _issparse(w):
         return w.tocsr().astype(float)
     m = np.asarray(w, dtype=float)
     if m.ndim != 2:
@@ -73,7 +80,7 @@ def _newton_step(m, r, t, d):
     k = supp.size
     if k < 2 or k > _NEWTON_MAX_SUPPORT:
         return None
-    if sparse.issparse(m):
+    if _issparse(m):
         rows = m[supp]
         neg_hess = (rows.multiply(1.0 / t).tocsr() @ rows.T).toarray()
     else:
@@ -131,7 +138,7 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     m = _as_matrix(w)
     shape = m.shape
     nin = m.shape[0]
-    is_sparse = sparse.issparse(m)
+    is_sparse = _issparse(m)
     if is_sparse:
         col_mass = np.asarray(m.sum(axis=0)).ravel()
         m = m[:, col_mass > 0.0].tocsr()

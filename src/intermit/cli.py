@@ -345,16 +345,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     fast = args.fast
-    files = {}
+    # every table is computed before any file is written, so a refused run
+    # leaves the output directory as it was
+    reports = {}
 
     def emit(name: str, columns, rows, params) -> None:
-        sweep = SweepSpec(f"figures:{name}", params)
-        with open(outdir / name, "w", newline="") as fh:
-            BoundReport(tuple(columns), rows, sweep).write_csv(fh)
-        files[name] = {"rows": len(rows), "config_hash": sweep.config_hash}
+        reports[name] = BoundReport(tuple(columns), rows, SweepSpec(f"figures:{name}", params))
 
     # Partial-divergence curves: one reference input law against two output laws.
     p = [0.25, 0.25, 0.25, 0.25]
@@ -413,6 +410,13 @@ def _cmd_figures(args) -> int:
     rows = [(alpha, cpuc_lower(w, cost, alpha).value, upper) for alpha in calphas]
     emit("cpuc_bsc.csv", ("alpha", "lower", "upper"), rows, {"alphas": calphas})
 
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, report in reports.items():
+        with open(outdir / name, "w", newline="") as fh:
+            report.write_csv(fh)
+        files[name] = {"rows": len(report.rows), "config_hash": report.sweep.config_hash}
     manifest = {"version": __version__, "fast": fast, "files": files}
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -19,10 +19,9 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 
 from .blahut import blahut_capacity, union_capacity
-from .errors import SizeGuardError
+from .errors import ConvergenceError, SizeGuardError
 
 # Desk-scale guard on the output block length; larger b (up to B_HARD) is an
 # explicit opt-in because the weight-class matrices and their Blahut-Arimoto
@@ -116,6 +115,8 @@ def _count_chunks(in_codes, a: int, b: int, col):
 
 def _csr(rows, cols, vals, shape):
     """scipy CSR from per-chunk entries in row-major order."""
+    from scipy import sparse  # imported here: no class below _DENSE_LIMIT needs it
+
     indptr = np.concatenate(([0], np.cumsum(np.bincount(np.concatenate(rows), minlength=shape[0]))))
     return sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=shape)
 
@@ -200,9 +201,11 @@ def weight_class_channel(a: int, b: int, weight: int, *,
         rows.append(fr + r0)
         cols.append(fc)
         vals.append(folded / denom)
-    matrix = _csr(rows, cols, vals, (nin, nout))
-    if nin * nout <= _DENSE_LIMIT:
-        matrix = matrix.toarray()
+    if nin * nout > _DENSE_LIMIT:
+        matrix = _csr(rows, cols, vals, (nin, nout))
+    else:  # each (row, output orbit) pair occurs once, so assignment places it
+        matrix = np.zeros((nin, nout))
+        matrix[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
     return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
                        outputs=outputs)
 
@@ -228,8 +231,8 @@ def insertion_capacity(a: int, b: int, *, allow_large: bool = False) -> Insertio
     """Exact-construction capacity of the insertion channel via weight-class
     decomposition: per-class Blahut-Arimoto, then the union capacity.
 
-    Raises ConvergenceError when a class's run cannot certify its capacity to
-    1e-9 bits."""
+    Raises ConvergenceError, naming (a, b) and the weight class, when a
+    class's run cannot certify its capacity to 1e-9 bits."""
     if a < 1:
         raise ValueError(f"need at least one codeword symbol, got a={a}")
     _check_block_sizes(a, b, allow_large)
@@ -238,7 +241,11 @@ def insertion_capacity(a: int, b: int, *, allow_large: bool = False) -> Insertio
     for w in range(1, a):
         cls = weight_class_channel(a, b, w, allow_large=allow_large)
         # orbit sizes as the start: the uniform law of the unfolded class
-        res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+        try:
+            res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+        except ConvergenceError as e:
+            raise ConvergenceError(
+                f"insertion channel a={a}, b={b}, weight class {w}: {e}") from e
         caps[w], uppers[w] = res.capacity, res.capacity + res.gap
     # neither union can really exceed a bits (the input alphabet), but the
     # exp2/log2 round trip may overshoot the ceiling by a couple of ulps

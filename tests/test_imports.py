@@ -1,9 +1,12 @@
-"""Importing intermit loads numpy and scipy.sparse, not the rest of scipy.
+"""Importing intermit loads numpy, not scipy's heavy submodules.
 
-scipy.stats, scipy.optimize, scipy.special and scipy.linalg together take
-most of a second to import, and every CLI call would pay for them.  The
-check runs in a fresh interpreter, so modules imported by other tests do
-not count.
+scipy.stats, scipy.optimize, scipy.special, scipy.linalg and scipy.sparse
+together take most of a second to import, and every CLI call would pay for
+them.  scipy.sparse is needed only by weight classes above
+`insertion._DENSE_LIMIT` entries and by `insertion_counts`, so even the
+paper-scale (9, 17) channel, whose classes are all dense, must not load it.
+The check runs in a fresh interpreter, so modules imported by other tests
+do not count.
 """
 
 import os
@@ -21,7 +24,7 @@ import numpy as np
 import intermit
 import intermit.cli
 
-HEAVY = {"scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg"}
+HEAVY = {"scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse"}
 print(sorted(HEAVY & set(sys.modules)))
 
 w = intermit.Dmc.bsc(0.05)
@@ -32,6 +35,7 @@ rng = np.random.default_rng(1)
 codebook = rng.integers(0, 2, size=(4, 6))
 y = rng.integers(0, 2, size=9)
 intermit.decode_pattern(y, 6, codebook, w, 0.1, np.array([0.5, 0.5]))
+intermit.insertion_capacity(9, 17, allow_large=True)
 print(sorted(HEAVY & set(sys.modules)))
 """
 

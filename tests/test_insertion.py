@@ -128,19 +128,22 @@ def test_full_channel_counts_match_oracle(sizes, chunk):
 
 
 def test_sparse_class_matches_dense(monkeypatch):
-    a, b, tol = 5, 9, 1e-9
-    dense = [weight_class_channel(a, b, w) for w in range(a + 1)]
-    dense_caps = insertion_capacity(a, b).class_capacities
-    monkeypatch.setattr(insertion_mod, "_DENSE_LIMIT", 4)
-    monkeypatch.setattr(insertion_mod, "_CHUNK_ENTRIES", 200)  # several chunks per class
-    for w in range(1, a):
-        cls = weight_class_channel(a, b, w)
-        assert sparse.issparse(cls.matrix)
-        assert cls.matrix.has_sorted_indices
-        assert np.array_equal(cls.matrix.toarray(), dense[w].matrix)
-        assert np.array_equal(cls.offset, dense[w].offset)
-    sparse_caps = insertion_capacity(a, b).class_capacities
-    assert np.allclose(sparse_caps, dense_caps, rtol=0.0, atol=tol)
+    # the dense scatter and the CSR build must place the same bits
+    tol = 1e-9
+    for a, b in [(5, 9), (6, 11)]:
+        dense = [weight_class_channel(a, b, w) for w in range(a + 1)]
+        dense_caps = insertion_capacity(a, b).class_capacities
+        with monkeypatch.context() as m:
+            m.setattr(insertion_mod, "_DENSE_LIMIT", 4)
+            m.setattr(insertion_mod, "_CHUNK_ENTRIES", 200)  # several chunks per class
+            for w in range(1, a):
+                cls = weight_class_channel(a, b, w)
+                assert sparse.issparse(cls.matrix)
+                assert cls.matrix.has_sorted_indices
+                assert np.array_equal(cls.matrix.toarray(), dense[w].matrix)
+                assert np.array_equal(cls.offset, dense[w].offset)
+            sparse_caps = insertion_capacity(a, b).class_capacities
+        assert np.allclose(sparse_caps, dense_caps, rtol=0.0, atol=tol)
 
 
 def test_folded_certificate_is_the_unfolded_one():

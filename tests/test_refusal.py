@@ -26,16 +26,20 @@ def two_iterations(monkeypatch):
     monkeypatch.setattr(insertion_mod, "_loss_cache", {})
 
 
-@pytest.mark.parametrize("call", [
-    lambda: blahut_capacity(Z),
-    lambda: insertion_capacity(3, 5),
-    lambda: insertion_loss(3, 5),
-    lambda: pattern_decoding_rate(Z, 1.2),
-    lambda: exhaustive_decoding_rate(Z, 1.2),
+# an insertion channel's refusal names its (a, b) pair and weight class
+INSERTION = r"insertion channel a=3, b=5, weight class \d: .*stopped after 2 iterations"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: blahut_capacity(Z), "stopped after 2 iterations"),
+    (lambda: insertion_capacity(3, 5), INSERTION),
+    (lambda: insertion_loss(3, 5), INSERTION),
+    (lambda: pattern_decoding_rate(Z, 1.2), "stopped after 2 iterations"),
+    (lambda: exhaustive_decoding_rate(Z, 1.2), "stopped after 2 iterations"),
 ], ids=["blahut_capacity", "insertion_capacity", "insertion_loss",
         "pattern_decoding_rate", "exhaustive_decoding_rate"])
-def test_library_refuses_unconverged_run(call):
-    with pytest.raises(ConvergenceError, match="stopped after 2 iterations"):
+def test_library_refuses_unconverged_run(call, match):
+    with pytest.raises(ConvergenceError, match=match):
         call()
     assert insertion_mod._loss_cache == {}
 
@@ -59,8 +63,17 @@ def test_cli_refuses_unconverged_run(capsys, tmp_path, argv):
 
 
 def test_figures_refuses_unconverged_run(capsys, tmp_path):
-    code = main(["figures", "--fast", "--out", str(tmp_path)])
-    _, err = capsys.readouterr()
-    assert code == 1
-    assert not (tmp_path / "manifest.json").exists()
-    assert "ConvergenceError" in err
+    # the tables computed before the refusal must not reach the disk either:
+    # a new directory is not made, and a file already there stays as it was
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    old.mkdir()
+    stale = old / "rates_bsc.csv"
+    stale.write_text("stale\n")
+    for outdir in (fresh, old):
+        code = main(["figures", "--fast", "--out", str(outdir)])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert "ConvergenceError" in err
+    assert not fresh.exists()
+    assert list(old.iterdir()) == [stale]
+    assert stale.read_text() == "stale\n"
