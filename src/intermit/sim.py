@@ -8,7 +8,12 @@ typicality test, exhaustive unique-typicality over all transmission-instant
 patterns, and the two-stage pattern decoder.
 
 Every trial draws from its own np.random.default_rng([seed, trial]) stream,
-so results are reproducible independently of batching or worker count.
+in a fixed order: the codebook (sequence decoders), the noise gaps, the
+trailing run and one uniform per received symbol.  `monte_carlo_error` then
+passes the drawn trials through the channel in batches of at most
+_BATCH_SYMBOLS = 8192 received symbols, and decides zero-rate trials a batch
+at a time from their output counts.  Results are reproducible independently
+of the batching and of the worker count.
 """
 
 from __future__ import annotations
@@ -20,13 +25,19 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import SizeGuardError
-# is_cond_typical is not called here; it stays importable as
-# intermit.sim.is_cond_typical, where perfbench/layers.py wraps it.
+# is_typical and is_cond_typical are not called here; they stay importable
+# as intermit.sim.is_typical and .is_cond_typical, where perfbench/layers.py
+# wraps them.
 from .prob import (Dmc, _vec, cond_typical_rows, is_cond_typical,  # noqa: F401
                    is_typical, kl_divergence, typical_rows)
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
 _CHUNK_ENTRIES = 1 << 18  # index entries a decoder evaluates at once
+# received symbols monte_carlo_error passes through the channel at once (a
+# longer trial goes alone); kept small because the batch's arrays add to peak
+# memory: over the simulate benchmark's zero-rate jobs, peak RSS was 0.2 MB
+# above that of one-trial batches at 2**13 and 1.5 MB above at 2**15
+_BATCH_SYMBOLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,47 @@ class DecodeResult:
     typicality_checks: int
 
 
+def _check_symbols(a: np.ndarray, size: int) -> None:
+    if a.size and (a.min() < 0 or a.max() >= size):
+        raise ValueError("sequence contains out-of-alphabet symbols")
+
+
+def _draw_gaps(k: int, alpha: float, rng, leading_and_trailing: bool):
+    """The k Geometric0(1/alpha) noise runs before the codeword symbols and
+    the received length, which counts one more run after the last symbol
+    when `leading_and_trailing` is set."""
+    if not alpha >= 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    p = 1.0 / alpha
+    gaps = rng.geometric(p, size=k) - 1
+    n = k + int(gaps.sum())
+    if leading_and_trailing:
+        n += int(rng.geometric(p) - 1)
+    return gaps, n
+
+
+def _place(codewords: np.ndarray, gaps: np.ndarray, lengths: np.ndarray, star: int) -> np.ndarray:
+    """The channel inputs of a batch of blocks, end to end: block i has
+    lengths[i] symbols, all `star` but codewords[i, j], which follows
+    gaps[i, j] noise symbols after the previous codeword symbol."""
+    starts = np.cumsum(lengths) - lengths
+    out = np.full(int(lengths.sum()), star, dtype=np.int64)
+    out[starts[:, None] + np.cumsum(gaps + 1, axis=1) - 1] = codewords
+    return out
+
+
+def _channel(x: np.ndarray, u: np.ndarray, w: Dmc) -> np.ndarray:
+    """Channel outputs of the inputs x, by inverse-CDF lookup of one uniform
+    per symbol."""
+    _check_symbols(x, w.input_size)
+    y = np.zeros(x.size, dtype=np.int64)
+    # an output is the number of CDF steps below its uniform; the last step
+    # is 1 up to rounding and would only count past the last output
+    for step in np.cumsum(w.rows, axis=1).T[:-1]:
+        y += u > step[x]
+    return y
+
+
 def transmit_intermittent(codeword, alpha: float, star: int, rng,
                           *, leading_and_trailing: bool = False) -> np.ndarray:
     """Spread a codeword over a noise-padded block.
@@ -94,21 +146,11 @@ def transmit_intermittent(codeword, alpha: float, star: int, rng,
     The codeword always appears as a subsequence, in order; at alpha = 1 the
     output is the codeword itself.
     """
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
     cw = np.asarray(codeword, dtype=np.int64)
-    k = cw.size
-    if k == 0:
+    if cw.size == 0:
         raise ValueError("codeword must be nonempty")
-    p = 1.0 / alpha
-    gaps = rng.geometric(p, size=k) - 1
-    out = np.full(k + int(gaps.sum()), star, dtype=np.int64)
-    out[np.cumsum(gaps) + np.arange(k)] = cw
-    if leading_and_trailing:
-        trail = int(rng.geometric(p) - 1)
-        if trail:
-            out = np.concatenate([out, np.full(trail, star, dtype=np.int64)])
-    return out
+    gaps, n = _draw_gaps(cw.size, alpha, rng, leading_and_trailing)
+    return _place(cw[None], gaps[None], np.array([n]), star)
 
 
 def sample_receive_lengths(k: int, alpha: float, trials: int, rng) -> np.ndarray:
@@ -138,9 +180,7 @@ def apply_dmc(x, w: Dmc, rng) -> np.ndarray:
     xs = np.asarray(x, dtype=np.int64)
     if xs.size == 0:
         return xs.copy()
-    cum = np.cumsum(w.rows, axis=1)[xs]
-    u = rng.random(xs.size)
-    return np.minimum((u[:, None] > cum).sum(axis=1), w.output_size - 1)
+    return _channel(xs, rng.random(xs.size), w)
 
 
 def wilson_interval(errors: int, trials: int):
@@ -180,14 +220,25 @@ def zero_rate_codebook(w: Dmc, k: int) -> np.ndarray:
     return np.vstack([np.full(k, w.star, dtype=np.int64), np.full(k, x, dtype=np.int64)])
 
 
+def _zero_rate_decisions(lengths: np.ndarray, counts: np.ndarray, w: Dmc,
+                         cfg: SimConfig) -> np.ndarray:
+    """Zero-rate decisions of received blocks given their lengths and their
+    (blocks x outputs) symbol counts: -1 (no message) when N/k leaves the
+    [alpha-eps, alpha+eps] band, otherwise 0 iff the block is typical for
+    the noise output, else 1."""
+    outside = np.abs(lengths / cfg.k - cfg.alpha) > cfg.epsilon
+    return np.where(outside, -1, np.where(typical_rows(counts, w.star_row(), cfg.mu), 0, 1))
+
+
 def decode_zero_rate(y, w: Dmc, cfg: SimConfig) -> int | None:
     """Two-message zero-rate decision: declare an error when the received
     length leaves the [alpha-eps, alpha+eps] band, otherwise answer 0 iff the
     whole block is typical for the noise output."""
     ys = np.asarray(y, dtype=np.int64)
-    if abs(ys.size / cfg.k - cfg.alpha) > cfg.epsilon:
-        return None
-    return 0 if is_typical(ys, w.star_row(), cfg.mu) else 1
+    _check_symbols(ys, w.output_size)
+    d = int(_zero_rate_decisions(np.array([ys.size]),
+                                 np.bincount(ys, minlength=w.output_size)[None], w, cfg)[0])
+    return None if d < 0 else d
 
 
 def _pattern_chunks(n: int, k: int, rows: int):
@@ -228,9 +279,8 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
         raise ValueError("codeword length k must be >= 1")
     if cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != k:
         raise ValueError("codebook must hold at least one codeword of length k")
-    if (ys.size and (ys.min() < 0 or ys.max() >= nout)) or (
-            cb.size and (cb.min() < 0 or cb.max() >= nin)):
-        raise ValueError("sequence contains out-of-alphabet symbols")
+    _check_symbols(ys, nout)
+    _check_symbols(cb, nin)
     count = math.comb(ys.size, k)
     if count > ENUM_GUARD:
         raise SizeGuardError(
@@ -308,6 +358,12 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     A trial whose C(n, k) instant patterns exceed ENUM_GUARD declares no
     message and counts as an error; its outcome records 0 choices examined,
     which no decoded trial does.
+
+    Each trial makes its draws from its own (seed, trial) stream; the drawn
+    trials then go through the channel, and zero-rate trials through their
+    decision, in batches of at most _BATCH_SYMBOLS received symbols (a
+    longer trial forms a batch alone).  The sequence decoders still see one
+    trial at a time.  Batching changes no draw, so no result.
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -320,35 +376,51 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     # uniform, yet passed as p=: rng.choice draws other codewords without it
     pvec = np.full(w.input_size, 1.0 / w.input_size)
 
-    errors = 0
-    total_n = 0
     outcomes = []
+    batch = []  # (trial, codebook, gaps, received length, uniforms)
+
+    def run_batch():
+        trial_ids, codebooks, gap_rows, ns, uniforms = zip(*batch)
+        batch.clear()
+        lengths = np.array(ns)
+        x = _place(np.array([cb[t % n_msg] for t, cb in zip(trial_ids, codebooks)]),
+                   np.array(gap_rows), lengths, w.star)
+        y = _channel(x, np.concatenate(uniforms), w)
+        if scheme == "zero_rate":
+            nout = w.output_size
+            flat = np.repeat(np.arange(len(ns)) * nout, lengths) + y
+            counts = np.bincount(flat, minlength=len(ns) * nout).reshape(-1, nout)
+            decided = _zero_rate_decisions(lengths, counts, w, cfg)
+            outcomes.extend(TrialOutcome(n, None if d < 0 else int(d), 1)
+                            for n, d in zip(ns, decided))
+            return
+        for cb, n, stop in zip(codebooks, ns, np.cumsum(lengths)):
+            y_t = y[stop - n:stop]
+            try:
+                if scheme == "exhaustive":
+                    res = decode_exhaustive(y_t, cfg.k, cb, w, cfg.mu)
+                else:
+                    res = decode_pattern(y_t, cfg.k, cb, w, cfg.mu, pvec)
+                outcomes.append(TrialOutcome(n, res.message, res.choices_examined))
+            except SizeGuardError:
+                outcomes.append(TrialOutcome(n, None, 0))
+
+    pending = 0  # received symbols in the batch
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
-        m = t % n_msg
         if fixed_cb is None:
             cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
         else:
             cb = fixed_cb
-        x = transmit_intermittent(cb[m], cfg.alpha, w.star, rng,
-                                  leading_and_trailing=leading_and_trailing)
-        y = apply_dmc(x, w, rng)
-        if scheme == "zero_rate":
-            decoded = decode_zero_rate(y, w, cfg)
-            examined = 1
-        else:
-            try:
-                if scheme == "exhaustive":
-                    res = decode_exhaustive(y, cfg.k, cb, w, cfg.mu)
-                else:
-                    res = decode_pattern(y, cfg.k, cb, w, cfg.mu, pvec)
-                decoded, examined = res.message, res.choices_examined
-            except SizeGuardError:
-                decoded, examined = None, 0
-        if decoded != m:
-            errors += 1
-        total_n += int(y.size)
-        outcomes.append(TrialOutcome(int(y.size), decoded, examined))
+        gaps, n = _draw_gaps(cfg.k, cfg.alpha, rng, leading_and_trailing)
+        if batch and pending + n > _BATCH_SYMBOLS:
+            run_batch()
+            pending = 0
+        batch.append((t, cb, gaps, n, rng.random(n)))
+        pending += n
+    run_batch()
+
+    errors = sum(o.decoded != t % n_msg for t, o in enumerate(outcomes))
     lo, hi = wilson_interval(errors, cfg.trials)
     return SimResult(
         error_rate=errors / cfg.trials,
@@ -356,6 +428,6 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         ci_high=hi,
         errors=errors,
         trials=cfg.trials,
-        mean_n=total_n / cfg.trials,
+        mean_n=sum(o.n_received for o in outcomes) / cfg.trials,
         outcomes=tuple(outcomes),
     )

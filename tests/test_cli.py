@@ -234,6 +234,27 @@ def test_simulate_writes_deterministic_artifacts(capsys, tmp_path):
     assert len(rows) == 40
 
 
+# SHA-256 of trials.csv for each simulate scheme: any change to a trial's
+# draws, its channel outputs or its decision shows here
+PINNED_TRIALS = [
+    (["--scheme", "zero_rate", "--channel", "bsc:0.05", "--k", "40", "--alpha", "1.5",
+      "--trials", "200", "--seed", "11"],
+     "e57d88c12480702a9661b1436b03187e6ff8929cc51d26f13e8e20151885eba6"),
+    (["--scheme", "exhaustive", "--channel", "noiseless:2", "--k", "6", "--alpha", "1.3",
+      "--trials", "100", "--seed", "5", "--mu", "0.1"],
+     "9e21e9a19e2f481704a2c3f9791e5d1d8ddb41b56449ca122b4b2c0e50223a11"),
+    (["--scheme", "pattern", "--channel", "bsc:0.05", "--k", "6", "--alpha", "1.3",
+      "--trials", "100", "--seed", "7", "--mu", "0.1", "--leading-trailing"],
+     "7322509b53e74c3325950d66160222d96338e5ab96c0928ae19e02717876f658"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_TRIALS, ids=[a[1] for a, _ in PINNED_TRIALS])
+def test_pinned_simulate_trials_bytes(capsys, tmp_path, argv, digest):
+    assert run_cli(capsys, ["simulate", *argv, "--out", str(tmp_path)])[0] == 0
+    assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
+
+
 def test_simulate_guard_trip_warns_and_writes(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sim_mod, "ENUM_GUARD", 10)
     code, _, err = run_cli(capsys, [

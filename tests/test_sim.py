@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intermit.sim as sim_mod
+import sim_oracle
 from decoder_oracle import decode as oracle_decode, enumerate_exact_error
 from intermit import (
     Dmc,
@@ -106,6 +107,28 @@ def test_apply_dmc_flip_rate():
     x = np.zeros(100_000, dtype=int)
     y = apply_dmc(x, Dmc.bsc(0.1), np.random.default_rng(12))
     assert y.mean() == pytest.approx(0.1, abs=0.005)
+
+
+@pytest.mark.parametrize("x", [[-1, -2, 0], [0, 2, 1]])
+def test_apply_dmc_rejects_out_of_alphabet_inputs(x):
+    with pytest.raises(ValueError, match="out-of-alphabet"):
+        apply_dmc(x, Dmc.bsc(0.1), np.random.default_rng(0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda nout: st.lists(
+           st.lists(st.integers(0, 5), min_size=nout, max_size=nout).filter(any),
+           min_size=1, max_size=3)),
+       st.integers(0, 2**32 - 1))
+def test_apply_dmc_is_inverse_cdf_lookup(weights, seed):
+    # the output is the number of CDF steps below the uniform, capped at the
+    # last output
+    rows = np.array(weights, dtype=float)
+    w = Dmc(rows / rows.sum(axis=1, keepdims=True))
+    x = np.random.default_rng(seed).integers(0, w.input_size, size=200)
+    u = np.random.default_rng(seed).random(x.size)
+    want = np.minimum((u[:, None] > np.cumsum(w.rows, axis=1)[x]).sum(axis=1), w.output_size - 1)
+    assert np.array_equal(apply_dmc(x, w, np.random.default_rng(seed)), want)
 
 
 def test_wilson_interval():
@@ -267,6 +290,32 @@ class TestMonteCarlo:
         cfg = SimConfig(k=10, alpha=1.5, trials=10, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_error("telepathy", cfg, bsc01)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(["zero_rate", "exhaustive", "pattern"]),
+       trailing=st.booleans(),
+       noisy=st.booleans(),
+       k=st.integers(1, 6),
+       alpha=st.sampled_from([1.0, 1.3, 2.0]),
+       trials=st.integers(1, 30),
+       seed=st.integers(0, 2**31 - 1),
+       budget=st.sampled_from([1, 40, sim_mod._BATCH_SYMBOLS]),
+       guard=st.sampled_from([10, sim_mod.ENUM_GUARD]))
+def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, noisy, k, alpha, trials, seed,
+                                              budget, guard):
+    # a 1-symbol budget puts every trial in a batch of its own, longer than
+    # the budget; 40 symbols end batches mid-run; a guard of 10 patterns
+    # trips on some trials inside a batch
+    w = Dmc.bsc(0.1) if noisy else NOISELESS
+    if scheme == "zero_rate":
+        k *= 8
+    cfg = SimConfig(k=k, alpha=alpha, trials=trials, seed=seed, mu=0.2)
+    with mock.patch.object(sim_mod, "_BATCH_SYMBOLS", budget), \
+            mock.patch.object(sim_mod, "ENUM_GUARD", guard):
+        got = monte_carlo_error(scheme, cfg, w, leading_and_trailing=trailing)
+        want = sim_oracle.monte_carlo_error(scheme, cfg, w, leading_and_trailing=trailing)
+    assert got == want
 
 
 class TestExactEnumeration:
