@@ -9,11 +9,14 @@ patterns, and the two-stage pattern decoder.
 
 Every trial draws from its own np.random.default_rng([seed, trial]) stream,
 in a fixed order: the codebook (sequence decoders), the noise gaps, the
-trailing run and one uniform per received symbol.  `monte_carlo_error` then
-passes the drawn trials through the channel in batches of at most
-_BATCH_SYMBOLS = 8192 received symbols, and decides zero-rate trials a batch
-at a time from their output counts.  Results are reproducible independently
-of the batching and of the worker count.
+trailing run and one uniform per received symbol.  The stream is exactly
+that generator's, but its PCG64 state is derived from SeedSequence([seed,
+trial]) for a block of _SEED_BLOCK = 1024 trials at once and loaded into one
+reused generator, a fraction of the cost of building a generator per trial.
+`monte_carlo_error` then passes the drawn trials through the channel in
+batches of at most _BATCH_SYMBOLS = 8192 received symbols, and decides
+zero-rate trials a batch at a time from their output counts.  Results are
+reproducible independently of the batching and of the worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +41,94 @@ _CHUNK_ENTRIES = 1 << 18  # index entries a decoder evaluates at once
 # memory: over the simulate benchmark's zero-rate jobs, peak RSS was 0.2 MB
 # above that of one-trial batches at 2**13 and 1.5 MB above at 2**15
 _BATCH_SYMBOLS = 1 << 13
+# trials whose stream states _trial_streams derives at once
+_SEED_BLOCK = 1 << 10
+
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list:
+    """n's 32-bit words, least significant first, as SeedSequence splits an
+    int (0 is one word)."""
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: each call xors in the running
+    constant, steps it by `mult` and multiplies by the new one."""
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_state(entropy: list) -> list:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for a block of
+    entropies at once, as four uint64 arrays: entropy[i] is the i-th 32-bit
+    word of every entropy in the block, as a uint32 array."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return [w[i] | w[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+
+
+def _trial_streams(seed: int, start: int, stop: int):
+    """The streams np.random.default_rng([seed, t]) of trials t = start ..
+    stop-1, in order, as one reused Generator set to each trial's state in
+    turn: a trial must make its draws before the next one is taken.
+
+    SeedSequence([seed, t]) is evaluated _SEED_BLOCK trials at a time in
+    uint32 arithmetic, and its four 64-bit words seed PCG64 as numpy does:
+    inc = 2*initseq + 1, state = (inc + initstate)*MULT + inc mod 2**128.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    head = _words(int(seed))
+    lo = start
+    while lo < stop:
+        # a block stays below the next multiple of 2**32, so its indices
+        # share every word but the lowest
+        hi = min(lo + _SEED_BLOCK, stop, (lo | _MASK32) + 1)
+        low = np.arange(lo & _MASK32, (lo & _MASK32) + hi - lo, dtype=np.uint32)
+        entropy = [np.full(low.size, w, dtype=np.uint32) for w in head]
+        entropy += [low] + [np.full(low.size, w, dtype=np.uint32) for w in _words(lo)[1:]]
+        for s_hi, s_lo, i_hi, i_lo in zip(*(v.tolist() for v in _seed_state(entropy))):
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            rng.bit_generator.state = state
+            yield rng
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -56,6 +147,8 @@ class SimConfig:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mu <= 0.0:
             raise ValueError("typicality slack mu must be positive")
         if self.epsilon <= 0.0:
@@ -359,11 +452,12 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     message and counts as an error; its outcome records 0 choices examined,
     which no decoded trial does.
 
-    Each trial makes its draws from its own (seed, trial) stream; the drawn
-    trials then go through the channel, and zero-rate trials through their
-    decision, in batches of at most _BATCH_SYMBOLS received symbols (a
-    longer trial forms a batch alone).  The sequence decoders still see one
-    trial at a time.  Batching changes no draw, so no result.
+    Each trial makes its draws from its own default_rng([seed, trial])
+    stream, as `_trial_streams` derives it; the drawn trials then go through
+    the channel, and zero-rate trials through their decision, in batches of
+    at most _BATCH_SYMBOLS received symbols (a longer trial forms a batch
+    alone).  The sequence decoders still see one trial at a time.  Batching
+    changes no draw, so no result.
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -406,8 +500,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
                 outcomes.append(TrialOutcome(n, None, 0))
 
     pending = 0  # received symbols in the batch
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, t])
+    for t, rng in enumerate(_trial_streams(cfg.seed, 0, cfg.trials)):
         if fixed_cb is None:
             cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
         else:

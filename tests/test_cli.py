@@ -255,6 +255,16 @@ def test_pinned_simulate_trials_bytes(capsys, tmp_path, argv, digest):
     assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
 
 
+def test_simulate_rejects_negative_seed(capsys, tmp_path):
+    code, _, err = run_cli(capsys, [
+        "simulate", "--scheme", "zero_rate", "--channel", "bsc:0.1", "--k", "30",
+        "--alpha", "1.5", "--trials", "40", "--seed", "-1", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_guard_trip_warns_and_writes(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sim_mod, "ENUM_GUARD", 10)
     code, _, err = run_cli(capsys, [

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intermit.sim as sim_mod
@@ -41,6 +41,10 @@ def test_sim_config_validation():
         SimConfig(k=10, alpha=0.5, trials=100, seed=1)
     with pytest.raises(ValueError):
         SimConfig(k=10, alpha=2.0, trials=0, seed=1)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(k=10, alpha=2.0, trials=100, seed=seed)
+    assert SimConfig(k=10, alpha=2.0, trials=1, seed=np.int64(7)).seed == 7
 
 
 class TestReceiveLength:
@@ -299,7 +303,7 @@ class TestMonteCarlo:
        k=st.integers(1, 6),
        alpha=st.sampled_from([1.0, 1.3, 2.0]),
        trials=st.integers(1, 30),
-       seed=st.integers(0, 2**31 - 1),
+       seed=st.integers(0, 2**64),
        budget=st.sampled_from([1, 40, sim_mod._BATCH_SYMBOLS]),
        guard=st.sampled_from([10, sim_mod.ENUM_GUARD]))
 def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, noisy, k, alpha, trials, seed,
@@ -315,6 +319,26 @@ def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, noisy, k, alpha,
             mock.patch.object(sim_mod, "ENUM_GUARD", guard):
         got = monte_carlo_error(scheme, cfg, w, leading_and_trailing=trailing)
         want = sim_oracle.monte_carlo_error(scheme, cfg, w, leading_and_trailing=trailing)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**70),
+       start=st.sampled_from([0, 2**32 - 5]),
+       trials=st.integers(1, 12),
+       block=st.sampled_from([1, 3, 4, sim_mod._SEED_BLOCK]))
+@example(seed=0, start=0, trials=5, block=2)
+@example(seed=2**64 - 1, start=0, trials=5, block=2)
+@example(seed=2**128 + 3, start=0, trials=5, block=2)
+def test_trial_streams_match_default_rng(seed, start, trials, block):
+    # small blocks put block boundaries inside the run; a start just below
+    # 2**32 gives the later trials a second index word, and a five-word
+    # seed overflows SeedSequence's four-word pool
+    with mock.patch.object(sim_mod, "_SEED_BLOCK", block):
+        got = [rng.bit_generator.state
+               for rng in sim_mod._trial_streams(seed, start, start + trials)]
+    want = [np.random.default_rng([seed, t]).bit_generator.state
+            for t in range(start, start + trials)]
     assert got == want
 
 
