@@ -139,17 +139,6 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     shape = m.shape
     nin = m.shape[0]
     is_sparse = _issparse(m)
-    if is_sparse:
-        col_mass = np.asarray(m.sum(axis=0)).ravel()
-        m = m[:, col_mass > 0.0].tocsr()
-        logm = m.copy()
-        logm.data = np.log(logm.data)
-        row_ent = np.asarray(m.multiply(logm).sum(axis=1)).ravel()  # sum w ln w
-    else:
-        m = m[:, m.sum(axis=0) > 0.0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lw = np.where(m > 0.0, np.log(m), 0.0)
-        row_ent = (m * lw).sum(axis=1)
     offset = None if offset is None else np.asarray(offset, dtype=float) * _LN2
 
     def bounds(r):
@@ -172,27 +161,44 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
             raise ValueError(f"start must hold {nin} positive finite weights")
         r = r / r.sum()
     tol_nats = tol * _LN2
-    t, d, lb = bounds(r)
     history = []
     gap = math.inf
     iters = 0
-    for iters in range(1, _MAX_ITER + 1):
-        ub = float(d.max())
-        history.append(lb / _LN2)
-        gap = ub - lb
-        if gap < tol_nats:
-            break  # so that `input_dist` is the law the bounds were taken at
-        if gap < _NEWTON_GAP:
-            cand = _newton_step(m, r, t, d)
-            if cand is not None:
-                ct, cd, clb = bounds(cand)
-                if clb > lb:
-                    r, t, d, lb = cand, ct, cd, clb
-                    continue
-        r = r * np.exp(d - ub)
-        r /= r.sum()
+    # log 0 is masked out of the row entropies, and an output whose
+    # probability under rW underflows to 0 makes the bounds NaN, which is
+    # refused below: neither may warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if is_sparse:
+            col_mass = np.asarray(m.sum(axis=0)).ravel()
+            m = m[:, col_mass > 0.0].tocsr()
+            logm = m.copy()
+            logm.data = np.log(logm.data)
+            row_ent = np.asarray(m.multiply(logm).sum(axis=1)).ravel()  # sum w ln w
+        else:
+            m = m[:, m.sum(axis=0) > 0.0]
+            row_ent = (m * np.where(m > 0.0, np.log(m), 0.0)).sum(axis=1)
         t, d, lb = bounds(r)
-    else:
+        for iters in range(1, _MAX_ITER + 1):
+            ub = float(d.max())
+            history.append(lb / _LN2)
+            gap = ub - lb
+            if not gap >= tol_nats:
+                break  # certified (or NaN), with `input_dist` the law the bounds were taken at
+            if gap < _NEWTON_GAP:
+                cand = _newton_step(m, r, t, d)
+                if cand is not None:
+                    ct, cd, clb = bounds(cand)
+                    if clb > lb:
+                        r, t, d, lb = cand, ct, cd, clb
+                        continue
+            r = r * np.exp(d - ub)
+            r /= r.sum()
+            t, d, lb = bounds(r)
+    if math.isnan(gap):
+        raise ConvergenceError(
+            f"Blahut-Arimoto on a {shape[0]} x {shape[1]} channel broke down at iteration "
+            f"{iters}: its gap is NaN (an output probability under rW underflowed to 0)")
+    if not gap < tol_nats:
         raise ConvergenceError(
             f"Blahut-Arimoto on a {shape[0]} x {shape[1]} channel stopped after {iters} "
             f"iterations with gap {gap / _LN2:.3g} bits, above the tolerance {tol:g}")

@@ -275,8 +275,8 @@ def typical_rows(counts, p, mu: float) -> np.ndarray:
     of total zero (an empty sequence) is typical for every distribution; this
     matters when a decoder tests an empty noise segment.
     """
-    if mu <= 0.0:
-        raise ValueError("typicality slack mu must be positive")
+    if not mu > 0.0:  # NaN included
+        raise ValueError(f"typicality slack mu must be positive, got {mu}")
     pv = _vec(p)
     c = np.asarray(counts)
     if c.shape[-1] != pv.size:
@@ -294,8 +294,8 @@ def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     `joint_counts` has shape (..., |X|, |Y|), indexed [x, y]; the result has
     the leading shape.  An empty block is typical.
     """
-    if mu <= 0.0:
-        raise ValueError("typicality slack mu must be positive")
+    if not mu > 0.0:  # NaN included
+        raise ValueError(f"typicality slack mu must be positive, got {mu}")
     wr = w.rows if isinstance(w, Dmc) else np.asarray(w, dtype=float)
     c = np.asarray(joint_counts)
     if c.shape[-2:] != wr.shape:

@@ -16,12 +16,15 @@ reused generator, a fraction of the cost of building a generator per trial.
 `monte_carlo_error` then passes the drawn trials through the channel in
 batches of at most _BATCH_SYMBOLS = 8192 received symbols, and decides
 zero-rate trials a batch at a time from their output counts.  Results are
-reproducible independently of the batching and of the worker count.
+reproducible independently of the batching and of the worker count.  The
+sequence decoders keep the table of instant patterns of each (n, k) whose
+enumeration fits in one decoder chunk for the life of the process.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -36,6 +39,14 @@ from .prob import (Dmc, _vec, cond_typical_rows, is_cond_typical,  # noqa: F401
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
 _CHUNK_ENTRIES = 1 << 18  # index entries a decoder evaluates at once
+# Pattern tables of the enumerations that fit in one decoder chunk, by
+# (n, k), least recently used first.  Such a table holds at most
+# _CHUNK_ENTRIES entries (for k <= _CHUNK_ENTRIES) of at most 4 bytes: 1 MB,
+# or 256 KB while n <= 256.  The least recently used tables go once the memo
+# would exceed _TABLE_BYTES, so it never holds more than 4 MB.
+_TABLE_BYTES = 1 << 22
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()  # decoders on several threads share the memo
 # received symbols monte_carlo_error passes through the channel at once (a
 # longer trial goes alone); kept small because the batch's arrays add to peak
 # memory: over the simulate benchmark's zero-rate jobs, peak RSS was 0.2 MB
@@ -141,18 +152,19 @@ class SimConfig:
     epsilon: float = 0.2
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("codeword length k must be >= 1")
-        if not self.alpha >= 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        # the comparisons are written so that NaN fails them
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"codeword length k must be an integer >= 1, got {self.k!r}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.mu <= 0.0:
-            raise ValueError("typicality slack mu must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("length-gate slack epsilon must be positive")
+        if not self.mu > 0.0:
+            raise ValueError(f"typicality slack mu must be positive, got {self.mu}")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"length-gate slack epsilon must be positive, got {self.epsilon}")
 
     @property
     def p_t(self) -> float:
@@ -193,27 +205,14 @@ def _check_symbols(a: np.ndarray, size: int) -> None:
         raise ValueError("sequence contains out-of-alphabet symbols")
 
 
-def _draw_gaps(k: int, alpha: float, rng, leading_and_trailing: bool):
-    """The k Geometric0(1/alpha) noise runs before the codeword symbols and
-    the received length, which counts one more run after the last symbol
-    when `leading_and_trailing` is set."""
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    p = 1.0 / alpha
-    gaps = rng.geometric(p, size=k) - 1
-    n = k + int(gaps.sum())
-    if leading_and_trailing:
-        n += int(rng.geometric(p) - 1)
-    return gaps, n
-
-
-def _place(codewords: np.ndarray, gaps: np.ndarray, lengths: np.ndarray, star: int) -> np.ndarray:
+def _place(codewords: np.ndarray, steps: np.ndarray, lengths: np.ndarray, star: int) -> np.ndarray:
     """The channel inputs of a batch of blocks, end to end: block i has
-    lengths[i] symbols, all `star` but codewords[i, j], which follows
-    gaps[i, j] noise symbols after the previous codeword symbol."""
+    lengths[i] symbols, all `star` but codewords[i, j], which comes
+    steps[i, j] >= 1 symbols after the previous codeword symbol (the first
+    at position steps[i, 0] - 1)."""
     starts = np.cumsum(lengths) - lengths
     out = np.full(int(lengths.sum()), star, dtype=np.int64)
-    out[starts[:, None] + np.cumsum(gaps + 1, axis=1) - 1] = codewords
+    out[starts[:, None] + np.cumsum(steps, axis=1) - 1] = codewords
     return out
 
 
@@ -242,15 +241,21 @@ def transmit_intermittent(codeword, alpha: float, star: int, rng,
     cw = np.asarray(codeword, dtype=np.int64)
     if cw.size == 0:
         raise ValueError("codeword must be nonempty")
-    gaps, n = _draw_gaps(cw.size, alpha, rng, leading_and_trailing)
-    return _place(cw[None], gaps[None], np.array([n]), star)
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
+    # a Geometric1 step is one more than the noise run before the symbol
+    steps = rng.geometric(1.0 / alpha, size=cw.size)
+    n = int(steps.sum())
+    if leading_and_trailing:
+        n += int(rng.geometric(1.0 / alpha)) - 1
+    return _place(cw[None], steps[None], np.array([n]), star)
 
 
 def sample_receive_lengths(k: int, alpha: float, trials: int, rng) -> np.ndarray:
     """Received lengths N for `trials` independent transmissions, drawn
     through the same per-symbol geometric-gap mechanism as the transmitter."""
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     gaps = rng.geometric(1.0 / alpha, size=(trials, k)) - 1
     return k + gaps.sum(axis=1)
 
@@ -280,6 +285,8 @@ def wilson_interval(errors: int, trials: int):
     """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= errors <= trials:
+        raise ValueError(f"errors must lie in [0, trials], got {errors} errors in {trials} trials")
     z = 1.96
     phat = errors / trials
     z2 = z * z
@@ -336,12 +343,31 @@ def decode_zero_rate(y, w: Dmc, cfg: SimConfig) -> int | None:
 
 def _pattern_chunks(n: int, k: int, rows: int):
     """The k-subsets of range(n) in lexicographic order (the order of
-    itertools.combinations), as int64 arrays of at most `rows` rows each."""
+    itertools.combinations), as arrays of at most `rows` rows each, of the
+    smallest integer dtype that holds n - 1."""
     total = math.comb(n, k)
+    dtype = np.min_scalar_type(max(n - 1, 0))
     flat = chain.from_iterable(combinations(range(n), k))
     for start in range(0, total, rows):
         size = min(rows, total - start)
-        yield np.fromiter(flat, dtype=np.int64, count=size * k).reshape(size, k)
+        yield np.fromiter(flat, dtype=dtype, count=size * k).reshape(size, k)
+
+
+def _pattern_table(n: int, k: int) -> np.ndarray:
+    """The C(n, k) >= 1 k-subsets of range(n) as one read-only table, in
+    the order and dtype of `_pattern_chunks`, built once and kept in
+    _TABLES until the memo's budget evicts it."""
+    key = (n, k)
+    with _TABLES_LOCK:
+        table = _TABLES.pop(key, None)
+        if table is None:
+            table = next(_pattern_chunks(n, k, math.comb(n, k)))
+            table.flags.writeable = False
+            held = sum(t.nbytes for t in _TABLES.values())
+            while _TABLES and held + table.nbytes > _TABLE_BYTES:
+                held -= _TABLES.pop(next(iter(_TABLES))).nbytes
+        _TABLES[key] = table  # most recently used last
+    return table
 
 
 def _row_counts(a: np.ndarray, size: int) -> np.ndarray:
@@ -363,7 +389,9 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     The subsets are evaluated in chunks of at most _CHUNK_ENTRIES index
     entries, every test of a chunk at once; the counters are rebuilt from
     the chunk's table, so they read as those of the one-subset-at-a-time
-    scan with its early exit.
+    scan with its early exit.  An enumeration that fits in one chunk takes
+    its table from the per-process memo (`_pattern_table`); a larger one is
+    built chunk by chunk as the scan goes.
     """
     ys = np.asarray(y, dtype=np.int64)
     cb = np.asarray(codebook, dtype=np.int64)
@@ -384,9 +412,13 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     rows = max(1, _CHUNK_ENTRIES // (n_msg * max(k, nin * nout)))
     examined = second = checks = 0
     known = None  # the one message witnessed so far
-    for patterns in _pattern_chunks(ys.size, k, rows):
+    if 0 < count <= rows:
+        chunks = (_pattern_table(ys.size, k),)
+    else:
+        chunks = _pattern_chunks(ys.size, k, rows)
+    for patterns in chunks:
         size = patterns.shape[0]
-        sub = ys[patterns]
+        sub = ys.take(patterns)
         if gate is None:
             passed = np.ones(size, dtype=bool)
         else:
@@ -471,15 +503,21 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     pvec = np.full(w.input_size, 1.0 / w.input_size)
 
     outcomes = []
-    batch = []  # (trial, codebook, gaps, received length, uniforms)
+    batch = []  # (codebook or None, Geometric1 steps, received length, uniforms)
 
     def run_batch():
-        trial_ids, codebooks, gap_rows, ns, uniforms = zip(*batch)
+        codebooks, step_rows, ns, uniforms = zip(*batch)
         batch.clear()
         lengths = np.array(ns)
-        x = _place(np.array([cb[t % n_msg] for t, cb in zip(trial_ids, codebooks)]),
-                   np.array(gap_rows), lengths, w.star)
-        y = _channel(x, np.concatenate(uniforms), w)
+        # every earlier trial has its outcome, so the batch's first trial is
+        # len(outcomes)
+        sent = np.arange(len(outcomes), len(outcomes) + len(ns)) % n_msg
+        if fixed_cb is None:
+            codewords = np.array(codebooks)[np.arange(len(ns)), sent]
+        else:
+            codewords = fixed_cb[sent]
+        y = _channel(_place(codewords, np.array(step_rows), lengths, w.star),
+                     np.concatenate(uniforms), w)
         if scheme == "zero_rate":
             nout = w.output_size
             flat = np.repeat(np.arange(len(ns)) * nout, lengths) + y
@@ -499,17 +537,23 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
             except SizeGuardError:
                 outcomes.append(TrialOutcome(n, None, 0))
 
+    # a trial makes its draws and nothing else: the noise run before each
+    # codeword symbol is its Geometric1 step less one, so N is the steps'
+    # sum (plus the trailing run)
+    p = cfg.p_t
     pending = 0  # received symbols in the batch
-    for t, rng in enumerate(_trial_streams(cfg.seed, 0, cfg.trials)):
+    for rng in _trial_streams(cfg.seed, 0, cfg.trials):
+        cb = None
         if fixed_cb is None:
             cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
-        else:
-            cb = fixed_cb
-        gaps, n = _draw_gaps(cfg.k, cfg.alpha, rng, leading_and_trailing)
+        steps = rng.geometric(p, size=cfg.k)
+        n = int(steps.sum())
+        if leading_and_trailing:
+            n += int(rng.geometric(p)) - 1
         if batch and pending + n > _BATCH_SYMBOLS:
             run_batch()
             pending = 0
-        batch.append((t, cb, gaps, n, rng.random(n)))
+        batch.append((cb, steps, n, rng.random(n)))
         pending += n
     run_batch()
 

@@ -1,5 +1,7 @@
 """Certified capacity iteration and the orthogonal-union formula."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,16 @@ def test_exhausted_run_reports_its_own_input(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"on a 2 x 3 channel stopped after 3 "
                                                r"iterations with gap 0\.0[0-9]+ bits"):
         blahut_capacity(z)
+
+
+def test_underflowed_output_is_refused_at_once():
+    # the first column's mass, 5e-324 / 3, underflows to 0 in t = rW at the
+    # uniform start, so every bound is NaN from the first iterate
+    m = np.array([[5e-324, 0.7, 0.3], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"broke down at iteration 1: its gap is NaN"):
+            blahut_capacity(m)
 
 
 def test_bounds_and_input_come_from_one_iterate():

@@ -204,6 +204,15 @@ def test_row_typicality_matches_per_sequence(length, batch, mu, seed):
     assert cond_typical_rows(joint, w, mu).tolist() == expect
 
 
+@pytest.mark.parametrize("mu", [float("nan"), 0.0, -0.1])
+def test_row_typicality_refuses_bad_slack(mu):
+    w = Dmc.identity(2)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        typical_rows(np.array([[1, 2]]), [0.5, 0.5], mu)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        cond_typical_rows(np.array([[[1, 0], [0, 2]]]), w, mu)
+
+
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_entropy_bounds_random(weights):

@@ -1,7 +1,11 @@
 """Monte-Carlo channel simulator and the three decoders."""
 
 import math
+import sys
+import threading
+from dataclasses import astuple
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -45,6 +49,28 @@ def test_sim_config_validation():
         with pytest.raises(ValueError, match="seed"):
             SimConfig(k=10, alpha=2.0, trials=100, seed=seed)
     assert SimConfig(k=10, alpha=2.0, trials=1, seed=np.int64(7)).seed == 7
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 5.5), ("k", 10.0), ("trials", 2.5), ("alpha", math.inf), ("alpha", math.nan),
+    ("mu", math.nan), ("mu", 0.0), ("epsilon", math.nan), ("epsilon", -0.1),
+])
+def test_sim_config_refuses_bad_values(field, value):
+    # with mu = nan every zero-rate trial used to decode as message 1
+    kwargs = dict(k=10, alpha=2.0, trials=100, seed=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("alpha", [0.5, math.inf, math.nan])
+def test_samplers_refuse_bad_alpha(alpha):
+    # alpha = inf used to reach numpy's geometric with p = 0
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+        transmit_intermittent([1, 1], alpha, 0, rng)
+    with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+        sample_receive_lengths(3, alpha, 5, rng)
 
 
 class TestReceiveLength:
@@ -143,6 +169,9 @@ def test_wilson_interval():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         wilson_interval(5, 0)
+    for errors in (-1, 11, math.nan):
+        with pytest.raises(ValueError, match=rf"got {errors} errors in 10 trials"):
+            wilson_interval(errors, 10)
 
 
 def test_best_distinguishing_symbol():
@@ -244,6 +273,95 @@ def test_decoders_match_sequential_oracle(case, chunk):
     for res, expect in zip(got, want):
         assert (res.message, res.choices_examined, res.second_stage_checks,
                 res.typicality_checks) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, max(n, 1)))),
+       st.integers(1, 40))
+def test_pattern_chunks_are_combinations_in_order(nk, rows):
+    n, k = nk
+    chunks = list(sim_mod._pattern_chunks(n, k, rows))
+    assert all(0 < len(c) <= rows and c.dtype == np.uint8 for c in chunks)
+    assert [tuple(p) for c in chunks for p in c.tolist()] == list(combinations(range(n), k))
+
+
+def test_pattern_tables_are_read_only_and_built_once():
+    with mock.patch.dict(sim_mod._TABLES, clear=True):
+        table = sim_mod._pattern_table(7, 3)
+        assert sim_mod._pattern_table(7, 3) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        assert table.tolist() == [list(p) for p in combinations(range(7), 3)]
+        assert sim_mod._pattern_table(300, 1).dtype == np.uint16
+
+
+def test_pattern_memo_keeps_within_its_budget():
+    # tables of 20, 12 and 60 bytes under an 80-byte budget: the third
+    # evicts the least recently used one only
+    with mock.patch.dict(sim_mod._TABLES, clear=True), \
+            mock.patch.object(sim_mod, "_TABLE_BYTES", 80):
+        sim_mod._pattern_table(5, 2)
+        sim_mod._pattern_table(4, 2)
+        sim_mod._pattern_table(5, 2)  # a hit: now the most recently used
+        sim_mod._pattern_table(6, 3)
+        assert list(sim_mod._TABLES) == [(5, 2), (6, 3)]
+        sim_mod._pattern_table(4, 2)
+        assert list(sim_mod._TABLES) == [(6, 3), (4, 2)]
+        assert sum(t.nbytes for t in sim_mod._TABLES.values()) <= 80
+
+
+def test_pattern_memo_shared_by_threads():
+    # eight threads cycle through four tables under a budget that holds two
+    # or three of them, so nearly every lookup builds a table and evicts
+    # others while the other threads do the same; every table must be right
+    # and the memo must stay within its budget
+    sizes = [(6, 3), (7, 3), (8, 3), (9, 3)]
+    want = {nk: [list(p) for p in combinations(range(nk[0]), nk[1])] for nk in sizes}
+    wrong, errors = [], []
+
+    def work():
+        try:
+            for _ in range(500):
+                for nk in sizes:
+                    if sim_mod._pattern_table(*nk).tolist() != want[nk]:
+                        wrong.append(nk)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.dict(sim_mod._TABLES, clear=True), \
+                mock.patch.object(sim_mod, "_TABLE_BYTES", 500):
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sum(t.nbytes for t in sim_mod._TABLES.values()) <= 500
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not wrong
+
+
+def test_patched_chunk_size_streams_past_the_memo():
+    # the memo holds the (6, 3) table after a default-sized decode; with one
+    # pattern per chunk the decoder must stream again, and still read as the
+    # one-pattern-at-a-time oracle
+    w, k = NOISELESS, 3
+    cb = np.array([[1, 0, 1], [1, 1, 0]])
+    y = np.array([1, 0, 1, 1, 0, 0])
+    want = oracle_decode(y, k, cb, w, 0.2)
+    assert astuple(decode_exhaustive(y, k, cb, w, 0.2)) == want
+    assert (6, 3) in sim_mod._TABLES
+    chunks = mock.Mock(wraps=sim_mod._pattern_chunks)
+    with mock.patch.object(sim_mod, "_CHUNK_ENTRIES", 1), \
+            mock.patch.object(sim_mod, "_pattern_chunks", chunks):
+        got = decode_exhaustive(y, k, cb, w, 0.2)
+    chunks.assert_called_once_with(6, k, 1)
+    assert astuple(got) == want
 
 
 class TestMonteCarlo:
