@@ -1,6 +1,6 @@
-"""Channel capacity by the Blahut-Arimoto iteration, accelerated near the
-optimum by safeguarded Newton steps, with a certified optimality gap; plus
-the capacity of a disjoint union of channels."""
+"""Channel capacity by the Blahut-Arimoto iteration, over-relaxed far from
+the optimum and accelerated near it by safeguarded Newton steps, with a
+certified optimality gap; plus the capacity of a disjoint union of channels."""
 
 from __future__ import annotations
 
@@ -27,6 +27,10 @@ _NEWTON_MAX_SUPPORT = 2048
 _RIDGE = 1e-10
 # Entries of one column chunk of a dense channel in the Hessian build.
 _CHUNK_ENTRIES = 1 << 18
+# Cap on the over-relaxation factor mu of the update r <- r exp(mu (d - max d)):
+# mu doubles after each accepted update, up to this cap, and falls back to 1
+# when a relaxed update is rejected.
+_RELAX_MAX = 16.0
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,19 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     matrix (rows are trusted to be stochastic in the sparse case).  All-zero
     output columns are dropped; they cannot carry probability.
 
+    The update is over-relaxed, r <- r exp(mu (D(W_x || rW) - max)),
+    normalized: the natural-gradient step of Matz and Duhamel (IEEE ITW 2004)
+    with its step size mu enlarged.  mu starts at 1 and doubles after each
+    accepted update, up to _RELAX_MAX.  A relaxed update (mu > 1) is kept
+    only if it strictly raises the lower bound I and leaves every input with
+    r(x) > 0 positive; otherwise mu returns to 1 and the plain update is
+    made in the same iteration, at the cost of one more evaluation of the
+    bounds, and again in the next.
+
     Once the sandwich is below _NEWTON_GAP, each iteration first tries a
     Newton step on the support of r (see `_newton_step`) and keeps it only if
     it strictly raises the lower bound I; otherwise, or when the step cannot
-    be taken, it makes the Blahut-Arimoto update.  So the lower bounds never
+    be taken, it makes the update above.  So the lower bounds never
     decrease, and convergence near the optimum is fast even where the plain
     update slows down to 1/n.
 
@@ -164,6 +177,7 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     history = []
     gap = math.inf
     iters = 0
+    mu = 1.0
     # log 0 is masked out of the row entropies, and an output whose
     # probability under rW underflows to 0 makes the bounds NaN, which is
     # refused below: neither may warn
@@ -191,6 +205,17 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
                     if clb > lb:
                         r, t, d, lb = cand, ct, cd, clb
                         continue
+            if mu > 1.0:
+                cand = r * np.exp(mu * (d - ub))
+                cand /= cand.sum()
+                if np.count_nonzero(cand) == np.count_nonzero(r):  # nothing underflowed
+                    ct, cd, clb = bounds(cand)
+                    if clb > lb:
+                        r, t, d, lb = cand, ct, cd, clb
+                        mu = min(2.0 * mu, _RELAX_MAX)
+                        continue
+            # a rejected relaxed update leaves mu at 1 for the next iteration
+            mu = 1.0 if mu > 1.0 else min(2.0, _RELAX_MAX)
             r = r * np.exp(d - ub)
             r /= r.sum()
             t, d, lb = bounds(r)

@@ -121,15 +121,30 @@ def test_nearly_tied_inputs_converge():
 
 
 def test_without_newton_steps_the_loop_is_the_plain_iteration(monkeypatch):
-    # no support is small enough for a Newton step, so every iteration takes
-    # the Blahut-Arimoto update: the same floats as the oracle
+    # no support is small enough for a Newton step and the update is never
+    # over-relaxed, so every iteration takes the plain Blahut-Arimoto update:
+    # the same floats as the oracle
     monkeypatch.setattr(blahut_mod, "_NEWTON_MAX_SUPPORT", 1)
+    monkeypatch.setattr(blahut_mod, "_RELAX_MAX", 1)
     w = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
     for offset in (None, [0.0, 0.3, 0.1]):
         res = blahut_capacity(w, tol=1e-12, offset=offset)
         ref = plain_blahut_capacity(w, tol=1e-12, offset=offset)
         assert res.lb_history == ref.lb_history
         assert np.array_equal(res.input_dist.probs, ref.input_dist.probs)
+
+
+def test_relaxed_update_keeps_every_input_positive():
+    # the middle input's offset is 100 bits below the others', so the relaxed
+    # update exp(mu (d - max d)) at mu = 16 would take its mass to exactly 0,
+    # from which no multiplicative update brings it back
+    w = np.array([[0.25, 0.2, 0.15, 0.4], [0.2, 0.0, 0.2, 0.6], [0.25, 0.3, 0.4, 0.05]])
+    offset = [100.0, 0.0, 100.0]
+    res = blahut_capacity(w, offset=offset)
+    ref = plain_blahut_capacity(w, offset=offset)
+    assert res.gap < 1e-9
+    assert (res.input_dist.probs > 0.0).all()
+    assert ref.capacity - 1e-12 <= res.capacity <= ref.capacity + ref.gap + 1e-12
 
 
 def test_start_law():

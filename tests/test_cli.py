@@ -167,11 +167,11 @@ def test_upper_bound_c2(capsys):
 # change to a printed digit of g or phi shows here
 PINNED_STDOUT = [
     (["upper-bound", "c1", "--s", "7", "--bmax", "12", "--alpha-grid", "1:3:0.25"],
-     "847c91c56586c9f1d8a2aadf6d9ebc8bc5c6486e509e38743970f3486c4435f6"),
+     "8a2e96114a9349ed377f518368f5b8828cbe4f78eeda336d0ce7c6138af54e08"),
     (["upper-bound", "c2", "--s", "10", "--alpha-grid", "1:3:0.25"],
-     "edc00f4d5f0c58aae890721f76772b73753202c06f2ce28ceafc01f4d214e6a6"),
+     "f6127da09634531d1c1f10795592b38e92c4ef305dba0e46f2a2f5aa6d71b2b2"),
     (["aux-g", "--grid-b", "9"],
-     "ffd64f96a5709037ef0fcd1e04327a03cbb785f112f335e8332003b9b2e9a89a"),
+     "db1425025defd4855f0b9e22dfdcff4b1a33a4fa1b97c0a4d5eb685fc2d0ab1b"),
 ]
 
 

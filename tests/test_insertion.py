@@ -198,6 +198,39 @@ def test_capacity_identity_cases():
         assert insertion_capacity(1, b).capacity == pytest.approx(1.0, abs=5e-9)
 
 
+def test_identity_capacity_is_exactly_a():
+    # with nothing inserted every class is noiseless: no class is built or
+    # iterated, and g(a, a) is a to the last bit
+    with mock.patch.object(insertion_mod, "weight_class_channel",
+                           side_effect=AssertionError("built a class")):
+        for a in range(1, 13):
+            res = insertion_capacity(a, a)
+            assert res.capacity == res.capacity_upper == a
+            assert res.loss == 0.0
+            assert res.class_capacities == tuple(math.log2(math.comb(a, w))
+                                                 for w in range(a + 1))
+            assert res.class_iterations == (0,) * (a + 1)
+            assert res.class_gaps == (0.0,) * (a + 1)
+
+
+def test_relaxed_classes_certify_within_half_the_plain_iterations():
+    # each class of (7, 12) against the plain Blahut-Arimoto oracle on the
+    # unfolded class, whose uniform start is the folded run's start; a class
+    # the oracle certifies at its first iterate takes one iteration too
+    res = insertion_capacity(7, 12)
+    assert res.class_iterations[0] == res.class_iterations[7] == 0
+    assert res.class_gaps[0] == res.class_gaps[7] == 0.0
+    for w in range(1, 7):
+        cls = weight_class_channel(7, 12, w)
+        run = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+        assert (res.class_iterations[w], res.class_gaps[w]) == (run.iterations, run.gap)
+        assert res.class_gaps[w] < 1e-9
+        plain = plain_blahut_capacity(unfolded_class_channel(7, 12, w)[0]).iterations
+        assert res.class_iterations[w] <= max(1, plain // 2), (w, plain)
+    # the Newton-accelerated plain update took 311 iterations over the classes
+    assert sum(res.class_iterations) <= 100
+
+
 def test_capacity_2_to_3_two_routes():
     via_classes = insertion_capacity(2, 3).capacity
     direct = blahut_capacity(uniform_insertion_channel(2, 3)).capacity
