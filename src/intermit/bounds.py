@@ -118,12 +118,15 @@ def c2_upper(s: int, alpha: float, *, allow_large: bool = False) -> float:
 
         1 - (1/(s p)) sum_{a=0}^{s} C(s,a) p^a (1-p)^{s-a} phi(a, s),
 
-    with p = 1/alpha."""
+    with p = 1/alpha.  As alpha -> infinity only the a = 1 term survives,
+    so alpha = inf gives the limit 1 - phi(1, s)."""
     if s < 1:
         raise ValueError("genie span s must be >= 1")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     p = 1.0 / alpha
+    if p == 0.0:
+        return 1.0 - insertion_loss(1, s, allow_large=allow_large)
     acc = 0.0
     # the a = 0 term carries no loss: an empty block reveals nothing to lose
     for a in range(1, s + 1):

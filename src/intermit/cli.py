@@ -101,8 +101,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_grid(text: str) -> list:
-    """Parse 'lo:hi:step' (inclusive of hi when it lands on the grid) or a
-    single value."""
+    """Parse 'lo:hi:step' (finite parts, inclusive of hi when it lands on the
+    grid) or a single value, which may be inf."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -110,6 +110,8 @@ def _parse_grid(text: str) -> list:
         if len(parts) != 3:
             raise ValueError("expected lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ValueError("need finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise ValueError("need step > 0 and hi >= lo")
     except ValueError as e:

@@ -9,6 +9,14 @@ Hamming weight is preserved by zero insertion, so the channel splits into
 independent weight classes and the capacity is the union capacity of the
 class capacities.  Zero insertion also commutes with reversing the block, so
 each class is solved on its reversal orbits (see `WeightClass`).
+
+The counts come from the zero runs.  A weight-w block has w + 1 zero runs,
+the first before its first one and the last after its last one, and
+inserting zeros only lengthens them.  So the distinct outputs of an input
+with runs x are the blocks with runs x + c, one for each composition c of
+b - a into w + 1 nonnegative parts, and output x + c arises from
+prod_i C(x_i + c_i, c_i) of the position sets: the choice, in each run, of
+which of its zeros are the inserted ones.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -29,9 +36,14 @@ from .errors import ConvergenceError, SizeGuardError
 B_DESK = 12
 B_HARD = 17
 _DENSE_LIMIT = 1 << 22  # max entries for a dense class/full matrix
-# Output codes in one chunk of a count build; larger chunks build faster but
-# raise the peak memory.
-_CHUNK_ENTRIES = 1 << 18
+# (input, composition) entries in one chunk of a count build; larger chunks
+# build faster but raise the peak memory.
+_CHUNK_ENTRIES = 1 << 16
+# C(n, k) for 0 <= k <= n <= B_HARD (0 above the diagonal)
+_BINOM = np.array([[math.comb(n, k) for k in range(B_HARD + 1)] for n in range(B_HARD + 1)],
+                  dtype=np.int32)
+# code weights of the B_HARD bit positions; an n-bit block uses the last n
+_PLACES = 1 << np.arange(B_HARD - 1, -1, -1)
 
 
 def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
@@ -45,80 +57,99 @@ def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
         )
 
 
-@lru_cache(maxsize=2)
-def _block_tables(n: int):
-    """Hamming weight and big-endian code of the reversal, for every n-bit
-    block code."""
-    codes = np.arange(1 << n, dtype=np.int64)
-    weight = np.zeros(1 << n, dtype=np.int64)
-    rev = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        bit = (codes >> k) & 1
-        weight += bit
-        rev |= bit << (n - 1 - k)
+@lru_cache(maxsize=1)
+def _block_tables():
+    """Hamming weight and reversal of every B_HARD-bit block code; an n-bit
+    block x reverses to rev[x] >> (B_HARD - n)."""
+    weight = np.zeros(1 << B_HARD, dtype=np.uint8)
+    rev = np.zeros(1 << B_HARD, dtype=np.int32)
+    for k in range(B_HARD):  # the codes with bit k set follow those below 2^k
+        np.add(weight[:1 << k], 1, out=weight[1 << k:2 << k])
+        np.bitwise_or(rev[:1 << k], 1 << (B_HARD - 1 - k), out=rev[1 << k:2 << k])
     weight.flags.writeable = rev.flags.writeable = False  # shared through the cache
     return weight, rev
 
 
+def _weight_codes(n: int, weight: int):
+    """Big-endian codes of the weight-`weight` n-bit blocks, in increasing
+    order."""
+    return np.flatnonzero(_block_tables()[0][:1 << n] == weight)
+
+
+@lru_cache(maxsize=None)  # 20 bytes per orbit: 2.6 MB for every n <= B_HARD
 def _orbits(n: int, weight: int):
     """Reversal orbits of the weight-`weight` n-bit blocks: the codes of their
     representatives (the blocks whose code is at most that of their reversal),
-    in increasing order, and the orbit sizes (1 for palindromes, else 2)."""
-    wt, rev = _block_tables(n)
-    codes = np.flatnonzero((wt == weight) & (np.arange(1 << n) <= rev))
-    return codes, np.where(rev[codes] == codes, 1, 2)
+    in increasing order, the orbit sizes (1 for palindromes, else 2) and the
+    codes of the representatives' reversals."""
+    codes = _weight_codes(n, weight)
+    rev = _block_tables()[1][codes] >> (B_HARD - n)
+    rep = codes <= rev
+    codes, rev = codes[rep], rev[rep]
+    sizes = np.where(rev == codes, 1, 2)
+    codes.flags.writeable = sizes.flags.writeable = rev.flags.writeable = False
+    return codes, sizes, rev
 
 
-@lru_cache(maxsize=1)
-def _keep_codes(a: int, b: int):
-    """Output codes of every a-bit input over the C(b, a) kept-position sets,
-    as two tables: the outputs of input x are high[x >> shift] + low[x &
-    (2^shift - 1)], one column per kept-position set.  Each table sums the
-    code weights 2^(b-1-pos) of one half of the input bits."""
-    keep = np.array(list(combinations(range(b), a)), dtype=np.int64).reshape(math.comb(b, a), a)
-    place = (1 << (b - 1 - keep)).T.astype(np.int32)  # b <= 30: codes fit
-
-    def table(rows):
-        out = np.zeros((1, place.shape[1]), dtype=np.int32)
-        for row in rows:  # the next bit is the new least significant one
-            out = np.stack((out, out + row), axis=1).reshape(-1, place.shape[1])
-        return out
-
-    shift = (a + 1) // 2
-    high, low = table(place[:a - shift]), table(place[a - shift:])
-    high.flags.writeable = low.flags.writeable = False  # shared through the cache
-    return high, low, shift
+def _ones(codes, n: int, weight: int):
+    """Positions of the ones of the weight-`weight` n-bit blocks `codes`, in
+    increasing order, one block per row."""
+    bits = (codes[:, None] & _PLACES[B_HARD - n:]) != 0
+    return (np.flatnonzero(bits) % n).reshape(codes.size, weight)
 
 
-def _count_chunks(in_codes, a: int, b: int, col):
-    """Nonzero insertion counts from the a-bit inputs `in_codes`, with output
-    code y counted in column col[y], over all C(b, a) kept-position sets.
+def _runs(ones, n: int):
+    """Zero-run lengths of n-bit blocks from the positions of their ones, one
+    block per row: the run before each one, then the run after the last."""
+    ends = np.empty((len(ones), ones.shape[1] + 2), dtype=ones.dtype)
+    ends[:, 0], ends[:, 1:-1], ends[:, -1] = -1, ones, n
+    return ends[:, 1:] - ends[:, :-1] - 1
 
-    Yields (r0, n, rows, cols, counts) per chunk of n inputs from in_codes[r0],
-    with rows relative to r0 and entries in row-major order.  Each row's
-    columns are sorted and counted by runs, so the work follows the C(b, a)
-    outputs of a row, not the width of the class.  A chunk holds at most
-    _CHUNK_ENTRIES output codes, so the memory beyond the result stays
-    bounded."""
-    high, low, shift = _keep_codes(a, b)
-    nkeep = high.shape[1]
-    step = max(1, _CHUNK_ENTRIES // nkeep)
-    for r0 in range(0, in_codes.size, step):
-        x = in_codes[r0:r0 + step]
-        cols = col[high[x >> shift] + low[x & ((1 << shift) - 1)]]
-        cols.sort(axis=1)
-        starts = np.ones(cols.shape, dtype=bool)
-        np.not_equal(cols[:, 1:], cols[:, :-1], out=starts[:, 1:])
-        first = np.flatnonzero(starts)
-        yield r0, x.size, first // nkeep, cols.ravel()[first], np.diff(first, append=cols.size)
+
+def _count_chunks(inputs, a: int, b: int, weight: int):
+    """Distinct outputs and insertion counts of the weight-`weight` a-bit
+    inputs `inputs`.
+
+    The compositions c of b - a into weight + 1 parts are the zero runs of
+    the weight-`weight` (b - a + weight)-bit blocks, taken in increasing code
+    order.  Output k of input x adds the k-th to x's zero runs, which moves
+    x's j-th one right by c_0 + ... + c_j, and arises from
+    prod_i C(x_i + c_i, c_i) position sets.  Each later composition moves the
+    ones lexicographically less far right, so each row's output codes
+    increase.
+
+    Yields (r0, codes, counts) per chunk of inputs from inputs[r0], with one
+    row per input and one column per composition.  They are views of
+    composition-major arrays, so the inner loops here run along the inputs.
+    A chunk holds at most _CHUNK_ENTRIES entries (at least one input), so
+    the memory beyond the result stays bounded."""
+    n = b - a + weight
+    ones = _ones(_weight_codes(n, weight), n, weight)
+    # moving the j-th one right by s_j scales its code weight by 2^-s_j, so
+    # the output codes are the products of 2^(b - a - s_j) with the input's
+    # one weights 2^(a - 1 - q_j)
+    scale = 1 << (b - a - (ones - np.arange(weight)))
+    # the count factor of part j at c_j, as a row of the per-input table below
+    pick = _runs(ones, n) + (b - a + 1) * np.arange(weight + 1)
+    span = np.arange(b - a + 1)[:, None]
+    step = max(1, _CHUNK_ENTRIES // len(ones))
+    for r0 in range(0, inputs.size, step):
+        q = _ones(inputs[r0:r0 + step], a, weight)
+        codes = scale @ (1 << (a - 1 - q.T))
+        # C(x_j + c, c) for every part j and every c, one column per input
+        table = _BINOM[_runs(q, a).T[:, None] + span, span].reshape(-1, len(q))
+        counts = table[pick[:, 0]]
+        for rows in pick[:, 1:].T:
+            counts *= table[rows]
+        yield r0, codes.T, counts.T
 
 
 def _csr(rows, cols, vals, shape):
-    """scipy CSR from per-chunk entries in row-major order."""
+    """scipy CSR from entries in row-major order."""
     from scipy import sparse  # imported here: no class below _DENSE_LIMIT needs it
 
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(np.concatenate(rows), minlength=shape[0]))))
-    return sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=shape)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 def insertion_counts(a: int, b: int, *, allow_large: bool = False):
@@ -127,13 +158,17 @@ def insertion_counts(a: int, b: int, *, allow_large: bool = False):
     Row/column indices read the blocks as big-endian binary integers; each
     row sums to C(b, a) and lists its outputs in increasing order."""
     _check_block_sizes(a, b, allow_large)
-    nin = 1 << a
     rows, cols, vals = [], [], []
-    for r0, _, r, c, cnt in _count_chunks(np.arange(nin), a, b, np.arange(1 << b, dtype=np.int32)):
-        rows.append(r + r0)
-        cols.append(c)
-        vals.append(cnt)
-    return _csr(rows, cols, vals, (nin, 1 << b))
+    for w in range(a + 1):
+        inputs = _weight_codes(a, w)
+        for r0, codes, counts in _count_chunks(inputs, a, b, w):
+            rows.append(np.repeat(inputs[r0:r0 + len(codes)], codes.shape[1]))
+            cols.append(codes.ravel())
+            vals.append(counts.ravel())
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # keeps each row's outputs in order
+    return _csr(rows[order], np.concatenate(cols)[order],
+                np.concatenate(vals)[order].astype(np.int64), (1 << a, 1 << b))
 
 
 @dataclass(frozen=True)
@@ -176,36 +211,47 @@ def weight_class_channel(a: int, b: int, weight: int, *,
     _check_block_sizes(a, b, allow_large)
     if not 0 <= weight <= a:
         raise ValueError(f"weight {weight} out of range for block length {a}")
-    inputs, sizes = _orbits(a, weight)
-    outputs, out_sizes = _orbits(b, weight)
+    inputs, sizes, _ = _orbits(a, weight)
+    outputs, out_sizes, out_rev = _orbits(b, weight)
     nin, nout = inputs.size, outputs.size
     # the two blocks of output orbit k count in columns 2k and 2k + 1, so the
-    # entries of one orbit are adjacent in every chunk
-    col = np.empty(1 << b, dtype=np.int32)
-    col[_block_tables(b)[1][outputs]] = 2 * np.arange(nout) + 1
-    col[outputs] = 2 * np.arange(nout)
+    # entries of one orbit are adjacent in each row sorted by column; each
+    # entry sorts as one key, its column above its count (at most
+    # C(b, a) <= 2^b) in the low b + 1 bits
+    low = b + 1
+    key_of = np.empty(1 << b, dtype=np.int64)
+    column = np.arange(nout) << (low + 1)
+    key_of[out_rev] = column + (1 << low)
+    key_of[outputs] = column
     denom = math.comb(b, a)
     offset = np.empty(nin)
     rows, cols, vals = [], [], []
-    for r0, n, r, c, cnt in _count_chunks(inputs, a, b, col):
-        key = r * nout + (c >> 1)
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        folded = np.add.reduceat(cnt, first)
-        fr, fc = r[first], c[first] >> 1
-        # denom * offset = sum n log2 n - sum f log2 f + sum_{|Yo| = 2} f
+    for r0, codes, counts in _count_chunks(inputs, a, b, weight):
+        n, m = codes.shape
+        key = np.ascontiguousarray(key_of[codes] | counts)
+        key.sort(axis=1)  # each row in column order
+        orbit, cnt = key >> (low + 1), key & ((1 << low) - 1)
+        start = np.ones((n, m), dtype=bool)
+        np.not_equal(orbit[:, 1:], orbit[:, :-1], out=start[:, 1:])
+        first = np.flatnonzero(start)
+        folded = np.add.reduceat(cnt.ravel(), first)
+        fr, fc = first // m, orbit.ravel()[first]
+        # denom * offset = sum n log2 n - sum f log2 f + sum_{|Yo| = 2} f, each
+        # sum taken in column order
         offset[r0:r0 + n] = (
-            np.bincount(r, weights=_xlog2x(cnt), minlength=n)
+            np.cumsum(_xlog2x(cnt), axis=1)[:, -1]
             - np.bincount(fr, weights=_xlog2x(folded) - folded * (out_sizes[fc] - 1),
                           minlength=n)
         ) / denom
         rows.append(fr + r0)
         cols.append(fc)
         vals.append(folded / denom)
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     if nin * nout > _DENSE_LIMIT:
         matrix = _csr(rows, cols, vals, (nin, nout))
     else:  # each (row, output orbit) pair occurs once, so assignment places it
         matrix = np.zeros((nin, nout))
-        matrix[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
+        matrix[rows, cols] = vals
     return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
                        outputs=outputs)
 
@@ -300,15 +346,16 @@ def insertion_capacity_upper(a: int, b: int, *, allow_large: bool = False) -> fl
 
         F(x) = sum_y n(x, y) log2 n(x, y) / C(b, a),
 
-    with n(x, y) the integer insertion counts, read chunk by chunk."""
+    over the distinct outputs y of x, the blocks whose zero runs are x's runs
+    plus a composition c of b - a, each with n(x, y) = prod_i C(y_i, c_i)."""
     _check_block_sizes(a, b, allow_large)
     if a < 1:
         raise ValueError("upper bound needs input length a >= 1")
-    wt, _ = _block_tables(a)
+    denom = math.comb(b, a)
     fmax = np.full(a + 1, -np.inf)
-    for r0, n, r, _, cnt in _count_chunks(np.arange(1 << a), a, b,
-                                          np.arange(1 << b, dtype=np.int32)):
-        f = np.bincount(r, weights=_xlog2x(cnt), minlength=n) / math.comb(b, a)
-        np.maximum.at(fmax, wt[r0:r0 + n], f)
+    for w in range(a + 1):
+        for _, _, counts in _count_chunks(_weight_codes(a, w), a, b, w):
+            # each row's terms summed in increasing output order
+            fmax[w] = max(fmax[w], np.cumsum(_xlog2x(counts), axis=1)[:, -1].max() / denom)
     terms = [math.log2(math.comb(b, j)) for j in range(a + 1)] + fmax
-    return float(np.logaddexp2.reduce(terms) - math.log2(math.comb(b, a)))
+    return float(np.logaddexp2.reduce(terms) - math.log2(denom))

@@ -1,9 +1,9 @@
-"""Brute-force zero-insertion counts, one output tuple at a time: the
-cross-check for the array builder in `intermit.insertion`; the dense full
-insertion channel and its weight classes without the reversal fold, for
-cross-checks against the folded weight-class route; and the run-length
-formula for the insertion-position entropy, the cross-check for the
-count-based `insertion_capacity_upper`."""
+"""Brute-force zero-insertion counts, one output tuple per kept-position set:
+the cross-check for the run-composition builder in `intermit.insertion`; the
+dense full insertion channel and its weight classes without the reversal
+fold, for cross-checks against the folded weight-class route; and the
+run-length formula for the insertion-position entropy, the cross-check for
+the count-based `insertion_capacity_upper`."""
 
 import math
 from collections import Counter

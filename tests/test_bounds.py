@@ -17,6 +17,7 @@ from intermit import (
     c2_upper,
     cpuc_lower,
     cpuc_upper,
+    insertion_loss,
     kl_divergence,
     pattern_decoding_rate,
     ppm_burst_length,
@@ -125,6 +126,12 @@ class TestSecondGenieBound:
 
     def test_frozen_value(self):
         assert c2_upper(3, 1.5) == pytest.approx(0.9650975643971911, abs=1e-9)
+
+    def test_infinite_alpha_is_the_limit(self):
+        # as alpha -> infinity only the a = 1 term is left: 1 - phi(1, s)
+        for s in (2, 3, 6):
+            assert c2_upper(s, math.inf) == 1.0 - insertion_loss(1, s)
+            assert c2_upper(s, math.inf) == pytest.approx(c2_upper(s, 1e12), abs=1e-9)
 
     def test_tightens_with_larger_window(self):
         vals = [c2_upper(s, 1.5) for s in range(3, 7)]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -147,6 +148,16 @@ def test_aux_g_dump_channel_matches_oracle(capsys, tmp_path):
     assert rows == expect
 
 
+def test_aux_g_dump_channel_pinned_bytes(capsys, tmp_path):
+    # the full 2^6 x 2^10 count table, pinned byte for byte from the kept-set
+    # enumeration
+    dump = tmp_path / "counts.csv"
+    code, _, _ = run_cli(capsys, ["aux-g", "--a", "6", "--b", "10", "--dump-channel", str(dump)])
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "39c2d1e3d8b696a96cee4c39064c9917c35b8b1cede3e12394f585830ecbdd8e")
+
+
 def test_upper_bound_c1_limit(capsys):
     code, out, _ = run_cli(capsys, ["upper-bound", "c1", "--s", "3", "--bmax", "8", "--limit"])
     assert code == 0
@@ -161,6 +172,24 @@ def test_upper_bound_c2(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert float(rows[0][2]) == pytest.approx(c2_upper(3, 1.5), abs=1e-12)
+
+
+def test_upper_bound_c2_at_infinite_alpha(capsys):
+    code, out, _ = run_cli(capsys, ["upper-bound", "c2", "--s", "3", "--alpha-grid", "inf"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][:2] == ["3", "inf"]
+    assert float(rows[0][2]) == c2_upper(3, math.inf)
+    assert float(rows[0][2]) == pytest.approx(c2_upper(3, 1e12), abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", ["1:inf:1", "1:3:nan", "nan:3:1", "-inf:3:1", "1:3:inf",
+                                  "1:3:-inf"])
+def test_grid_refuses_non_finite_range_parts(capsys, grid):
+    code, out, err = run_cli(capsys, ["upper-bound", "c2", "--s", "3", f"--alpha-grid={grid}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(grid) in err
 
 
 # SHA-256 of the stdout of converse-bound and insertion-capacity sweeps: any

@@ -1,11 +1,12 @@
 """Zero-insertion channels: exact counts, capacities, run-structure bound."""
 
+import hashlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import entr
@@ -60,7 +61,8 @@ def test_weight_class_split_of_full_channel():
     assert cls.offset[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
-# chunk budgets from one row per chunk up to the module's own
+# chunk budgets, in (input, composition) entries, from one input per chunk
+# up to the module's own
 CHUNKS = st.sampled_from([1, 7, 300, insertion_mod._CHUNK_ENTRIES])
 
 
@@ -86,6 +88,10 @@ def _entropy_bits(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(class_sizes(), CHUNKS)
+@example((0, 5, 0), 1)  # a = 0: the empty input
+@example((5, 9, 0), 7)  # w = 0: one composition, one run
+@example((5, 9, 5), 300)  # w = a: no zero in the input
+@example((7, 7, 3), 1)  # a = b: nothing inserted
 def test_class_counts_match_oracle(sizes, chunk):
     a, b, w = sizes
     with mock.patch.object(insertion_mod, "_CHUNK_ENTRIES", chunk):
@@ -135,7 +141,7 @@ def test_sparse_class_matches_dense(monkeypatch):
         dense_caps = insertion_capacity(a, b).class_capacities
         with monkeypatch.context() as m:
             m.setattr(insertion_mod, "_DENSE_LIMIT", 4)
-            m.setattr(insertion_mod, "_CHUNK_ENTRIES", 200)  # several chunks per class
+            m.setattr(insertion_mod, "_CHUNK_ENTRIES", 40)  # several chunks per class
             for w in range(1, a):
                 cls = weight_class_channel(a, b, w)
                 assert sparse.issparse(cls.matrix)
@@ -144,6 +150,47 @@ def test_sparse_class_matches_dense(monkeypatch):
                 assert np.array_equal(cls.offset, dense[w].offset)
             sparse_caps = insertion_capacity(a, b).class_capacities
         assert np.allclose(sparse_caps, dense_caps, rtol=0.0, atol=tol)
+
+
+def _class_digest(classes) -> str:
+    """SHA-256 over the dtype, shape and bytes of every array of the classes,
+    in order; a CSR matrix contributes its data, indices and index pointers."""
+    h = hashlib.sha256()
+    for cls in classes:
+        m = cls.matrix
+        parts = [m.data, m.indices, m.indptr] if sparse.issparse(m) else [m]
+        for arr in parts + [cls.offset, cls.sizes, cls.inputs, cls.outputs]:
+            arr = np.ascontiguousarray(arr)
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# every weight class of paper-scale windows, pinned byte for byte from the
+# kept-set enumeration: a change to a count, a summation order or a dtype
+# shows here, where the oracle property compares offsets to 1e-12 for b <= 10
+PINNED_CLASSES = [
+    ((9, 17), "62200453ca4a23ec66305bf696b1aeb759b1a9bbb726942c6aaf547d3f5b78c5"),
+    ((6, 16), "1dc6ac9a5677e8d7c673ad743ca8872ad08e088f76384f9756b77d0a17e5b441"),
+    ((7, 14), "94cb62c65bf812343b50d41556720a3b1b622dbb162e4204be70f799c81c059f"),
+    ((11, 12), "990e700a08137b9068a6653d7da16933ea7147d776403ddc6be34165d4ddda7e"),
+]
+
+
+@pytest.mark.parametrize("pair, digest", PINNED_CLASSES,
+                         ids=[f"{a}-{b}" for (a, b), _ in PINNED_CLASSES])
+def test_pinned_class_bytes(pair, digest):
+    a, b = pair
+    classes = [weight_class_channel(a, b, w, allow_large=True) for w in range(a + 1)]
+    assert _class_digest(classes) == digest
+
+
+def test_pinned_csr_class_bytes(monkeypatch):
+    monkeypatch.setattr(insertion_mod, "_DENSE_LIMIT", 4)
+    monkeypatch.setattr(insertion_mod, "_CHUNK_ENTRIES", 100)
+    cls = weight_class_channel(7, 14, 3, allow_large=True)
+    assert sparse.issparse(cls.matrix)
+    assert _class_digest([cls]) == "8e25008c490618219e35d92040b951e295a34755a04d196dc2a4867231bca1f3"
 
 
 def test_folded_certificate_is_the_unfolded_one():
