@@ -11,6 +11,7 @@ import numpy as np
 
 from .insertion import insertion_loss
 from .prob import Dmc, kl_divergence
+from .sim import negbinom_pmf
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,13 @@ def z_pmf(z: int, s: int, p_t: float) -> float:
     """P(genie block span = z): the span covering s+1 codeword symbols equals
     z = b+1 with probability C(b, s) p_t^{s+1} (1-p_t)^{b-s}, for z >= s+1.
 
-    Mean (s+1)/p_t."""
+    This is the received-length law of s+1 codeword symbols,
+    `negbinom_pmf(z, s + 1, p_t)`.  Mean (s+1)/p_t."""
     if s < 1:
         raise ValueError("genie span s must be >= 1")
-    if not 0.0 < p_t <= 1.0:
-        raise ValueError("p_t must lie in (0, 1]")
     if z < s + 1:
         raise ValueError(f"block span z={z} is below its minimum {s + 1}")
-    b = z - 1
-    return float(math.comb(b, s) * (1.0 - p_t) ** (b - s) * p_t ** (s + 1))
+    return negbinom_pmf(z, s + 1, p_t)
 
 
 def _span_survival(z: int, s: int, p_t: float) -> float:

@@ -120,6 +120,12 @@ def _parse_grid(text: str) -> list:
     return [lo + i * step for i in range(count + 1)]
 
 
+def _at_least(flag: str, value: int, low: int, low_name: str | None = None) -> None:
+    if value < low:
+        bound = f"{low_name} = {low}" if low_name else str(low)
+        raise UsageError(f"{flag} must be >= {bound}, got {value}")
+
+
 def _parse_alpha_grid(text: str) -> list:
     alphas = _parse_grid(text)
     if not all(alpha >= 1.0 for alpha in alphas):
@@ -212,12 +218,15 @@ def _cmd_rate(args) -> int:
 def _cmd_aux_g(args) -> int:
     pairs = []
     if args.grid_b is not None:
+        _at_least("--grid-b", args.grid_b, 1)
         for b in range(1, args.grid_b + 1):
             for a in range(1, b + 1):
                 pairs.append((a, b))
     else:
         if args.a is None or args.b is None:
             raise UsageError("need --a and --b (or --grid-b)")
+        _at_least("--a", args.a, 1)
+        _at_least("--b", args.b, args.a, "--a")
         pairs.append((args.a, args.b))
     sweep = SweepSpec("aux-g", {"pairs": pairs, "allow_large": args.allow_large})
     rows = []
@@ -248,7 +257,9 @@ def _dump_channel_counts(pair, out, sweep, allow_large: bool) -> None:
 def _cmd_upper_bound(args) -> int:
     # A typed --bmax/--s is consent to its size: only the hard limit on b
     # applies.
+    _at_least("--s", args.s, 1)
     if args.which == "c1":
+        _at_least("--bmax", args.bmax, args.s, "--s")
         sweep = SweepSpec("upper-bound-c1", {"s": args.s, "bmax": args.bmax,
                                              "alpha_grid": args.alpha_grid,
                                              "limit": args.limit})
@@ -301,6 +312,7 @@ def _cmd_simulate(args) -> int:
                         seed=args.seed, mu=args.mu, epsilon=args.epsilon)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    _at_least("--messages", args.messages, 1)
     sweep = SweepSpec("simulate", {
         "scheme": args.scheme, "channel": args.channel, "star": args.star,
         "k": args.k, "alpha": args.alpha, "trials": args.trials,

@@ -8,8 +8,9 @@ It is the general two-source exponent `mismatch_exponent`,
     min over  rho*P1 + (1-rho)*P2 = P  of  rho*D(P1||Q) + (1-rho)*D(P2||A),
 
 at A = P.  Both come from one closed form driven by a scalar tilting
-constant c: the optimal split is rho*P1 = P*c*Q/(c*Q + A).  All values are in
-bits.
+constant c: the optimal split is rho*P1 = P*c*Q/(c*Q + A).  The tilt
+equation is increasing and concave in c, so Newton's method from c = 0 finds
+c without a bracket (see `_tilt_root`).  All values are in bits.
 """
 
 from __future__ import annotations
@@ -26,28 +27,28 @@ from .prob import _is_pmf_vector, _vec, binary_entropy, kl_divergence
 from .search import pairwise_descent  # noqa: F401
 
 
-def _tilt_equation(c: float, p: np.ndarray, q: np.ndarray, a: np.ndarray) -> float:
-    return float(c * (p * q / (c * q + a)).sum())
-
-
 def _tilt_root(p: np.ndarray, q: np.ndarray, a: np.ndarray, target: float) -> float:
-    """Root of c * sum_j p_j q_j / (c q_j + a_j) = target for positive p, q, a.
-
-    The left side increases from 0 to sum p, so the root exists for target
-    strictly inside that range.
-    """
-    # imported here: scipy.optimize is slow to import, and no other code in
-    # the package needs it
-    from scipy.optimize import brentq
-
-    hi = 1.0
-    while _tilt_equation(hi, p, q, a) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ConvergenceError("tilting-constant bracket exceeded float range")
-    c = brentq(lambda c: _tilt_equation(c, p, q, a) - target, 0.0, hi, xtol=1e-300, rtol=1e-15)
-    if abs(_tilt_equation(c, p, q, a) - target) > 1e-10:
-        raise ConvergenceError("tilting-constant solve did not meet residual tolerance")
+    """Root of g(c) = c * sum p q / (c q + a) = target for positive p, q, a
+    and 0 < target < sum p.  On c >= 0, g rises from 0 toward sum p and is
+    concave (each term has second derivative -2 p q^2 a / (c q + a)^3), so
+    Newton's iterates from c = 0 rise monotonically to the root and never
+    pass it.  The step is a quotient of sums of u = p q / s and u a / s,
+    s = c q + a, never of p q a / s^2, which over- or underflows first; the
+    loop ends once a step no longer raises c."""
+    pq, c = p * q, 0.0
+    with np.errstate(all="ignore"):  # a root past float range ends in inf or NaN
+        for _ in range(2000):  # doubling from c = 1 passes 1e300 in about 1 000
+            s = c * q + a
+            u = pq / s
+            step = (target - c * u.sum()) / (u * (a / s)).sum()
+            if not c + step > c:
+                break
+            c += step
+        else:
+            raise ConvergenceError("tilting-constant solve still rising after 2000 steps")
+        residual = c * (pq / (c * q + a)).sum() - target
+    if not abs(residual) <= 1e-10:  # NaN fails too
+        raise ConvergenceError(f"tilting-constant solve failed: c = {c}, residual {residual}")
     return float(c)
 
 
@@ -89,7 +90,10 @@ def _split(pv: np.ndarray, qv: np.ndarray, av: np.ndarray, rho: float):
         value = float((pq * np.log2(pq / q[to_q])).sum())
         return value + float((pa * np.log2(pa / a[~to_q])).sum()) + h, c
     c = _tilt_root(p[free], q[free], a[free], target)
-    return float((p * np.log2(p / (c * q + a))).sum()) + rho * math.log2(c) + h, c
+    s = c * q + a
+    with np.errstate(divide="ignore"):  # p/s underflows to 0 where c q is huge
+        logs = np.where(p / s > 0.0, np.log2(p / s), np.log2(p) - np.log2(s))
+    return float((p * logs).sum()) + rho * math.log2(c) + h, c
 
 
 def tilting_constant(p, q, rho: float) -> float:
@@ -98,7 +102,7 @@ def tilting_constant(p, q, rho: float) -> float:
     Requires a strictly positive Q and rho in (0, 1).  Unique because the
     defining equation is monotone in c; equals rho/(1-rho) iff P = Q.
     """
-    pv, qv = _pmf_vectors(p, q)
+    pv, qv = _checked(rho, p, q)
     if qv.min() <= 0.0:
         raise ValueError("tilting constant requires a strictly positive Q")
     if not 0.0 < rho < 1.0:
@@ -110,23 +114,19 @@ def tilting_constant(p, q, rho: float) -> float:
     return c
 
 
-def _pmf_vectors(*dists) -> list:
-    """Float vectors of `dists`, which must be pmfs on one alphabet.  They are
-    not renormalized, so a value is that of the vectors as given."""
+def _checked(rho: float, *dists) -> list:
+    """Float vectors of `dists`, which must be pmfs on one alphabet, for a rho
+    in [0, 1].  They are not renormalized, so a value is that of the vectors
+    as given."""
     vs = [_vec(d) for d in dists]
     if any(v.shape != vs[0].shape for v in vs):
         raise ValueError("distributions live on different alphabet sizes")
     for v in vs:
         if not _is_pmf_vector(v):
             raise ValueError(f"not a pmf: {v.tolist()}")
-    return vs
-
-
-def _check_pair(p, q, rho: float):
-    pv, qv = _pmf_vectors(p, q)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    return pv, qv
+    return vs
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def partial_divergence(p, q, rho: float) -> PartialDivergence:
     exactly the symbols in supp(Q) from Q; above it no split exists and the
     value is +inf.
     """
-    pv, qv = _check_pair(p, q, rho)
+    pv, qv = _checked(rho, p, q)
     value, c = _split(pv, qv, pv, rho)
     return PartialDivergence(value, rho, c)
 
@@ -173,7 +173,7 @@ def partial_divergence_deriv(p, q, rho: float) -> float:
 
 def convexity_lower_bound(p, q, rho: float) -> float:
     """The pointwise lower bound D(P || rho*Q + (1-rho)*P) <= d_rho(P||Q)."""
-    pv, qv = _check_pair(p, q, rho)
+    pv, qv = _checked(rho, p, q)
     return kl_divergence(pv, rho * qv + (1.0 - rho) * pv)
 
 
@@ -187,7 +187,5 @@ def mismatch_exponent(p, q, q_alt, rho: float) -> float:
     `_split`); +inf where no split exists.  Exact endpoints D(P||A) at
     rho = 0 and D(P||Q) at rho = 1.
     """
-    pv, qv, av = _pmf_vectors(p, q, q_alt)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    pv, qv, av = _checked(rho, p, q, q_alt)
     return _split(pv, qv, av, rho)[0]

@@ -262,14 +262,16 @@ def sample_receive_lengths(k: int, alpha: float, trials: int, rng) -> np.ndarray
 
 def negbinom_pmf(n: int, k: int, p_t: float) -> float:
     """P(N = n) for the received length: C(n-1, k-1) p_t^k (1-p_t)^{n-k},
-    n >= k.  Mean k/p_t = alpha*k."""
+    n >= k.  Mean k/p_t = alpha*k.  With p_t = num/den exactly, the value is
+    one exact integer quotient, rounded once, so no factor can overflow."""
     if k < 1:
         raise ValueError("codeword length k must be >= 1")
     if not 0.0 < p_t <= 1.0:
         raise ValueError("p_t must lie in (0, 1]")
     if n < k:
         raise ValueError(f"received length n={n} is below the codeword length {k}")
-    return float(math.comb(n - 1, k - 1) * p_t ** k * (1.0 - p_t) ** (n - k))
+    num, den = float(p_t).as_integer_ratio()
+    return math.comb(n - 1, k - 1) * num ** k * (den - num) ** (n - k) / den ** n
 
 
 def apply_dmc(x, w: Dmc, rng) -> np.ndarray:
@@ -495,6 +497,8 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         raise ValueError(f"unknown scheme {scheme!r}")
     if w.star is None:
         raise ValueError("channel must designate a noise input (star)")
+    if n_messages < 1:
+        raise ValueError(f"need at least one message, got n_messages={n_messages}")
     if scheme == "zero_rate":
         fixed_cb, n_msg = zero_rate_codebook(w, cfg.k), 2
     else:

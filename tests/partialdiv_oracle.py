@@ -123,3 +123,25 @@ def split_search(p, q, a, rho: float, *, steps: int | None = None,
             x, fx = cands[k], float(vals[k])
         step /= 2.0
     return fx
+
+
+def tilt_root_bisection(p, q, a, target: float) -> tuple:
+    """Adjacent floats lo < hi with g(lo) < target <= g(hi), where
+    g(c) = c * sum p q / (c q + a) rises in c: a doubling bracket from c = 1,
+    then bisection until no float lies strictly between its ends."""
+    p, q, a = (np.asarray(v, dtype=float) for v in (p, q, a))
+
+    def g(c: float) -> float:
+        return c * float((p * q / (c * q + a)).sum())
+
+    lo, hi = 0.0, 1.0
+    while g(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            return lo, hi
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid

@@ -45,6 +45,15 @@ class TestBlockLengthPmf:
         assert z_pmf(4, 3, 0.3) == pytest.approx(0.3**4, abs=1e-15)
         assert z_pmf(3, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_long_spans(self, p):
+        # C(1999, 999) used to overflow float before the powers shrank it
+        z, s = 2000, 999
+        b = z - 1
+        log_pmf = (math.lgamma(b + 1) - math.lgamma(s + 1) - math.lgamma(b - s + 1)
+                   + (s + 1) * math.log(p) + (b - s) * math.log1p(-p))
+        assert z_pmf(z, s, p) == pytest.approx(math.exp(log_pmf), rel=1e-10)
+
     def test_below_support_rejected(self):
         with pytest.raises(ValueError):
             z_pmf(3, 3, 0.5)

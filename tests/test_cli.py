@@ -343,6 +343,14 @@ def test_figures_fast(capsys, tmp_path):
         assert first.startswith("# config_hash=")
 
 
+def test_figures_partial_divergence_pinned_bytes(capsys, tmp_path):
+    # the full grid (rho step 0.01) prints every tilt solve's value to 12
+    # digits; the digest predates the Newton solve
+    assert run_cli(capsys, ["figures", "--out", str(tmp_path)])[0] == 0
+    digest = hashlib.sha256((tmp_path / "partial_divergence.csv").read_bytes()).hexdigest()
+    assert digest == "76c2eff427bd77f78bd9775cfc464c788028b21eba69b2b99ddf3cd11b2413bb"
+
+
 def test_exit_code_usage_error(capsys):
     code, _, err = run_cli(capsys, ["rate", "--scheme", "r1", "--channel", "bsc:1.5"])
     assert code == 2
@@ -402,3 +410,25 @@ def test_exit_code_missing_pair(capsys):
 def test_argparse_rejects_unknown_scheme(capsys):
     with pytest.raises(SystemExit):
         main(["rate", "--scheme", "warp"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["upper-bound", "c1", "--s", "0"], "--s"),
+    (["upper-bound", "c1", "--s", "3", "--bmax", "2"], "--bmax"),
+    (["upper-bound", "c2", "--s", "0"], "--s"),
+    (["aux-g", "--a", "0", "--b", "3"], "--a"),
+    (["aux-g", "--a", "3", "--b", "2"], "--b"),
+    (["aux-g", "--grid-b", "0"], "--grid-b"),
+    (["aux-g", "--grid-b", "0", "--dump-channel", "{tmp}/counts.csv"], "--grid-b"),
+    (["simulate", "--scheme", "pattern", "--messages", "0", "--k", "4", "--alpha", "1.5",
+      "--trials", "3", "--seed", "1", "--mu", "0.2", "--out", "{tmp}/run"], "--messages"),
+], ids=["c1-s", "c1-bmax", "c2-s", "aux-g-a", "aux-g-b", "grid-b", "grid-b-dump",
+        "simulate-messages"])
+def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, argv, flag):
+    # these used to end in ValueError or IndexError (exit 1), or in an empty
+    # table (exit 0)
+    code, out, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be >= ")
+    assert list(tmp_path.iterdir()) == []

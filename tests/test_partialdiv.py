@@ -2,10 +2,11 @@
 constant, and the grid-search oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intermit import (
@@ -16,8 +17,9 @@ from intermit import (
     partial_divergence_deriv,
     tilting_constant,
 )
-from intermit.partialdiv import _split
-from partialdiv_oracle import split_search
+from intermit.errors import ConvergenceError
+from intermit.partialdiv import _split, _tilt_root
+from partialdiv_oracle import split_search, tilt_root_bisection
 
 P4 = np.full(4, 0.25)
 Q1 = np.array([0.1, 0.1, 0.1, 0.7])
@@ -316,3 +318,62 @@ def test_mismatch_exponent_is_the_optimal_split(case):
     assert rho * p1 + (1.0 - rho) * p2 == pytest.approx(p, abs=1e-15)
     objective = rho * kl_divergence(p1, q) + (1.0 - rho) * kl_divergence(p2, a)
     assert objective == pytest.approx(value, abs=1e-12)
+
+
+@st.composite
+def tilt_cases(draw):
+    """(p, q, a, f): positive vectors on 1-7 symbols with entries down to
+    1e-15, and the target as a fraction f of sum p."""
+    n = draw(st.integers(1, 7))
+    entry = st.floats(1e-15, 1.0)
+    p, q, a = (np.array(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(3))
+    return p, q, a, draw(st.floats(1e-12, 1.0 - 1e-12))
+
+
+PQ = np.array([0.2, 0.3, 0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tilt_cases())
+@example((PQ, PQ[::-1], PQ, 1.0 - 1e-12))
+@example((PQ, PQ[::-1], PQ, 1e-12))
+@example((np.array([0.3]), np.array([0.7]), np.array([0.2]), 0.6))
+@example((PQ, PQ, PQ, 0.3))
+def test_tilt_root_matches_bisection(case):
+    p, q, a, f = case
+    target = f * p.sum()
+    c = _tilt_root(p, q, a, target)
+    assert abs(c * (p * q / (c * q + a)).sum() - target) <= 8 * math.ulp(target)
+    # near f = 1 the root is ill-conditioned: a rounding of target moves it
+    # by about eps * target / g'(c)
+    eps = np.finfo(float).eps
+    slope = (p * q * a / (c * q + a) ** 2).sum()
+    hi = tilt_root_bisection(p, q, a, target)[1]
+    assert abs(c - hi) <= 4 * (eps * target / slope + math.ulp(c))
+    if np.array_equal(p, q) and np.array_equal(q, a):
+        # P = Q (and A = P): c q / (c q + a) = c / (c + 1) = f, and
+        # dc/df = (c + 1)^2
+        assert abs(c - f / (1.0 - f)) <= 4 * eps * (c + 1.0) ** 2
+
+
+def test_tilt_root_beyond_float_range_is_refused_without_warning():
+    # c ~ sum p^2/q / (1 - rho) = 2.5e299 / 1e-10 exceeds the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            partial_divergence([0.5, 0.5], [1e-300, 1.0 - 1e-300], 1.0 - 1e-10)
+        with pytest.raises(ConvergenceError):
+            _tilt_root(np.array([1.0]), np.array([1e-300]), np.array([1.0]), 1.0 - 1e-10)
+
+
+def test_value_with_an_underflowing_log_term_is_finite():
+    # c > 2.5e199, so p/(c q + p) for the 1e-160 symbol underflows to 0; the
+    # value used to be -inf, with a divide-by-zero warning from log2
+    p = np.array([0.5, 0.5 - 1e-160, 1e-160])
+    q = np.array([1e-200, 0.5, 0.5 - 1e-200])
+    rho = 0.9
+    r = partial_divergence(p, q, rho)
+    s = r.tilt * q + p
+    expect = (math.fsum(p * (np.log2(p) - np.log2(s))) + rho * math.log2(r.tilt)
+              - rho * math.log2(rho) - (1 - rho) * math.log2(1 - rho))
+    assert r.value == pytest.approx(expect, abs=1e-12)

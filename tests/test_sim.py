@@ -63,6 +63,14 @@ def test_sim_config_refuses_bad_values(field, value):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("scheme", ["exhaustive", "pattern"])
+def test_monte_carlo_refuses_fewer_than_one_message(scheme):
+    # n_messages = 0 used to divide by zero picking the sent message
+    cfg = SimConfig(k=4, alpha=1.5, trials=3, seed=1, mu=0.2)
+    with pytest.raises(ValueError, match="n_messages=0"):
+        monte_carlo_error(scheme, cfg, Dmc.bsc(0.05), n_messages=0)
+
+
 @pytest.mark.parametrize("alpha", [0.5, math.inf, math.nan])
 def test_samplers_refuse_bad_alpha(alpha):
     # alpha = inf used to reach numpy's geometric with p = 0
@@ -85,6 +93,19 @@ class TestReceiveLength:
     def test_pmf_mean(self):
         mean = sum(n * negbinom_pmf(n, 4, 0.25) for n in range(4, 400))
         assert mean == pytest.approx(16.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_pmf_of_long_blocks(self, p):
+        # C(1999, 999) used to overflow float before the powers shrank it
+        n, k = 2000, 1000
+        log_pmf = (math.lgamma(n) - math.lgamma(k) - math.lgamma(n - k + 1)
+                   + k * math.log(p) + (n - k) * math.log1p(-p))
+        assert negbinom_pmf(n, k, p) == pytest.approx(math.exp(log_pmf), rel=1e-10)
+
+    def test_pmf_of_long_blocks_normalizes(self):
+        # mean 2000, standard deviation about 45
+        total = math.fsum(negbinom_pmf(n, 1000, 0.5) for n in range(1000, 2700))
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sampler_bounds_and_reproducible(self):
         r1 = sample_receive_lengths(5, 2.0, 1000, np.random.default_rng(9))
