@@ -218,6 +218,9 @@ def _cmd_rate(args) -> int:
 def _cmd_aux_g(args) -> int:
     pairs = []
     if args.grid_b is not None:
+        given = [flag for flag, v in (("--a", args.a), ("--b", args.b)) if v is not None]
+        if given:
+            raise UsageError(f"{' and '.join(given)} cannot be combined with --grid-b")
         _at_least("--grid-b", args.grid_b, 1)
         for b in range(1, args.grid_b + 1):
             for a in range(1, b + 1):
@@ -258,24 +261,29 @@ def _cmd_upper_bound(args) -> int:
     # A typed --bmax/--s is consent to its size: only the hard limit on b
     # applies.
     _at_least("--s", args.s, 1)
+    grid = "1:2:0.1" if args.alpha_grid is None else args.alpha_grid
     if args.which == "c1":
-        _at_least("--bmax", args.bmax, args.s, "--s")
-        sweep = SweepSpec("upper-bound-c1", {"s": args.s, "bmax": args.bmax,
-                                             "alpha_grid": args.alpha_grid,
+        if args.limit and args.alpha_grid is not None:
+            raise UsageError("--alpha-grid cannot be combined with --limit, which emits alpha = inf only")
+        bmax = 10 if args.bmax is None else args.bmax
+        _at_least("--bmax", bmax, args.s, "--s")
+        sweep = SweepSpec("upper-bound-c1", {"s": args.s, "bmax": bmax, "alpha_grid": grid,
                                              "limit": args.limit})
         rows = []
         if args.limit:
-            rows.append((args.s, args.bmax, "inf", c1_limit(args.s, args.bmax,
-                                                            allow_large=True)))
+            rows.append((args.s, bmax, "inf", c1_limit(args.s, bmax, allow_large=True)))
         else:
-            for alpha in _parse_alpha_grid(args.alpha_grid):
-                cfg = GenieBoundConfig(s=args.s, b_max=args.bmax, alpha=alpha)
-                rows.append((args.s, args.bmax, alpha, c1_upper(cfg, allow_large=True)))
+            for alpha in _parse_alpha_grid(grid):
+                cfg = GenieBoundConfig(s=args.s, b_max=bmax, alpha=alpha)
+                rows.append((args.s, bmax, alpha, c1_upper(cfg, allow_large=True)))
         _emit(BoundReport(("s", "b_max", "alpha", "bound"), rows, sweep), args.out)
     else:
-        sweep = SweepSpec("upper-bound-c2", {"s": args.s, "alpha_grid": args.alpha_grid})
+        for flag, given in (("--limit", args.limit), ("--bmax", args.bmax is not None)):
+            if given:
+                raise UsageError(f"{flag} applies to c1 only, not to c2")
+        sweep = SweepSpec("upper-bound-c2", {"s": args.s, "alpha_grid": grid})
         rows = []
-        for alpha in _parse_alpha_grid(args.alpha_grid):
+        for alpha in _parse_alpha_grid(grid):
             rows.append((args.s, alpha, c2_upper(args.s, alpha, allow_large=True)))
         _emit(BoundReport(("s", "alpha", "bound"), rows, sweep), args.out)
     return 0
@@ -475,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("upper-bound", help="genie-aided converse bounds")
     sp.add_argument("which", choices=["c1", "c2"])
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--bmax", type=int, default=10)
-    sp.add_argument("--alpha-grid", default="1:2:0.1", help="lo:hi:step")
+    sp.add_argument("--bmax", type=int, help="c1 only (default 10)")
+    sp.add_argument("--alpha-grid", help="lo:hi:step (default 1:2:0.1)")
     sp.add_argument("--limit", action="store_true",
-                    help="c1 only: emit the alpha -> infinity limit")
+                    help="c1 only: emit the alpha -> infinity limit instead of an alpha grid")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_upper_bound)
 

@@ -27,15 +27,23 @@ from .prob import _is_pmf_vector, _vec, binary_entropy, kl_divergence
 from .search import pairwise_descent  # noqa: F401
 
 
-def _tilt_root(p: np.ndarray, q: np.ndarray, a: np.ndarray, target: float) -> float:
+def _tilt_root(p: np.ndarray, q: np.ndarray, a: np.ndarray, target: float) -> tuple:
     """Root of g(c) = c * sum p q / (c q + a) = target for positive p, q, a
-    and 0 < target < sum p.  On c >= 0, g rises from 0 toward sum p and is
-    concave (each term has second derivative -2 p q^2 a / (c q + a)^3), so
-    Newton's iterates from c = 0 rise monotonically to the root and never
-    pass it.  The step is a quotient of sums of u = p q / s and u a / s,
-    s = c q + a, never of p q a / s^2, which over- or underflows first; the
-    loop ends once a step no longer raises c."""
-    pq, c = p * q, 0.0
+    and 0 < target < sum p, as (c', e) with c = c' * 2**-e.  On c >= 0, g
+    rises from 0 toward sum p and is concave (each term has second
+    derivative -2 p q^2 a / (c q + a)^3), so Newton's iterates from c = 0
+    rise monotonically to the root and never pass it.  The step is a
+    quotient of sums of u = p q / s and u a / s, s = c q + a, never of
+    p q a / s^2, which over- or underflows first; the loop ends once a step
+    no longer raises c.
+
+    u <= p q / a, so a subnormal a could overflow it.  The loop therefore
+    solves g(c'; a * 2**e) = target, the same equation scaled exactly by the
+    least power of two 2**e that makes every a normal; e = 0 unless some a
+    is subnormal.  The root is left in those units, where it keeps its
+    precision even when c itself would be subnormal or below float range."""
+    shift = max(0, -1021 - math.frexp(a.min())[1])
+    pq, c, a = p * q, 0.0, np.ldexp(a, shift)
     with np.errstate(all="ignore"):  # a root past float range ends in inf or NaN
         for _ in range(2000):  # doubling from c = 1 passes 1e300 in about 1 000
             s = c * q + a
@@ -48,8 +56,9 @@ def _tilt_root(p: np.ndarray, q: np.ndarray, a: np.ndarray, target: float) -> fl
             raise ConvergenceError("tilting-constant solve still rising after 2000 steps")
         residual = c * (pq / (c * q + a)).sum() - target
     if not abs(residual) <= 1e-10:  # NaN fails too
-        raise ConvergenceError(f"tilting-constant solve failed: c = {c}, residual {residual}")
-    return float(c)
+        raise ConvergenceError(f"tilting-constant solve failed: c = {math.ldexp(c, -shift)}, "
+                               f"residual {residual}")
+    return float(c), shift
 
 
 def _split(pv: np.ndarray, qv: np.ndarray, av: np.ndarray, rho: float):
@@ -89,11 +98,14 @@ def _split(pv: np.ndarray, qv: np.ndarray, av: np.ndarray, rho: float):
         pq, pa = p[to_q], p[~to_q]
         value = float((pq * np.log2(pq / q[to_q])).sum())
         return value + float((pa * np.log2(pa / a[~to_q])).sum()) + h, c
-    c = _tilt_root(p[free], q[free], a[free], target)
-    s = c * q + a
+    # with the root c * 2**-shift, every s below is 2**shift (c q + a), and
+    # the value gains shift * (sum p - rho)
+    c, shift = _tilt_root(p[free], q[free], a[free], target)
+    s = c * q + np.ldexp(a, shift)
     with np.errstate(divide="ignore"):  # p/s underflows to 0 where c q is huge
         logs = np.where(p / s > 0.0, np.log2(p / s), np.log2(p) - np.log2(s))
-    return float((p * logs).sum()) + rho * math.log2(c) + h, c
+    value = float((p * logs).sum()) + rho * math.log2(c) + shift * (float(p.sum()) - rho)
+    return value + h, math.ldexp(c, -shift)
 
 
 def tilting_constant(p, q, rho: float) -> float:

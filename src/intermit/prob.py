@@ -267,13 +267,38 @@ def mutual_information(p, w) -> float:
     return total
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, term for term in the order in which numpy's
+    add.reduce sums a contiguous row (its pairwise summation): in order below
+    8 terms; up to 128 terms in 8 interleaved partial sums joined as a tree,
+    then the rest in order; above that, the two halves apart.  So a sum along
+    an outer axis rounds exactly as the same sum along the inner one."""
+    n = a.shape[0]
+    if n < 8:
+        return a.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    part = a[:8].copy()
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        part += a[i:i + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for i in range(tail, n):
+        total += a[i]
+    return total
+
+
 def typical_rows(counts, p, mu: float) -> np.ndarray:
     """Strong typicality of each row of symbol counts: max_x |Phat(x) - P(x)|
     <= mu, where Phat is the row divided by its total.
 
-    `counts` has shape (..., |X|); the result has the leading shape.  A row
-    of total zero (an empty sequence) is typical for every distribution; this
-    matters when a decoder tests an empty noise segment.
+    `counts` has shape (..., |X|) and holds integers; the result has the
+    leading shape.  A row of total zero (an empty sequence) is typical for
+    every distribution; this matters when a decoder tests an empty noise
+    segment.  The counts are taken symbols first, so each step runs over
+    all rows at once: a caller that holds them that way passes a transposed
+    view, and no copy is made.
     """
     if not mu > 0.0:  # NaN included
         raise ValueError(f"typicality slack mu must be positive, got {mu}")
@@ -281,9 +306,11 @@ def typical_rows(counts, p, mu: float) -> np.ndarray:
     c = np.asarray(counts)
     if c.shape[-1] != pv.size:
         raise ValueError("counts do not match the alphabet size")
-    length = c.sum(axis=-1, keepdims=True)
+    c = np.ascontiguousarray(c.transpose(c.ndim - 1, *range(c.ndim - 1)))
+    length = c.sum(axis=0)  # integers: exact in any order
     freq = c / np.maximum(length, 1)
-    return (np.abs(freq - pv).max(axis=-1) <= mu) | (length[..., 0] == 0)
+    dev = np.abs(freq - pv.reshape(pv.shape + (1,) * (c.ndim - 1))).max(axis=0)
+    return (dev <= mu) | (length == 0)
 
 
 def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
@@ -291,8 +318,12 @@ def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     max_{a,b} |Phat_{x,y}(a,b) - Phat_x(a) W(b|a)| <= mu, where the hatted
     frequencies are the block divided by its total.
 
-    `joint_counts` has shape (..., |X|, |Y|), indexed [x, y]; the result has
-    the leading shape.  An empty block is typical.
+    `joint_counts` has shape (..., |X|, |Y|), indexed [x, y], and holds
+    integers; the result has the leading shape.  An empty block is typical.
+    As in `typical_rows`, the counts are taken (|X|, |Y|) first, from a
+    transposed view without a copy; the marginal Phat_x is summed in the
+    order of a contiguous row of |Y| frequencies, so every bit, and every
+    decision on a tie with mu, is that of the blocks taken one at a time.
     """
     if not mu > 0.0:  # NaN included
         raise ValueError(f"typicality slack mu must be positive, got {mu}")
@@ -300,11 +331,12 @@ def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     c = np.asarray(joint_counts)
     if c.shape[-2:] != wr.shape:
         raise ValueError("joint counts do not match the channel shape")
-    length = c.sum(axis=(-2, -1), keepdims=True)
+    c = np.ascontiguousarray(c.transpose(c.ndim - 2, c.ndim - 1, *range(c.ndim - 2)))
+    length = c.sum(axis=(0, 1))  # integers: exact in any order
     joint = c / np.maximum(length, 1)
-    marg = joint.sum(axis=-1)
-    dev = np.abs(joint - marg[..., None] * wr).max(axis=(-2, -1))
-    return (dev <= mu) | (length[..., 0, 0] == 0)
+    marg = _pairwise_sum(joint.swapaxes(0, 1))
+    dev = np.abs(joint - marg[:, None] * wr.reshape(wr.shape + (1,) * (c.ndim - 2)))
+    return (dev.max(axis=(0, 1)) <= mu) | (length == 0)
 
 
 def is_typical(seq, p, mu: float) -> bool:

@@ -18,7 +18,10 @@ batches of at most _BATCH_SYMBOLS = 8192 received symbols, and decides
 zero-rate trials a batch at a time from their output counts.  Results are
 reproducible independently of the batching and of the worker count.  The
 sequence decoders keep the table of instant patterns of each (n, k) whose
-enumeration fits in one decoder chunk for the life of the process.
+enumeration fits in one decoder chunk for the life of the process, and
+test a chunk of patterns at once with the patterns on the last, contiguous
+axis of every count array, so each typicality step runs over long vectors
+rather than over blocks of 2-4 numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .prob import (Dmc, _vec, cond_typical_rows, is_cond_typical,  # noqa: F401
                    is_typical, kl_divergence, typical_rows)
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
-_CHUNK_ENTRIES = 1 << 18  # index entries a decoder evaluates at once
+# entries a decoder chunk holds at most: its patterns' one-hot outputs and
+# joint counts together
+_CHUNK_ENTRIES = 1 << 18
 # Pattern tables of the enumerations that fit in one decoder chunk, by
 # (n, k), least recently used first.  Such a table holds at most
 # _CHUNK_ENTRIES entries (for k <= _CHUNK_ENTRIES) of at most 4 bytes: 1 MB,
@@ -372,12 +377,6 @@ def _pattern_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _row_counts(a: np.ndarray, size: int) -> np.ndarray:
-    """Occurrences of each value 0..size-1 in every row of a 2-D int array."""
-    flat = a + size * np.arange(a.shape[0])[:, None]
-    return np.bincount(flat.ravel(), minlength=a.shape[0] * size).reshape(-1, size)
-
-
 def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     """Unique-typicality decoding over every k-subset of output instants.
 
@@ -393,7 +392,13 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     the chunk's table, so they read as those of the one-subset-at-a-time
     scan with its early exit.  An enumeration that fits in one chunk takes
     its table from the per-process memo (`_pattern_table`); a larger one is
-    built chunk by chunk as the scan goes.
+    built chunk by chunk as the scan goes.  A chunk's counts keep the
+    subsets on their last, contiguous axis: one comparison gives the one-hot
+    outputs onehot[b, j, s] (output b at instant j of subset s), their sum
+    over j the gate's counts, and one batched 0/1 product with the
+    codebook's per-input position masks, summed over j, the joint counts
+    joint[a, b, m, s] of every message m; the typicality tests take them
+    as transposed views.
     """
     ys = np.asarray(y, dtype=np.int64)
     cb = np.asarray(codebook, dtype=np.int64)
@@ -410,8 +415,10 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
             f"C({ys.size},{k}) = {count} instant patterns exceed the enumeration guard {ENUM_GUARD}"
         )
     n_msg = cb.shape[0]
-    totals = np.bincount(ys, minlength=nout)
-    rows = max(1, _CHUNK_ENTRIES // (n_msg * max(k, nin * nout)))
+    totals = np.bincount(ys, minlength=nout)[:, None]
+    symbols = np.arange(nout)[:, None, None]
+    masks = (cb == np.arange(nin)[:, None, None]).astype(float)  # [a, m, j]: cb[m, j] == a
+    rows = max(1, _CHUNK_ENTRIES // (nout * (k + n_msg * nin)))
     examined = second = checks = 0
     known = None  # the one message witnessed so far
     if 0 < count <= rows:
@@ -420,19 +427,22 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
         chunks = _pattern_chunks(ys.size, k, rows)
     for patterns in chunks:
         size = patterns.shape[0]
-        sub = ys.take(patterns)
+        onehot = ys.take(patterns.T) == symbols
         if gate is None:
             passed = np.ones(size, dtype=bool)
         else:
-            kept = _row_counts(sub, nout)
-            passed = typical_rows(kept, gate[0], mu) & typical_rows(totals - kept, gate[1], mu)
-        pairs = (cb * nout)[None] + sub[passed][:, None]  # (subset, message, position)
-        joint = _row_counts(pairs.reshape(-1, k), nin * nout).reshape(len(pairs), n_msg, nin, nout)
-        hit = np.zeros((size, n_msg), dtype=bool)
-        hit[passed] = cond_typical_rows(joint, w, mu)
+            kept = onehot.sum(axis=1)
+            passed = typical_rows(kept.T, gate[0], mu) & typical_rows((totals - kept).T, gate[1], mu)
+            onehot = onehot[:, :, passed]
+        # joint[a, b, m, s]: integers <= k, so the float sums are exact in
+        # any order.  einsum runs its own loop; a BLAS product would map
+        # about 0.3 MB of library pages into the process on its first call.
+        joint = np.einsum("amj,bjs->abms", masks, onehot, dtype=float)
+        hit = np.zeros((n_msg, size), dtype=bool)
+        hit[:, passed] = cond_typical_rows(joint.transpose(2, 3, 0, 1), w, mu)
         # first[m]: the subset at which message m is first witnessed (size
         # if never, -1 if witnessed before this chunk)
-        first = np.where(hit.any(axis=0), hit.argmax(axis=0), size)
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), size)
         if known is not None:
             first[known] = -1
         order = [m for m in np.lexsort((np.arange(n_msg), first)) if first[m] < size]

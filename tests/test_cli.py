@@ -284,6 +284,32 @@ def test_pinned_simulate_trials_bytes(capsys, tmp_path, argv, digest):
     assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == digest
 
 
+# a 3-input, 9-output channel: the conditional typicality test sums a
+# row of 9 joint frequencies, which numpy does pairwise
+CHANNEL_3X9 = {"rows": [[0.6, 0.2, 0.1, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01],
+                        [0.02, 0.02, 0.1, 0.6, 0.2, 0.02, 0.02, 0.01, 0.01],
+                        [0.01, 0.01, 0.02, 0.02, 0.02, 0.1, 0.2, 0.02, 0.6]], "star": 0}
+PINNED_TRIALS_3X9 = [
+    (["--scheme", "exhaustive", "--k", "6", "--alpha", "1.3", "--trials", "100", "--seed", "13",
+      "--mu", "0.15"],
+     "479fe37f0a7f128460702b58680f6588c841eaaf4466f4a2dcd1cfe43ef8ecb4"),
+    (["--scheme", "pattern", "--k", "6", "--alpha", "1.3", "--trials", "100", "--seed", "17",
+      "--mu", "0.25"],
+     "dc7ac79b68f0f4d695fe41a5c4d3933bb866304e4d2db6c88a74e77053f2ea5e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_TRIALS_3X9, ids=["exhaustive", "pattern"])
+def test_pinned_simulate_trials_bytes_on_a_9_output_channel(capsys, tmp_path, monkeypatch,
+                                                            argv, digest):
+    # the channel path is part of the config hash, so it is given relative
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ch3x9.json").write_text(json.dumps(CHANNEL_3X9))
+    argv = ["simulate", *argv, "--channel", "json:ch3x9.json", "--out", "run"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert hashlib.sha256((tmp_path / "run" / "trials.csv").read_bytes()).hexdigest() == digest
+
+
 def test_simulate_rejects_negative_seed(capsys, tmp_path):
     code, _, err = run_cli(capsys, [
         "simulate", "--scheme", "zero_rate", "--channel", "bsc:0.1", "--k", "30",
@@ -431,4 +457,23 @@ def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} must be >= ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["upper-bound", "c2", "--s", "3", "--limit", "--alpha-grid", "1:2:0.5"],
+     "--limit applies to c1 only, not to c2"),
+    (["upper-bound", "c2", "--s", "3", "--bmax", "5"], "--bmax applies to c1 only, not to c2"),
+    (["upper-bound", "c1", "--s", "3", "--limit", "--alpha-grid", "1:2:0.5"],
+     "--alpha-grid cannot be combined with --limit"),
+    (["aux-g", "--a", "3", "--b", "5", "--grid-b", "2"], "--a and --b cannot be combined with --grid-b"),
+    (["aux-g", "--b", "5", "--grid-b", "2"], "--b cannot be combined with --grid-b"),
+], ids=["c2-limit", "c2-bmax", "c1-limit-alpha-grid", "aux-g-pair-grid-b", "aux-g-b-grid-b"])
+def test_flags_that_do_not_apply_are_usage_errors(capsys, tmp_path, argv, message):
+    # these used to be ignored: c2 printed its alpha sweep, aux-g the b <= 2
+    # triangle without the (3, 5) pair, both with exit 0
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, argv + ["--out", str(out_file)])
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {message}")
     assert list(tmp_path.iterdir()) == []

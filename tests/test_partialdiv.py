@@ -339,10 +339,13 @@ PQ = np.array([0.2, 0.3, 0.5])
 @example((PQ, PQ[::-1], PQ, 1e-12))
 @example((np.array([0.3]), np.array([0.7]), np.array([0.2]), 0.6))
 @example((PQ, PQ, PQ, 0.3))
+# a subnormal a: p q / a overflows at c = 0, the first Newton step was NaN
+@example((np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([1e-310, 1.0]), 0.6))
 def test_tilt_root_matches_bisection(case):
     p, q, a, f = case
     target = f * p.sum()
-    c = _tilt_root(p, q, a, target)
+    c, shift = _tilt_root(p, q, a, target)
+    c = math.ldexp(c, -shift)
     assert abs(c * (p * q / (c * q + a)).sum() - target) <= 8 * math.ulp(target)
     # near f = 1 the root is ill-conditioned: a rounding of target moves it
     # by about eps * target / g'(c)
@@ -377,3 +380,48 @@ def test_value_with_an_underflowing_log_term_is_finite():
     expect = (math.fsum(p * (np.log2(p) - np.log2(s))) + rho * math.log2(r.tilt)
               - rho * math.log2(rho) - (1 - rho) * math.log2(1 - rho))
     assert r.value == pytest.approx(expect, abs=1e-12)
+
+
+def _closed_form_60_digits(p, q, a, rho):
+    """mismatch_exponent's closed form at 60 digits for positive p, q, a:
+    the tilt root by bisection on log c, then the value at that root."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        p, q, a = ([mpmath.mpf(float(x)) for x in v] for v in (p, q, a))
+        rho = mpmath.mpf(rho)
+
+        def g(c):
+            return c * mpmath.fsum(pi * qi / (c * qi + ai) for pi, qi, ai in zip(p, q, a))
+
+        lo, hi = mpmath.mpf(2) ** -2000, mpmath.mpf(2) ** 1100
+        for _ in range(400):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if g(mid) < rho else (lo, mid)
+        value = mpmath.fsum(pi * mpmath.log(pi / (lo * qi + ai), 2)
+                            for pi, qi, ai in zip(p, q, a))
+        value += rho * mpmath.log(lo, 2) - rho * mpmath.log(rho, 2) - (1 - rho) * mpmath.log(1 - rho, 2)
+        return float(value), float(lo)
+
+
+@pytest.mark.parametrize("a0", [1e-310, 5e-324, 1e-306])
+def test_subnormal_second_law_matches_60_digit_closed_form(a0):
+    # a0 = 1e-310 and 5e-324 used to end in "tilting-constant solve failed:
+    # c = 0.0, residual nan"; at 1e-310 the tilt root, 3e-310, is itself
+    # subnormal, so p/(c q + a) overflows.  1e-306 worked and keeps its value.
+    p, q, a = [0.5, 0.5], [0.5, 0.5], [a0, 1.0 - a0]
+    value, c = _closed_form_60_digits(p, q, a, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mismatch_exponent(p, q, a, 0.3)
+        tilt = _split(np.array(p), np.array(q), np.array(a), 0.3)[1]
+    assert got == pytest.approx(value, rel=1e-15, abs=0)
+    assert tilt == pytest.approx(c, rel=1e-9, abs=0)
+
+
+def test_root_below_float_range_keeps_its_value():
+    # the tilt root, about 2e-9 * 5e-324, is below the least float, yet the
+    # value is taken at its scaled form
+    value, _ = _closed_form_60_digits([0.5, 0.5], [0.5, 0.5], [5e-324, 1.0], 1e-9)
+    assert mismatch_exponent([0.5, 0.5], [0.5, 0.5], [5e-324, 1.0], 1e-9) == pytest.approx(
+        value, rel=1e-13, abs=0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import typicality_oracle
 from decoder_oracle import cond_typical, typical
 from intermit import (
     Dmc,
@@ -202,6 +203,55 @@ def test_row_typicality_matches_per_sequence(length, batch, mu, seed):
     assert typical_rows(counts, pw, mu).tolist() == [typical(y, pw, mu) for y in ys]
     expect = [length == 0 or cond_typical(y, x, w.rows, mu) for x, y in zip(xs, ys)]
     assert cond_typical_rows(joint, w, mu).tolist() == expect
+
+
+@st.composite
+def count_cases(draw):
+    """A channel of 1-3 inputs and 2-12 outputs, joint counts of blocks of
+    k = 0..40 pairs under leading shape (), (0,), (m,) or (m, 2), their
+    output counts and an output law."""
+    nin, nout, k = draw(st.integers(1, 3)), draw(st.integers(2, 12)), draw(st.integers(0, 40))
+    m = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (0,), (m,), (m, 2)]))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=nout, max_size=nout),
+                                     min_size=nin, max_size=nin)), dtype=float)
+    weights[weights.sum(axis=1) == 0] = 1.0
+    w = Dmc(weights / weights.sum(axis=1, keepdims=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joint = rng.multinomial(k, np.full(nin * nout, 1.0 / (nin * nout)), size=lead)
+    joint = joint.reshape(lead + (nin, nout))
+    law = rng.dirichlet(np.ones(nin)) @ w.rows
+    return w, joint, joint.sum(axis=-2), law
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_cases())
+def test_row_typicality_matches_the_last_axis_arithmetic(case):
+    # the tests take the counts symbols first; every bit of the frequencies,
+    # the marginal and the deviations must be that of the arithmetic along
+    # the last axes, so mu runs over the blocks' own deviations: each one
+    # sits on a tie.  |Y| >= 8 puts the marginal past numpy's pairwise
+    # summation threshold.
+    w, joint, counts, law = case
+    freq = joint / np.maximum(joint.sum(axis=(-2, -1), keepdims=True), 1)
+    marg = freq.sum(axis=-1)
+    cond_dev = np.abs(freq - marg[..., None] * w.rows).max(axis=(-2, -1))
+    out = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
+    dev = np.abs(out - law).max(axis=-1)
+    ties = {float(d) for d in np.concatenate([np.ravel(cond_dev), np.ravel(dev)]) if d > 0}
+    # the decoder holds its counts symbols first and passes transposed views
+    ct = np.moveaxis(np.ascontiguousarray(np.moveaxis(counts, -1, 0)), 0, -1)
+    jt = np.moveaxis(np.ascontiguousarray(np.moveaxis(joint, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+    for mu in sorted(ties) + [0.05]:
+        for test, oracle, c, views, dist in [
+            (typical_rows, typicality_oracle.typical_rows, counts, ct, law),
+            (cond_typical_rows, typicality_oracle.cond_typical_rows, joint, jt, w),
+        ]:
+            want = oracle(c, dist, mu)
+            for given_counts in (c, c.astype(float), views):
+                got = test(given_counts, dist, mu)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), mu
 
 
 @pytest.mark.parametrize("mu", [float("nan"), 0.0, -0.1])
