@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,43 +39,9 @@ class UsageError(ValueError):
     """Invalid command-line arguments (exit code 2)."""
 
 
-@dataclass
-class SweepSpec:
-    """A resolved parameter sweep: grid values plus the fixed parameters that
-    define the run (hashed into every output file)."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-
-    @property
-    def config_hash(self) -> str:
-        blob = json.dumps({"command": self.command, "params": self.params},
-                          sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-@dataclass
-class BoundReport:
-    """Tabular output of one command: column names, rows, and the sweep that
-    produced them."""
-
-    columns: tuple
-    rows: list
-    sweep: SweepSpec
-
-    def write_csv(self, stream) -> None:
-        stream.write(f"# config_hash={self.sweep.config_hash}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if v is None:
@@ -134,32 +99,57 @@ def _parse_alpha_grid(text: str) -> list:
 
 
 def _parse_channel(spec: str, star: int | None) -> Dmc:
+    """The channel of --channel, with --star as its noise input; every
+    command that takes a channel needs one."""
     kind, _, arg = spec.partition(":")
+    if kind not in ("bsc", "noiseless", "json"):
+        raise UsageError(f"unknown channel spec {spec!r} (use bsc:<p>, noiseless:<n>, json:<path>)")
     try:
         if kind == "bsc":
-            return Dmc.bsc(float(arg), star=0 if star is None else star)
-        if kind == "noiseless":
-            return Dmc.identity(int(arg), star=0 if star is None else star)
-        if kind == "json":
+            w = Dmc.bsc(float(arg), star=0 if star is None else star)
+        elif kind == "noiseless":
+            w = Dmc.identity(int(arg), star=0 if star is None else star)
+        else:
             with open(arg) as fh:
                 obj = json.load(fh)
             if star is not None:
                 obj["star"] = star
-            return Dmc.from_json(obj)
+            w = Dmc.from_json(obj)
     except (OSError, KeyError, ValueError) as e:
         raise UsageError(f"cannot build channel from {spec!r}: {e}") from None
-    raise UsageError(f"unknown channel spec {spec!r} (use bsc:<p>, noiseless:<n>, json:<path>)")
+    if w.star is None:
+        raise UsageError(f"channel {spec!r} has no noise input; pass --star")
+    return w
 
 
-def _emit(report: BoundReport, out: str | None) -> None:
+def _write_csv(out, command: str, params: dict, columns, rows) -> str:
+    """Write one table to `out` (stdout when None; a file's directories are
+    created), headed by the hash of `command` and `params`, and return that
+    hash."""
+    blob = json.dumps({"command": command, "params": params},
+                      sort_keys=True, separators=(",", ":"))
+    config_hash = hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+    def write(stream) -> None:
+        stream.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
     if out is None:
-        report.write_csv(sys.stdout)
+        write(sys.stdout)
     else:
-        path = Path(out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            report.write_csv(fh)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w", newline="") as fh:
+            write(fh)
+    return config_hash
+
+
+def _write_json(out: Path, obj: dict) -> None:
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_partial_div(args) -> int:
@@ -173,8 +163,6 @@ def _cmd_partial_div(args) -> int:
         except ValueError as e:
             raise UsageError(f"{flag} is not a pmf: {e}") from None
     rhos = _parse_grid(args.rho_grid)
-    sweep = SweepSpec("partial-div", {"p": p.tolist(), "q": q.tolist(),
-                                      "rho_grid": args.rho_grid})
     rows = []
     for rho in rhos:
         res = partial_divergence(p, q, rho)
@@ -184,14 +172,14 @@ def _cmd_partial_div(args) -> int:
         else:
             deriv = math.nan
         rows.append((rho, res.value, deriv, res.tilt))
-    _emit(BoundReport(("rho", "d", "d_deriv", "c_star"), rows, sweep), args.out)
+    _write_csv(args.out, "partial-div",
+               {"p": p.tolist(), "q": q.tolist(), "rho_grid": args.rho_grid},
+               ("rho", "d", "d_deriv", "c_star"), rows)
     return 0
 
 
 def _cmd_rate(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
-    sweep = SweepSpec("rate", {"scheme": args.scheme, "channel": args.channel,
-                               "star": args.star, "alpha_grid": args.alpha_grid})
     rows = []
     if args.scheme == "insertion":
         for alpha in alphas:
@@ -199,8 +187,6 @@ def _cmd_rate(args) -> int:
             rows.append((alpha, res.rate, res.beta, _fmt(res.p_zero)))
     else:
         w = _parse_channel(args.channel, args.star)
-        if w.star is None:
-            raise UsageError("scheme needs a designated noise input; pass --star")
         if args.scheme == "r1":
             cap = blahut_capacity(w)
             for alpha in alphas:
@@ -211,7 +197,9 @@ def _cmd_rate(args) -> int:
                 res = pattern_decoding_rate(w, alpha)
                 beta = intermittency_overhead(res.input_dist.probs, w, alpha).beta_star
                 rows.append((alpha, res.rate, beta, _fmt_vec(res.input_dist.probs)))
-    _emit(BoundReport(("alpha", "rate", "beta_star", "p_star"), rows, sweep), args.out)
+    _write_csv(args.out, "rate", {"scheme": args.scheme, "channel": args.channel,
+                                  "star": args.star, "alpha_grid": args.alpha_grid},
+               ("alpha", "rate", "beta_star", "p_star"), rows)
     return 0
 
 
@@ -231,30 +219,25 @@ def _cmd_aux_g(args) -> int:
         _at_least("--a", args.a, 1)
         _at_least("--b", args.b, args.a, "--a")
         pairs.append((args.a, args.b))
-    sweep = SweepSpec("aux-g", {"pairs": pairs, "allow_large": args.allow_large})
+    params = {"pairs": pairs, "allow_large": args.allow_large}
     rows = []
     for a, b in pairs:
         cap = insertion_capacity(a, b, allow_large=args.allow_large)
         ub = insertion_capacity_upper(a, b, allow_large=args.allow_large)
         rows.append((a, b, cap.capacity, ub, cap.loss))
     if args.dump_channel is not None:
-        _dump_channel_counts(pairs[-1], args.dump_channel, sweep, args.allow_large)
-    _emit(BoundReport(("a", "b", "g_exact", "g_upper_bound", "phi"), rows, sweep), args.out)
+        # the exact counts of the last pair, over the common denominator C(b, a)
+        a, b = pairs[-1]
+        counts = insertion_counts(a, b, allow_large=args.allow_large)
+        dump = []
+        for i in range(1 << a):
+            lo, hi = counts.indptr[i], counts.indptr[i + 1]
+            for j, c in zip(counts.indices[lo:hi], counts.data[lo:hi]):
+                dump.append((format(i, f"0{a}b"), format(j, f"0{b}b"), c, math.comb(b, a)))
+        _write_csv(args.dump_channel, "aux-g", params,
+                   ("input", "output", "count", "denominator"), dump)
+    _write_csv(args.out, "aux-g", params, ("a", "b", "g_exact", "g_upper_bound", "phi"), rows)
     return 0
-
-
-def _dump_channel_counts(pair, out, sweep, allow_large: bool) -> None:
-    a, b = pair
-    counts = insertion_counts(a, b, allow_large=allow_large)
-    denom = math.comb(b, a)
-    rows = []
-    for i in range(1 << a):
-        lo, hi = counts.indptr[i], counts.indptr[i + 1]
-        for j, c in zip(counts.indices[lo:hi], counts.data[lo:hi]):
-            rows.append((format(i, f"0{a}b"), format(j, f"0{b}b"), c, denom))
-    report = BoundReport(("input", "output", "count", "denominator"), rows, sweep)
-    with open(out, "w", newline="") as fh:
-        report.write_csv(fh)
 
 
 def _cmd_upper_bound(args) -> int:
@@ -267,8 +250,6 @@ def _cmd_upper_bound(args) -> int:
             raise UsageError("--alpha-grid cannot be combined with --limit, which emits alpha = inf only")
         bmax = 10 if args.bmax is None else args.bmax
         _at_least("--bmax", bmax, args.s, "--s")
-        sweep = SweepSpec("upper-bound-c1", {"s": args.s, "bmax": bmax, "alpha_grid": grid,
-                                             "limit": args.limit})
         rows = []
         if args.limit:
             rows.append((args.s, bmax, "inf", c1_limit(args.s, bmax, allow_large=True)))
@@ -276,23 +257,22 @@ def _cmd_upper_bound(args) -> int:
             for alpha in _parse_alpha_grid(grid):
                 cfg = GenieBoundConfig(s=args.s, b_max=bmax, alpha=alpha)
                 rows.append((args.s, bmax, alpha, c1_upper(cfg, allow_large=True)))
-        _emit(BoundReport(("s", "b_max", "alpha", "bound"), rows, sweep), args.out)
+        _write_csv(args.out, "upper-bound-c1",
+                   {"s": args.s, "bmax": bmax, "alpha_grid": grid, "limit": args.limit},
+                   ("s", "b_max", "alpha", "bound"), rows)
     else:
         for flag, given in (("--limit", args.limit), ("--bmax", args.bmax is not None)):
             if given:
                 raise UsageError(f"{flag} applies to c1 only, not to c2")
-        sweep = SweepSpec("upper-bound-c2", {"s": args.s, "alpha_grid": grid})
-        rows = []
-        for alpha in _parse_alpha_grid(grid):
-            rows.append((args.s, alpha, c2_upper(args.s, alpha, allow_large=True)))
-        _emit(BoundReport(("s", "alpha", "bound"), rows, sweep), args.out)
+        rows = [(args.s, alpha, c2_upper(args.s, alpha, allow_large=True))
+                for alpha in _parse_alpha_grid(grid)]
+        _write_csv(args.out, "upper-bound-c2", {"s": args.s, "alpha_grid": grid},
+                   ("s", "alpha", "bound"), rows)
     return 0
 
 
 def _cmd_cpuc(args) -> int:
     w = _parse_channel(args.channel, args.star)
-    if w.star is None:
-        raise UsageError("capacity per unit cost needs a noise input; pass --star")
     gamma = _parse_vector(args.gamma)
     try:
         cost = CostModel(gamma, star=w.star)
@@ -302,31 +282,28 @@ def _cmd_cpuc(args) -> int:
     if upper.degenerate_symbols:
         print(f"warning: zero-cost informative symbols {upper.degenerate_symbols} "
               "make the bound infinite", file=sys.stderr)
-    sweep = SweepSpec("cpuc", {"channel": args.channel, "star": args.star,
-                               "gamma": gamma.tolist(), "alpha_grid": args.alpha_grid})
-    rows = []
-    for alpha in _parse_alpha_grid(args.alpha_grid):
-        rows.append((alpha, cpuc_lower(w, cost, alpha).value, upper.value))
-    _emit(BoundReport(("alpha", "lower", "upper"), rows, sweep), args.out)
+    rows = [(alpha, cpuc_lower(w, cost, alpha).value, upper.value)
+            for alpha in _parse_alpha_grid(args.alpha_grid)]
+    _write_csv(args.out, "cpuc", {"channel": args.channel, "star": args.star,
+                                  "gamma": gamma.tolist(), "alpha_grid": args.alpha_grid},
+               ("alpha", "lower", "upper"), rows)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     w = _parse_channel(args.channel, args.star)
-    if w.star is None:
-        raise UsageError("simulation needs a designated noise input; pass --star")
     try:
         cfg = SimConfig(k=args.k, alpha=args.alpha, trials=args.trials,
                         seed=args.seed, mu=args.mu, epsilon=args.epsilon)
     except ValueError as e:
         raise UsageError(str(e)) from None
     _at_least("--messages", args.messages, 1)
-    sweep = SweepSpec("simulate", {
+    params = {
         "scheme": args.scheme, "channel": args.channel, "star": args.star,
         "k": args.k, "alpha": args.alpha, "trials": args.trials,
         "seed": args.seed, "mu": args.mu, "epsilon": args.epsilon,
         "messages": args.messages, "leading_trailing": args.leading_trailing,
-    })
+    }
     if args.scheme != "zero_rate" and args.mu < 1.0 / (2 * args.k):
         print(f"warning: mu={args.mu:g} is below 1/(2k)={1.0 / (2 * args.k):g}; empirical "
               "frequencies move in steps of 1/k, so mu rather than the channel may "
@@ -337,21 +314,19 @@ def _cmd_simulate(args) -> int:
     if tripped:
         print(f"warning: {tripped} of {result.trials} trials exceeded the enumeration guard "
               "and count as errors", file=sys.stderr)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = [
         (t, o.n_received, -1 if o.decoded is None else o.decoded,
          int(o.decoded == t % (2 if args.scheme == "zero_rate" else args.messages)),
          o.choices_examined)
         for t, o in enumerate(result.outcomes)
     ]
-    report = BoundReport(("trial", "n_received", "decoded", "correct",
-                          "choices_examined"), rows, sweep)
-    with open(outdir / "trials.csv", "w", newline="") as fh:
-        report.write_csv(fh)
-    summary = {
-        "config_hash": sweep.config_hash,
-        "params": sweep.params,
+    outdir = Path(args.out)
+    config_hash = _write_csv(outdir / "trials.csv", "simulate", params,
+                             ("trial", "n_received", "decoded", "correct", "choices_examined"),
+                             rows)
+    _write_json(outdir / "summary.json", {
+        "config_hash": config_hash,
+        "params": params,
         "error_rate": result.error_rate,
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
@@ -359,21 +334,15 @@ def _cmd_simulate(args) -> int:
         "trials": result.trials,
         "mean_n": result.mean_n,
         "version": __version__,
-    }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return 0
 
 
 def _cmd_figures(args) -> int:
     fast = args.fast
-    # every table is computed before any file is written, so a refused run
-    # leaves the output directory as it was
-    reports = {}
-
-    def emit(name: str, columns, rows, params) -> None:
-        reports[name] = BoundReport(tuple(columns), rows, SweepSpec(f"figures:{name}", params))
+    # every table (columns, rows, params) is computed before any file is
+    # written, so a refused run leaves the output directory as it was
+    tables = {}
 
     # Partial-divergence curves: one reference input law against two output laws.
     p = [0.25, 0.25, 0.25, 0.25]
@@ -385,8 +354,8 @@ def _cmd_figures(args) -> int:
         rows.append((rho,
                      partial_divergence(p, q1, rho).value,
                      partial_divergence(p, q2, rho).value))
-    emit("partial_divergence.csv", ("rho", "d_q1", "d_q2"),
-         rows, {"p": p, "q1": q1, "q2": q2, "step": step})
+    tables["partial_divergence.csv"] = (("rho", "d_q1", "d_q2"), rows,
+                                        {"p": p, "q1": q1, "q2": q2, "step": step})
 
     # Achievable rates over BSCs, plus the noiseless-binary curve.
     ps = [0.1] if fast else [0.0, 0.05, 0.1]
@@ -400,10 +369,9 @@ def _cmd_figures(args) -> int:
             rows.append((pc, alpha,
                          exhaustive_decoding_rate(w, alpha, capacity=cap),
                          pattern_decoding_rate(w, alpha).rate))
-    emit("rates_bsc.csv", ("p", "alpha", "r1", "r2"),
-         rows, {"ps": ps, "alphas": alphas})
+    tables["rates_bsc.csv"] = (("p", "alpha", "r1", "r2"), rows, {"ps": ps, "alphas": alphas})
     rows = [(alpha, noiseless_binary_rate(alpha).rate) for alpha in alphas]
-    emit("rate_insertion.csv", ("alpha", "rate"), rows, {"alphas": alphas})
+    tables["rate_insertion.csv"] = (("alpha", "rate"), rows, {"alphas": alphas})
 
     # Genie upper bounds.
     s_list = [2, 3] if fast else [2, 3, 4, 5]
@@ -414,15 +382,15 @@ def _cmd_figures(args) -> int:
         for alpha in galphas:
             cfg = GenieBoundConfig(s=s, b_max=bmax, alpha=alpha)
             rows.append((s, bmax, alpha, c1_upper(cfg)))
-    emit("genie_c1.csv", ("s", "b_max", "alpha", "bound"),
-         rows, {"s_list": s_list, "bmax": bmax, "alphas": galphas})
+    tables["genie_c1.csv"] = (("s", "b_max", "alpha", "bound"), rows,
+                              {"s_list": s_list, "bmax": bmax, "alphas": galphas})
     s2_list = [2, 3] if fast else [2, 4, 6, 8, 10]
     rows = []
     for s in s2_list:
         for alpha in galphas:
             rows.append((s, alpha, c2_upper(s, alpha)))
-    emit("genie_c2.csv", ("s", "alpha", "bound"),
-         rows, {"s_list": s2_list, "alphas": galphas})
+    tables["genie_c2.csv"] = (("s", "alpha", "bound"), rows,
+                              {"s_list": s2_list, "alphas": galphas})
 
     # Capacity per unit cost for BSC(0.1) with unit-cost signalling.
     w = Dmc.bsc(0.1, star=0)
@@ -430,19 +398,14 @@ def _cmd_figures(args) -> int:
     upper = cpuc_upper(w, cost).value
     calphas = _parse_grid("1:2:0.5" if fast else "1:5:0.25")
     rows = [(alpha, cpuc_lower(w, cost, alpha).value, upper) for alpha in calphas]
-    emit("cpuc_bsc.csv", ("alpha", "lower", "upper"), rows, {"alphas": calphas})
+    tables["cpuc_bsc.csv"] = (("alpha", "lower", "upper"), rows, {"alphas": calphas})
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     files = {}
-    for name, report in reports.items():
-        with open(outdir / name, "w", newline="") as fh:
-            report.write_csv(fh)
-        files[name] = {"rows": len(report.rows), "config_hash": report.sweep.config_hash}
-    manifest = {"version": __version__, "fast": fast, "files": files}
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, (columns, rows, params) in tables.items():
+        config_hash = _write_csv(outdir / name, f"figures:{name}", params, columns, rows)
+        files[name] = {"rows": len(rows), "config_hash": config_hash}
+    _write_json(outdir / "manifest.json", {"version": __version__, "fast": fast, "files": files})
     return 0
 
 

@@ -38,12 +38,6 @@ def _entr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _star_row(w: Dmc) -> np.ndarray:
-    if w.star is None:
-        raise ValueError("channel must designate a noise input (star)")
-    return w.star_row()
-
-
 def exhaustive_decoding_rate(w: Dmc, alpha: float, *, capacity: float | None = None) -> float:
     """Rate achieved by decoding over every transmission-instant pattern:
     (C_W - alpha*h(1/alpha))^+ bits per codeword symbol."""
@@ -96,7 +90,7 @@ def intermittency_overhead(p, w: Dmc, alpha: float) -> OverheadResult:
     path.
     """
     _check_alpha(alpha)
-    star = _star_row(w)
+    star = w.star_row()
     if alpha == 1.0:
         return OverheadResult(0.0, 0.0)
     pw = output_dist(p, w).probs
@@ -136,7 +130,7 @@ def pattern_decoding_rate(w: Dmc, alpha: float) -> PatternRateResult:
     at most 1e-9 bits unless D(W* || P~W') tops the binding run's upper bound.
     """
     _check_alpha(alpha)
-    star = _star_row(w)
+    star = w.star_row()
     tol = 1e-9 / alpha  # so that alpha C* is certified to 1e-9 bits
     ba = blahut_capacity(w, tol=tol)
     p = alpha * ba.input_dist.probs - (alpha - 1.0) * np.eye(w.input_size)[w.star]

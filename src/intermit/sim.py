@@ -125,6 +125,9 @@ def _trial_streams(seed: int, start: int, stop: int):
     SeedSequence([seed, t]) is evaluated _SEED_BLOCK trials at a time in
     uint32 arithmetic, and its four 64-bit words seed PCG64 as numpy does:
     inc = 2*initseq + 1, state = (inc + initstate)*MULT + inc mod 2**128.
+    The first trial of each block is checked against numpy's own
+    SeedSequence, so a numpy that mixes differently raises RuntimeError
+    rather than drawing other streams.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
@@ -138,7 +141,12 @@ def _trial_streams(seed: int, start: int, stop: int):
         low = np.arange(lo & _MASK32, (lo & _MASK32) + hi - lo, dtype=np.uint32)
         entropy = [np.full(low.size, w, dtype=np.uint32) for w in head]
         entropy += [low] + [np.full(low.size, w, dtype=np.uint32) for w in _words(lo)[1:]]
-        for s_hi, s_lo, i_hi, i_lo in zip(*(v.tolist() for v in _seed_state(entropy))):
+        words = [v.tolist() for v in _seed_state(entropy)]
+        if [v[0] for v in words] != np.random.SeedSequence([seed, lo]).generate_state(
+                4, np.uint64).tolist():
+            raise RuntimeError(f"SeedSequence([{seed}, {lo}]) derived here differs from "
+                               f"numpy {np.__version__}'s own")
+        for s_hi, s_lo, i_hi, i_lo in zip(*words):
             inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
             pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
             pcg["inc"] = inc
@@ -505,8 +513,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if w.star is None:
-        raise ValueError("channel must designate a noise input (star)")
+    w.star_row()  # refuses a channel without a noise input
     if n_messages < 1:
         raise ValueError(f"need at least one message, got n_messages={n_messages}")
     if scheme == "zero_rate":

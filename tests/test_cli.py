@@ -477,3 +477,53 @@ def test_flags_that_do_not_apply_are_usage_errors(capsys, tmp_path, argv, messag
     assert code == 2
     assert out == "" and err.startswith(f"error: {message}")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_aux_g_dump_channel_creates_its_directories(capsys, tmp_path, monkeypatch):
+    # the dump used to be opened without creating its parents, so the command
+    # did all its work and then exited 1 with FileNotFoundError
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, ["aux-g", "--a", "3", "--b", "5",
+                                    "--dump-channel", "new/x/counts.csv", "--out", "new/y/g.csv"])
+    assert code == 0 and err == ""
+    _, rows = parse_csv((tmp_path / "new/y/g.csv").read_text())
+    assert [r[:2] for r in rows] == [["3", "5"]]
+    assert run_cli(capsys, ["aux-g", "--a", "3", "--b", "5", "--dump-channel", "flat.csv"])[0] == 0
+    assert (tmp_path / "new/x/counts.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
+
+
+def test_figures_fast_manifest_pinned_and_matches_files(capsys, tmp_path):
+    assert run_cli(capsys, ["figures", "--fast", "--out", str(tmp_path)])[0] == 0
+    manifest = tmp_path / "manifest.json"
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
+        "b54079964802121ca6156dcce61cccb032ddaf3352b0d6a3c603b9708d3062ae")
+    for name, entry in json.loads(manifest.read_text())["files"].items():
+        head, _, body = (tmp_path / name).read_text().partition("\n")
+        assert head == f"# config_hash={entry['config_hash']}"
+        assert len(body.splitlines()) == 1 + entry["rows"]
+
+
+def test_simulate_summary_pinned_and_matches_trials(capsys, tmp_path):
+    argv, _ = PINNED_TRIALS[0]
+    assert run_cli(capsys, ["simulate", *argv, "--out", str(tmp_path)])[0] == 0
+    summary = (tmp_path / "summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == (
+        "68d4928dd2ada2ca70b26d4f76b403bdbbef088e2f4c06ff0b2e737bf8714880")
+    head = (tmp_path / "trials.csv").read_text().split("\n", 1)[0]
+    assert head == f"# config_hash={json.loads(summary)['config_hash']}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--scheme", "r1"],
+    ["rate", "--scheme", "r2"],
+    ["cpuc", "--gamma", "0,1"],
+    ["simulate", "--scheme", "zero_rate", "--k", "4", "--alpha", "1.5", "--trials", "3",
+     "--seed", "1", "--out", "run"],
+], ids=["r1", "r2", "cpuc", "simulate"])
+def test_channel_without_noise_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps({"rows": [[0.9, 0.1], [0.1, 0.9]]}))
+    code, out, err = run_cli(capsys, argv + ["--channel", "json:w.json"])
+    assert code == 2 and out == ""
+    assert err == "error: channel 'json:w.json' has no noise input; pass --star\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]

@@ -22,6 +22,15 @@ from rates_oracle import (noiseless_search, overhead_search, overhead_stationari
                           pattern_rate_search)
 
 
+@pytest.mark.parametrize("rate", [
+    lambda w: intermittency_overhead(np.array([0.5, 0.5]), w, 1.5),
+    lambda w: pattern_decoding_rate(w, 1.5),
+], ids=["overhead", "r2"])
+def test_channel_without_noise_input_is_refused(rate):
+    with pytest.raises(ValueError, match="channel has no designated noise input"):
+        rate(Dmc([[0.9, 0.1], [0.1, 0.9]]))
+
+
 class TestExhaustiveRate:
     def test_alpha_one_is_capacity(self, bsc01):
         c = blahut_capacity(bsc01).capacity

@@ -1,6 +1,7 @@
 """Monte-Carlo channel simulator and the three decoders."""
 
 import math
+import re
 import sys
 import threading
 from dataclasses import astuple
@@ -69,6 +70,13 @@ def test_monte_carlo_refuses_fewer_than_one_message(scheme):
     cfg = SimConfig(k=4, alpha=1.5, trials=3, seed=1, mu=0.2)
     with pytest.raises(ValueError, match="n_messages=0"):
         monte_carlo_error(scheme, cfg, Dmc.bsc(0.05), n_messages=0)
+
+
+@pytest.mark.parametrize("scheme", ["zero_rate", "exhaustive", "pattern"])
+def test_monte_carlo_refuses_a_channel_without_noise_input(scheme):
+    cfg = SimConfig(k=4, alpha=1.5, trials=3, seed=1, mu=0.2)
+    with pytest.raises(ValueError, match="channel has no designated noise input"):
+        monte_carlo_error(scheme, cfg, Dmc([[0.9, 0.1], [0.1, 0.9]]))
 
 
 @pytest.mark.parametrize("alpha", [0.5, math.inf, math.nan])
@@ -497,3 +505,15 @@ class TestExactEnumeration:
             enumerate_exact_error(
                 k=2, n=3, codebook=np.array([[0, 1], [1, 0]]), w=bsc01, mu=0.05
             )
+
+
+def test_trial_streams_check_each_block_against_numpy():
+    # a wrong hash constant stands in for a numpy whose SeedSequence mixes
+    # differently: the first trial of every block is checked, so the second
+    # block refuses once the constant changes
+    with mock.patch.object(sim_mod, "_SEED_BLOCK", 2):
+        streams = sim_mod._trial_streams(3, 0, 5)
+        next(streams), next(streams)
+        with mock.patch.object(sim_mod, "_MIX_L", sim_mod._MIX_L ^ 1), \
+                pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
+            next(streams)
