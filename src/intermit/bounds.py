@@ -14,29 +14,6 @@ from .prob import Dmc, kl_divergence
 from .sim import negbinom_pmf
 
 
-@dataclass(frozen=True)
-class GenieBoundConfig:
-    """Parameters of the block-position genie: the receiver learns output
-    block boundaries spanning s+1 codeword symbols each; spans longer than
-    b_max are truncated into the closing correction term."""
-
-    s: int
-    b_max: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("genie span s must be >= 1")
-        if self.b_max < self.s:
-            raise ValueError("b_max must be >= s")
-        if not self.alpha >= 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-
-    @property
-    def p_t(self) -> float:
-        return 1.0 / self.alpha
-
-
 def z_pmf(z: int, s: int, p_t: float) -> float:
     """P(genie block span = z): the span covering s+1 codeword symbols equals
     z = b+1 with probability C(b, s) p_t^{s+1} (1-p_t)^{b-s}, for z >= s+1.
@@ -86,29 +63,38 @@ def z_quantile(s: int, p_t: float, tail: float = 1e-12) -> int:
     return hi
 
 
-def c1_upper(cfg: GenieBoundConfig, *, allow_large: bool = False) -> float:
+def c1_upper(s: int, b_max: int, alpha: float, *, allow_large: bool = False) -> float:
     """Genie-aided upper bound on the rate (bits per codeword symbol) from
-    revealing block positions:
+    revealing the output block boundaries of every s+1 codeword symbols,
+    with spans longer than b_max truncated into the closing term:
 
         1 - phi(s, b_max)/(s+1)
           + (1/(s+1)) sum_{b=s}^{b_max} C(b,s) p^{s+1} (1-p)^{b-s}
                                         (phi(s, b_max) - phi(s, b)),
 
-    where phi is the insertion-channel capacity loss and p = 1/alpha."""
-    p = cfg.p_t
-    phi_max = insertion_loss(cfg.s, cfg.b_max, allow_large=allow_large)
+    where phi is the insertion-channel capacity loss and p = 1/alpha.  Every
+    term of the sum vanishes as alpha -> infinity, so alpha = inf gives the
+    limit 1 - phi(s, b_max)/(s+1) without evaluating it."""
+    if s < 1:
+        raise ValueError("genie span s must be >= 1")
+    if b_max < s:
+        raise ValueError("b_max must be >= s")
+    if not alpha >= 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    p = 1.0 / alpha
+    phi_max = insertion_loss(s, b_max, allow_large=allow_large)
+    if p == 0.0:
+        return 1.0 - phi_max / (s + 1)
     acc = 0.0
-    for b in range(cfg.s, cfg.b_max + 1):
-        w = math.comb(b, cfg.s) * p ** (cfg.s + 1) * (1.0 - p) ** (b - cfg.s)
-        acc += w * (phi_max - insertion_loss(cfg.s, b, allow_large=allow_large))
-    return 1.0 - phi_max / (cfg.s + 1) + acc / (cfg.s + 1)
+    for b in range(s, b_max + 1):
+        w = math.comb(b, s) * p ** (s + 1) * (1.0 - p) ** (b - s)
+        acc += w * (phi_max - insertion_loss(s, b, allow_large=allow_large))
+    return 1.0 - phi_max / (s + 1) + acc / (s + 1)
 
 
 def c1_limit(s: int, b_max: int, *, allow_large: bool = False) -> float:
     """alpha -> infinity limit of `c1_upper`: 1 - phi(s, b_max)/(s+1)."""
-    if s < 1 or b_max < s:
-        raise ValueError("need 1 <= s <= b_max")
-    return 1.0 - insertion_loss(s, b_max, allow_large=allow_large) / (s + 1)
+    return c1_upper(s, b_max, math.inf, allow_large=allow_large)
 
 
 def c2_upper(s: int, alpha: float, *, allow_large: bool = False) -> float:

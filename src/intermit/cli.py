@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .blahut import blahut_capacity
-from .bounds import (CostModel, GenieBoundConfig, c1_limit, c1_upper, c2_upper,
-                     cpuc_lower, cpuc_upper)
+from .bounds import CostModel, c1_limit, c1_upper, c2_upper, cpuc_lower, cpuc_upper
 from .errors import SizeGuardError
 from .insertion import insertion_capacity, insertion_capacity_upper, insertion_counts
 from .partialdiv import partial_divergence
@@ -89,6 +88,14 @@ def _at_least(flag: str, value: int, low: int, low_name: str | None = None) -> N
     if value < low:
         bound = f"{low_name} = {low}" if low_name else str(low)
         raise UsageError(f"{flag} must be >= {bound}, got {value}")
+
+
+def _refuse(flags, applies: str, given_to: str) -> None:
+    """Refuse the first given flag of `flags`, (flag, given) pairs: it
+    applies to `applies` only."""
+    for flag, given in flags:
+        if given:
+            raise UsageError(f"{flag} applies to {applies} only, not to {given_to}")
 
 
 def _parse_alpha_grid(text: str) -> list:
@@ -180,13 +187,16 @@ def _cmd_partial_div(args) -> int:
 
 def _cmd_rate(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
+    channel = "bsc:0.1" if args.channel is None else args.channel
     rows = []
     if args.scheme == "insertion":
+        _refuse((("--channel", args.channel is not None), ("--star", args.star is not None)),
+                "r1 and r2", "insertion")
         for alpha in alphas:
             res = noiseless_binary_rate(alpha)
             rows.append((alpha, res.rate, res.beta, _fmt(res.p_zero)))
     else:
-        w = _parse_channel(args.channel, args.star)
+        w = _parse_channel(channel, args.star)
         if args.scheme == "r1":
             cap = blahut_capacity(w)
             for alpha in alphas:
@@ -197,7 +207,7 @@ def _cmd_rate(args) -> int:
                 res = pattern_decoding_rate(w, alpha)
                 beta = intermittency_overhead(res.input_dist.probs, w, alpha).beta_star
                 rows.append((alpha, res.rate, beta, _fmt_vec(res.input_dist.probs)))
-    _write_csv(args.out, "rate", {"scheme": args.scheme, "channel": args.channel,
+    _write_csv(args.out, "rate", {"scheme": args.scheme, "channel": channel,
                                   "star": args.star, "alpha_grid": args.alpha_grid},
                ("alpha", "rate", "beta_star", "p_star"), rows)
     return 0
@@ -250,20 +260,16 @@ def _cmd_upper_bound(args) -> int:
             raise UsageError("--alpha-grid cannot be combined with --limit, which emits alpha = inf only")
         bmax = 10 if args.bmax is None else args.bmax
         _at_least("--bmax", bmax, args.s, "--s")
-        rows = []
         if args.limit:
-            rows.append((args.s, bmax, "inf", c1_limit(args.s, bmax, allow_large=True)))
+            rows = [(args.s, bmax, "inf", c1_limit(args.s, bmax, allow_large=True))]
         else:
-            for alpha in _parse_alpha_grid(grid):
-                cfg = GenieBoundConfig(s=args.s, b_max=bmax, alpha=alpha)
-                rows.append((args.s, bmax, alpha, c1_upper(cfg, allow_large=True)))
+            rows = [(args.s, bmax, alpha, c1_upper(args.s, bmax, alpha, allow_large=True))
+                    for alpha in _parse_alpha_grid(grid)]
         _write_csv(args.out, "upper-bound-c1",
                    {"s": args.s, "bmax": bmax, "alpha_grid": grid, "limit": args.limit},
                    ("s", "b_max", "alpha", "bound"), rows)
     else:
-        for flag, given in (("--limit", args.limit), ("--bmax", args.bmax is not None)):
-            if given:
-                raise UsageError(f"{flag} applies to c1 only, not to c2")
+        _refuse((("--limit", args.limit), ("--bmax", args.bmax is not None)), "c1", "c2")
         rows = [(args.s, alpha, c2_upper(args.s, alpha, allow_large=True))
                 for alpha in _parse_alpha_grid(grid)]
         _write_csv(args.out, "upper-bound-c2", {"s": args.s, "alpha_grid": grid},
@@ -291,24 +297,30 @@ def _cmd_cpuc(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.scheme == "zero_rate":
+        _refuse((("--messages", args.messages is not None),), "exhaustive and pattern", "zero_rate")
+    else:
+        _refuse((("--epsilon", args.epsilon is not None),), "zero_rate", args.scheme)
+    messages = 2 if args.messages is None else args.messages
+    epsilon = 0.2 if args.epsilon is None else args.epsilon
     w = _parse_channel(args.channel, args.star)
     try:
         cfg = SimConfig(k=args.k, alpha=args.alpha, trials=args.trials,
-                        seed=args.seed, mu=args.mu, epsilon=args.epsilon)
+                        seed=args.seed, mu=args.mu, epsilon=epsilon)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    _at_least("--messages", args.messages, 1)
+    _at_least("--messages", messages, 1)
     params = {
         "scheme": args.scheme, "channel": args.channel, "star": args.star,
         "k": args.k, "alpha": args.alpha, "trials": args.trials,
-        "seed": args.seed, "mu": args.mu, "epsilon": args.epsilon,
-        "messages": args.messages, "leading_trailing": args.leading_trailing,
+        "seed": args.seed, "mu": args.mu, "epsilon": epsilon,
+        "messages": messages, "leading_trailing": args.leading_trailing,
     }
     if args.scheme != "zero_rate" and args.mu < 1.0 / (2 * args.k):
         print(f"warning: mu={args.mu:g} is below 1/(2k)={1.0 / (2 * args.k):g}; empirical "
               "frequencies move in steps of 1/k, so mu rather than the channel may "
               "decide the error rate", file=sys.stderr)
-    result = monte_carlo_error(args.scheme, cfg, w, n_messages=args.messages,
+    result = monte_carlo_error(args.scheme, cfg, w, n_messages=messages,
                                leading_and_trailing=args.leading_trailing)
     tripped = sum(o.choices_examined == 0 for o in result.outcomes)
     if tripped:
@@ -316,7 +328,7 @@ def _cmd_simulate(args) -> int:
               "and count as errors", file=sys.stderr)
     rows = [
         (t, o.n_received, -1 if o.decoded is None else o.decoded,
-         int(o.decoded == t % (2 if args.scheme == "zero_rate" else args.messages)),
+         int(o.decoded == t % messages),
          o.choices_examined)
         for t, o in enumerate(result.outcomes)
     ]
@@ -380,8 +392,7 @@ def _cmd_figures(args) -> int:
     rows = []
     for s in s_list:
         for alpha in galphas:
-            cfg = GenieBoundConfig(s=s, b_max=bmax, alpha=alpha)
-            rows.append((s, bmax, alpha, c1_upper(cfg)))
+            rows.append((s, bmax, alpha, c1_upper(s, bmax, alpha)))
     tables["genie_c1.csv"] = (("s", "b_max", "alpha", "bound"), rows,
                               {"s_list": s_list, "bmax": bmax, "alphas": galphas})
     s2_list = [2, 3] if fast else [2, 4, 6, 8, 10]
@@ -426,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rate", help="achievable-rate curve over alpha")
     sp.add_argument("--scheme", required=True, choices=["r1", "r2", "insertion"])
-    sp.add_argument("--channel", default="bsc:0.1",
-                    help="bsc:<p> | noiseless:<n> | json:<path>")
-    sp.add_argument("--star", type=int, default=None, help="noise input index")
+    sp.add_argument("--channel",
+                    help="r1 and r2 only: bsc:<p> | noiseless:<n> | json:<path> (default bsc:0.1)")
+    sp.add_argument("--star", type=int, help="r1 and r2 only: noise input index")
     sp.add_argument("--alpha-grid", default="1:2:0.1", help="lo:hi:step")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_rate)
@@ -471,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--mu", type=float, default=0.05)
-    sp.add_argument("--epsilon", type=float, default=0.2)
-    sp.add_argument("--messages", type=int, default=2)
+    sp.add_argument("--epsilon", type=float, help="zero_rate only (default 0.2)")
+    sp.add_argument("--messages", type=int, help="exhaustive and pattern only (default 2)")
     sp.add_argument("--leading-trailing", action="store_true",
                     help="also draw a trailing noise run after the last symbol")
     sp.add_argument("--out", required=True, help="output directory")

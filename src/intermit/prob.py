@@ -1,5 +1,5 @@
-"""Probability primitives: pmfs, discrete memoryless channels, divergences,
-empirical types and (conditional) typicality tests.
+"""Probability primitives: pmfs, discrete memoryless channels, divergences
+and (conditional) typicality tests.
 
 All information quantities are returned in bits.  Functions accept either the
 wrapper types defined here (`Pmf`, `Dmc`) or plain array-likes; the wrappers
@@ -9,7 +9,6 @@ validate on construction, raw arrays are taken as given.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,37 +52,6 @@ class Pmf:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.probs.size
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0.0)
-
-    @classmethod
-    def uniform(cls, n: int) -> "Pmf":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, index: int, n: int) -> "Pmf":
-        p = np.zeros(n)
-        p[index] = 1.0
-        return cls(p)
-
-    @classmethod
-    def from_json(cls, obj) -> "Pmf":
-        """Load from a dict {"probs": [...]} or its JSON string form."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(np.asarray(obj["probs"], dtype=float))
-
-    def to_json(self) -> dict:
-        return {"probs": self.probs.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Dmc:
@@ -121,9 +89,6 @@ class Dmc:
     def output_size(self) -> int:
         return self.rows.shape[1]
 
-    def row(self, x: int) -> np.ndarray:
-        return self.rows[x]
-
     def star_row(self) -> np.ndarray:
         if self.star is None:
             raise ValueError("channel has no designated noise input")
@@ -148,41 +113,6 @@ class Dmc:
             obj = json.loads(obj)
         star = obj.get("star")
         return cls(np.asarray(obj["rows"], dtype=float), star=star)
-
-    def to_json(self) -> dict:
-        d = {"rows": self.rows.tolist()}
-        if self.star is not None:
-            d["star"] = self.star
-        return d
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalType:
-    """Symbol counts of an observed sequence, with the sequence length."""
-
-    counts: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.min() < 0 or c.sum() != self.length or self.length <= 0:
-            raise ValueError("counts must be nonnegative and sum to the length")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def freqs(self) -> Pmf:
-        return Pmf(self.counts / self.length)
-
-
-def empirical_type(seq, alphabet_size: int) -> EmpiricalType:
-    """Count symbol occurrences of `seq` over {0, ..., alphabet_size-1}."""
-    s = np.asarray(seq, dtype=np.int64)
-    if s.size == 0:
-        raise ValueError("sequence must be nonempty")
-    if s.min() < 0 or s.max() >= alphabet_size:
-        raise ValueError("sequence contains out-of-alphabet symbols")
-    return EmpiricalType(np.bincount(s, minlength=alphabet_size), length=s.size)
 
 
 def entropy(p) -> float:
@@ -218,28 +148,6 @@ def kl_divergence(p, q) -> float:
         return float("inf")
     pm = pv[mask]
     return float((pm * np.log2(pm / qv[mask])).sum())
-
-
-def cond_divergence(w, wp, p) -> float:
-    """Conditional divergence D(W||W' | P) = sum_x P(x) D(W_x||W'_x) in bits.
-
-    Rows with P(x) = 0 contribute nothing even when their row divergence is
-    infinite.
-    """
-    wr = w.rows if isinstance(w, Dmc) else np.asarray(w, dtype=float)
-    wpr = wp.rows if isinstance(wp, Dmc) else np.asarray(wp, dtype=float)
-    if wr.shape != wpr.shape:
-        raise ValueError("channel matrices have different shapes")
-    pv = _vec(p)
-    if pv.size != wr.shape[0]:
-        raise ValueError("input distribution does not match channel input size")
-    total = 0.0
-    for x in np.flatnonzero(pv > 0.0):
-        d = kl_divergence(wr[x], wpr[x])
-        if math.isinf(d):
-            return float("inf")
-        total += pv[x] * d
-    return total
 
 
 def output_dist(p, w) -> Pmf:

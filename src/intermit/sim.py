@@ -15,13 +15,13 @@ trial]) for a block of _SEED_BLOCK = 1024 trials at once and loaded into one
 reused generator, a fraction of the cost of building a generator per trial.
 `monte_carlo_error` then passes the drawn trials through the channel in
 batches of at most _BATCH_SYMBOLS = 8192 received symbols, and decides
-zero-rate trials a batch at a time from their output counts.  Results are
-reproducible independently of the batching and of the worker count.  The
-sequence decoders keep the table of instant patterns of each (n, k) whose
-enumeration fits in one decoder chunk for the life of the process, and
-test a chunk of patterns at once with the patterns on the last, contiguous
-axis of every count array, so each typicality step runs over long vectors
-rather than over blocks of 2-4 numbers.
+zero-rate trials a batch at a time from their output counts.  Results do
+not depend on the batching.  The sequence decoders keep the table of
+instant patterns of each (n, k) whose enumeration fits in one decoder
+chunk for the life of the process, and test a chunk of patterns at once
+with the patterns on the last, contiguous axis of every count array, so
+each typicality step runs over long vectors rather than over blocks of 2-4
+numbers.
 """
 
 from __future__ import annotations
@@ -498,8 +498,9 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
 
     scheme: "zero_rate", "exhaustive", or "pattern".  Messages cycle
     deterministically over trials.  The zero-rate scheme sends the two
-    codewords of `zero_rate_codebook`; the pattern and exhaustive schemes
-    draw a fresh codebook of `n_messages` i.i.d. uniform codewords per trial.
+    codewords of `zero_rate_codebook`, so it refuses any other `n_messages`;
+    the pattern and exhaustive schemes draw a fresh codebook of `n_messages`
+    i.i.d. uniform codewords per trial.
     A trial whose C(n, k) instant patterns exceed ENUM_GUARD declares no
     message and counts as an error; its outcome records 0 choices examined,
     which no decoded trial does.
@@ -516,10 +517,9 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     w.star_row()  # refuses a channel without a noise input
     if n_messages < 1:
         raise ValueError(f"need at least one message, got n_messages={n_messages}")
-    if scheme == "zero_rate":
-        fixed_cb, n_msg = zero_rate_codebook(w, cfg.k), 2
-    else:
-        fixed_cb, n_msg = None, n_messages
+    if scheme == "zero_rate" and n_messages != 2:
+        raise ValueError(f"the zero-rate scheme sends two messages, got n_messages={n_messages}")
+    fixed_cb = zero_rate_codebook(w, cfg.k) if scheme == "zero_rate" else None
     # uniform, yet passed as p=: rng.choice draws other codewords without it
     pvec = np.full(w.input_size, 1.0 / w.input_size)
 
@@ -532,7 +532,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         lengths = np.array(ns)
         # every earlier trial has its outcome, so the batch's first trial is
         # len(outcomes)
-        sent = np.arange(len(outcomes), len(outcomes) + len(ns)) % n_msg
+        sent = np.arange(len(outcomes), len(outcomes) + len(ns)) % n_messages
         if fixed_cb is None:
             codewords = np.array(codebooks)[np.arange(len(ns)), sent]
         else:
@@ -566,7 +566,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     for rng in _trial_streams(cfg.seed, 0, cfg.trials):
         cb = None
         if fixed_cb is None:
-            cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
+            cb = rng.choice(w.input_size, size=(n_messages, cfg.k), p=pvec)
         steps = rng.geometric(p, size=cfg.k)
         n = int(steps.sum())
         if leading_and_trailing:
@@ -578,7 +578,7 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         pending += n
     run_batch()
 
-    errors = sum(o.decoded != t % n_msg for t, o in enumerate(outcomes))
+    errors = sum(o.decoded != t % n_messages for t, o in enumerate(outcomes))
     lo, hi = wilson_interval(errors, cfg.trials)
     return SimResult(
         error_rate=errors / cfg.trials,

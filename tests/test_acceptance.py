@@ -20,7 +20,6 @@ from insertion_oracle import uniform_insertion_channel
 from intermit import (
     CostModel,
     Dmc,
-    GenieBoundConfig,
     SimConfig,
     blahut_capacity,
     c1_limit,
@@ -223,7 +222,7 @@ def test_08_genie_bounds_dominate_achievable_rates(insertion_rate_curve):
     for alpha in np.round(np.arange(1.1, 2.001, 0.1), 10):
         alpha = float(alpha)
         rate = insertion_rate_curve[alpha]
-        b1 = c1_upper(GenieBoundConfig(s=3, b_max=10, alpha=alpha))
+        b1 = c1_upper(3, 10, alpha)
         b2 = c2_upper(3, alpha)
         assert rate < b1 <= 1.0, alpha
         assert rate < b2 <= 1.0, alpha

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intermit.bounds as bounds
 from intermit import (
     CostModel,
     Dmc,
-    GenieBoundConfig,
     c1_limit,
     c1_upper,
     c2_upper,
@@ -29,14 +29,13 @@ LOG2_9 = np.log2(9.0)
 
 
 def test_config_validation():
-    cfg = GenieBoundConfig(s=3, b_max=10, alpha=2.0)
-    assert cfg.p_t == 0.5
-    with pytest.raises(ValueError):
-        GenieBoundConfig(s=0, b_max=5, alpha=1.5)
-    with pytest.raises(ValueError):
-        GenieBoundConfig(s=5, b_max=4, alpha=1.5)
-    with pytest.raises(ValueError):
-        GenieBoundConfig(s=3, b_max=10, alpha=0.5)
+    for args, message in (((0, 5, 1.5), "s must be >= 1"), ((5, 4, 1.5), "b_max must be >= s"),
+                          ((3, 10, 0.5), "alpha must be >= 1"),
+                          ((3, 10, math.nan), "alpha must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            c1_upper(*args)
+    with pytest.raises(ValueError, match="b_max must be >= s"):
+        c1_limit(5, 4)
 
 
 class TestBlockLengthPmf:
@@ -111,21 +110,36 @@ class TestBlockLengthPmf:
 class TestFirstGenieBound:
     def test_no_intermittency_no_loss(self):
         for s in (2, 3, 5):
-            cfg = GenieBoundConfig(s=s, b_max=8, alpha=1.0)
-            assert c1_upper(cfg) == 1.0
+            assert c1_upper(s, 8, 1.0) == 1.0
 
     def test_frozen_values(self):
-        assert c1_upper(GenieBoundConfig(3, 10, 1.5)) == pytest.approx(
+        assert c1_upper(3, 10, 1.5) == pytest.approx(
             0.9059844301005351, abs=1e-9
         )
         assert c1_limit(3, 10) == pytest.approx(0.8407273969307965, abs=1e-9)
 
     def test_limit_bounds_the_sweep(self):
         lim = c1_limit(3, 10)
-        vals = [c1_upper(GenieBoundConfig(3, 10, a)) for a in (1.0, 1.5, 2.0, 4.0)]
+        vals = [c1_upper(3, 10, a) for a in (1.0, 1.5, 2.0, 4.0)]
         assert np.all(np.diff(vals) <= 1e-12)
         assert all(v >= lim - 1e-12 for v in vals)
         assert all(v <= 1.0 for v in vals)
+
+    @pytest.mark.parametrize("s, b_max", [(2, 6), (3, 10), (5, 12), (9, 17)])
+    def test_infinite_alpha_is_the_limit(self, s, b_max, monkeypatch):
+        # every term of the b sum vanishes, so only phi(s, b_max) is asked for
+        asked = []
+
+        def loss(a, b, **kwargs):
+            asked.append((a, b))
+            return insertion_loss(a, b, **kwargs)
+
+        monkeypatch.setattr(bounds, "insertion_loss", loss)
+        value = c1_upper(s, b_max, math.inf, allow_large=True)
+        assert asked == [(s, b_max)]
+        assert value == c1_limit(s, b_max, allow_large=True)
+        assert value == 1.0 - insertion_loss(s, b_max, allow_large=True) / (s + 1)
+        assert value == pytest.approx(c1_upper(s, b_max, 1e12, allow_large=True), abs=1e-9)
 
 
 class TestSecondGenieBound:
@@ -155,7 +169,7 @@ def test_pattern_rate_below_both_genie_bounds(alpha, window):
     # converse bound on its capacity; R2 is certified to 1e-9 bits
     s, b_max = window
     rate = pattern_decoding_rate(Dmc.identity(2), alpha).rate
-    assert rate <= c1_upper(GenieBoundConfig(s, b_max, alpha)) + 1e-9
+    assert rate <= c1_upper(s, b_max, alpha) + 1e-9
     assert rate <= c2_upper(s, alpha) + 1e-9
 
 
@@ -197,12 +211,12 @@ class TestCostCapacity:
     def test_ppm_burst_length(self, bsc01):
         cost = CostModel(gamma=(0.0, 1.0), star=0)
         # at alpha = 1 the scheme's exponent is the plain divergence
-        d1 = kl_divergence(bsc01.row(1), bsc01.star_row())
+        d1 = kl_divergence(bsc01.rows[1], bsc01.star_row())
         expect1 = 2.0 * np.log2(16.0) / d1
         assert ppm_burst_length(bsc01, cost, 1.0, 16) == pytest.approx(expect1, abs=1e-9)
         # at alpha > 1 the burst dilutes the paid symbol into the noise row
         alpha = 2.0
-        mix = bsc01.row(1) / alpha + (1 - 1 / alpha) * bsc01.star_row()
+        mix = bsc01.rows[1] / alpha + (1 - 1 / alpha) * bsc01.star_row()
         d2 = kl_divergence(mix, bsc01.star_row())
         expect2 = 2.0 * np.log2(16.0) / (alpha * d2)
         assert ppm_burst_length(bsc01, cost, alpha, 16) == pytest.approx(expect2, abs=1e-9)

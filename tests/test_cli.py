@@ -165,6 +165,11 @@ def test_upper_bound_c1_limit(capsys):
     assert header == ["s", "b_max", "alpha", "bound"]
     assert rows[0][2] == "inf"
     assert float(rows[0][3]) == pytest.approx(c1_limit(3, 8), abs=1e-12)
+    # the sweep at alpha = inf prints the same row
+    code, out, _ = run_cli(capsys, ["upper-bound", "c1", "--s", "3", "--bmax", "8",
+                                    "--alpha-grid", "inf"])
+    assert code == 0
+    assert parse_csv(out)[1] == rows
 
 
 def test_upper_bound_c2(capsys):
@@ -460,6 +465,9 @@ def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+SIM_ARGS = ["--k", "5", "--alpha", "1.3", "--trials", "10", "--seed", "3", "--mu", "0.2"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["upper-bound", "c2", "--s", "3", "--limit", "--alpha-grid", "1:2:0.5"],
      "--limit applies to c1 only, not to c2"),
@@ -468,10 +476,25 @@ def test_out_of_range_sizes_are_usage_errors(capsys, tmp_path, argv, flag):
      "--alpha-grid cannot be combined with --limit"),
     (["aux-g", "--a", "3", "--b", "5", "--grid-b", "2"], "--a and --b cannot be combined with --grid-b"),
     (["aux-g", "--b", "5", "--grid-b", "2"], "--b cannot be combined with --grid-b"),
-], ids=["c2-limit", "c2-bmax", "c1-limit-alpha-grid", "aux-g-pair-grid-b", "aux-g-b-grid-b"])
+    (["rate", "--scheme", "insertion", "--channel", "bsc:0.1"],
+     "--channel applies to r1 and r2 only, not to insertion"),
+    (["rate", "--scheme", "insertion", "--channel", "json:/nonexistent"],
+     "--channel applies to r1 and r2 only, not to insertion"),
+    (["rate", "--scheme", "insertion", "--star", "1"],
+     "--star applies to r1 and r2 only, not to insertion"),
+    (["simulate", "--scheme", "zero_rate", "--messages", "5"] + SIM_ARGS,
+     "--messages applies to exhaustive and pattern only, not to zero_rate"),
+    (["simulate", "--scheme", "pattern", "--epsilon", "0.3"] + SIM_ARGS,
+     "--epsilon applies to zero_rate only, not to pattern"),
+    (["simulate", "--scheme", "exhaustive", "--epsilon", "0.3"] + SIM_ARGS,
+     "--epsilon applies to zero_rate only, not to exhaustive"),
+], ids=["c2-limit", "c2-bmax", "c1-limit-alpha-grid", "aux-g-pair-grid-b", "aux-g-b-grid-b",
+        "insertion-channel", "insertion-bad-channel", "insertion-star", "zero-rate-messages",
+        "pattern-epsilon", "exhaustive-epsilon"])
 def test_flags_that_do_not_apply_are_usage_errors(capsys, tmp_path, argv, message):
     # these used to be ignored: c2 printed its alpha sweep, aux-g the b <= 2
-    # triangle without the (3, 5) pair, both with exit 0
+    # triangle without the (3, 5) pair, both with exit 0; rate and simulate
+    # wrote the default's rows under another config hash
     out_file = tmp_path / "out.csv"
     code, out, err = run_cli(capsys, argv + ["--out", str(out_file)])
     assert code == 2

@@ -31,7 +31,7 @@ print(sorted(HEAVY & set(sys.modules)))
 w = intermit.Dmc.bsc(0.05)
 # alpha = 2.5 puts R2 on its binding case, which computes per-input offsets
 intermit.pattern_decoding_rate(w, 2.5)
-intermit.c1_upper(intermit.GenieBoundConfig(3, 10, 1.5))
+intermit.c1_upper(3, 10, 1.5)
 rng = np.random.default_rng(1)
 codebook = rng.integers(0, 2, size=(4, 6))
 y = rng.integers(0, 2, size=9)

@@ -13,9 +13,7 @@ from intermit import (
     Dmc,
     Pmf,
     binary_entropy,
-    cond_divergence,
     cond_typical_rows,
-    empirical_type,
     entropy,
     is_cond_typical,
     is_typical,
@@ -32,7 +30,7 @@ class TestPmf:
     def test_basic(self):
         p = Pmf(np.array([0.3, 0.7]))
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
-        assert len(p) == 2
+        assert p.probs.size == 2
 
     def test_renormalizes_small_drift(self):
         p = Pmf(np.array([0.3, 0.7 + 3e-10]))
@@ -51,18 +49,10 @@ class TestPmf:
         assert p.probs[1] == 0.0
 
     def test_immutable(self):
-        p = Pmf.uniform(3)
+        p = Pmf(np.full(3, 1.0 / 3.0))
         with pytest.raises(ValueError):
             p.probs[0] = 0.5
 
-    def test_point_mass(self):
-        p = Pmf.point_mass(2, 4)
-        assert p.probs.tolist() == [0.0, 0.0, 1.0, 0.0]
-
-    def test_json_round_trip(self):
-        p = Pmf(np.array([0.25, 0.5, 0.25]))
-        q = Pmf.from_json(json.loads(json.dumps(p.to_json())))
-        assert np.array_equal(p.probs, q.probs)
 
 
 class TestDmc:
@@ -70,8 +60,8 @@ class TestDmc:
         w = Dmc.bsc(0.1)
         assert w.rows.shape == (2, 2)
         assert w.star == 0
-        assert np.array_equal(w.row(0), [0.9, 0.1])
-        assert np.array_equal(w.star_row(), w.row(0))
+        assert np.array_equal(w.rows[0], [0.9, 0.1])
+        assert np.array_equal(w.star_row(), w.rows[0])
 
     def test_identity(self):
         w = Dmc.identity(3, star=1)
@@ -88,17 +78,20 @@ class TestDmc:
 
     def test_json_round_trip(self):
         w = Dmc.bsc(0.3, star=1)
-        w2 = Dmc.from_json(json.loads(json.dumps(w.to_json())))
-        assert np.array_equal(w.rows, w2.rows)
-        assert w2.star == 1
+        # through the JSON text `--channel json:<path>` reads, and its dict
+        text = json.dumps({"rows": w.rows.tolist(), "star": w.star})
+        for obj in (text, json.loads(text)):
+            w2 = Dmc.from_json(obj)
+            assert np.array_equal(w.rows, w2.rows)
+            assert w2.star == 1
 
 
 def test_entropy_uniform():
-    assert entropy(Pmf.uniform(8)) == pytest.approx(3.0, abs=1e-12)
+    assert entropy(Pmf(np.full(8, 0.125))) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_entropy_point_mass_zero():
-    assert entropy(Pmf.point_mass(0, 5)) == 0.0
+    assert entropy(Pmf(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))) == 0.0
 
 
 @pytest.mark.parametrize("p", [[0.5, 0.7], [1.2, -0.2], []])
@@ -152,20 +145,6 @@ def test_mutual_information_with_subnormal_input_mass():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
     value = mutual_information([1.0, 1e-316], w)
     assert 0.0 <= value < 1e-300
-
-
-def test_cond_divergence_skips_zero_rows():
-    w = Dmc.bsc(0.2)
-    wp = Dmc.bsc(0.3)
-    d = cond_divergence(w, wp, [1.0, 0.0])
-    assert d == pytest.approx(kl_divergence([0.8, 0.2], [0.7, 0.3]), abs=1e-12)
-
-
-def test_empirical_type():
-    t = empirical_type([0, 1, 1, 2, 1], 4)
-    assert t.counts.tolist() == [1, 3, 1, 0]
-    assert t.length == 5
-    assert np.allclose(t.freqs.probs, [0.2, 0.6, 0.2, 0.0])
 
 
 def test_is_typical_exact_type():

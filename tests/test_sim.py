@@ -72,6 +72,14 @@ def test_monte_carlo_refuses_fewer_than_one_message(scheme):
         monte_carlo_error(scheme, cfg, Dmc.bsc(0.05), n_messages=0)
 
 
+@pytest.mark.parametrize("n_messages", [1, 3])
+def test_zero_rate_refuses_other_than_two_messages(n_messages):
+    # the zero-rate codebook has two codewords; other counts used to be ignored
+    cfg = SimConfig(k=4, alpha=1.5, trials=3, seed=1)
+    with pytest.raises(ValueError, match=f"two messages, got n_messages={n_messages}"):
+        monte_carlo_error("zero_rate", cfg, Dmc.bsc(0.05), n_messages=n_messages)
+
+
 @pytest.mark.parametrize("scheme", ["zero_rate", "exhaustive", "pattern"])
 def test_monte_carlo_refuses_a_channel_without_noise_input(scheme):
     cfg = SimConfig(k=4, alpha=1.5, trials=3, seed=1, mu=0.2)
