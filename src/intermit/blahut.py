@@ -65,7 +65,7 @@ def _as_matrix(w):
     m = np.asarray(w, dtype=float)
     if m.ndim != 2:
         raise ValueError("channel matrix must be 2-D")
-    if np.abs(m.sum(axis=1) - 1.0).max() > RENORM_TOL:
+    if not np.abs(m.sum(axis=1) - 1.0).max() <= RENORM_TOL:  # NaN fails it
         raise ValueError("channel rows must each sum to 1")
     return m
 
@@ -151,17 +151,12 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     m = _as_matrix(w)
     shape = m.shape
     nin = m.shape[0]
-    is_sparse = _issparse(m)
     offset = None if offset is None else np.asarray(offset, dtype=float) * _LN2
 
     def bounds(r):
         """rW, D(W_x || rW) + b(x) in nats for every input x, and I + r.b."""
-        t = m.T.dot(r) if is_sparse else r @ m
-        logt = np.log(t)
-        if is_sparse:
-            d = row_ent - np.asarray(m.dot(logt)).ravel()
-        else:
-            d = row_ent - m @ logt
+        t = r @ m
+        d = row_ent - m @ np.log(t)
         if offset is not None:
             d = d + offset
         return t, d, float(r @ d)
@@ -182,7 +177,7 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     # probability under rW underflows to 0 makes the bounds NaN, which is
     # refused below: neither may warn
     with np.errstate(divide="ignore", invalid="ignore"):
-        if is_sparse:
+        if _issparse(m):
             col_mass = np.asarray(m.sum(axis=0)).ravel()
             m = m[:, col_mass > 0.0].tocsr()
             logm = m.copy()

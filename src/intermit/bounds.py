@@ -131,8 +131,8 @@ class CostModel:
         g = np.array(self.gamma, dtype=float)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("cost vector must be a nonempty 1-D vector")
-        if g.min() < 0.0:
-            raise ValueError("costs must be nonnegative")
+        if not g.min() >= 0.0:  # NaN fails it
+            raise ValueError("costs must be nonnegative numbers")
         if not 0 <= self.star < g.size:
             raise ValueError(f"star index {self.star} out of range")
         if g[self.star] != 0.0:

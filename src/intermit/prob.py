@@ -42,11 +42,12 @@ class Pmf:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("pmf must be a nonempty 1-D vector")
-        if p.min() < -SUM_TOL:
-            raise ValueError(f"pmf has negative entry {p.min()}")
+        # the comparisons are written so that NaN fails them
+        if not p.min() >= -SUM_TOL:
+            raise ValueError(f"pmf has negative or NaN entry {p.min()}")
         np.clip(p, 0.0, None, out=p)
         s = p.sum()
-        if abs(s - 1.0) > RENORM_TOL:
+        if not abs(s - 1.0) <= RENORM_TOL:
             raise ValueError(f"pmf sums to {s}, outside renormalization tolerance")
         p /= s
         p.setflags(write=False)
@@ -68,11 +69,12 @@ class Dmc:
         w = np.array(self.rows, dtype=float)
         if w.ndim != 2 or w.size == 0:
             raise ValueError("channel matrix must be 2-D and nonempty")
-        if w.min() < -SUM_TOL:
-            raise ValueError(f"channel matrix has negative entry {w.min()}")
+        # the comparisons are written so that NaN fails them
+        if not w.min() >= -SUM_TOL:
+            raise ValueError(f"channel matrix has negative or NaN entry {w.min()}")
         np.clip(w, 0.0, None, out=w)
         sums = w.sum(axis=1)
-        if np.abs(sums - 1.0).max() > RENORM_TOL:
+        if not np.abs(sums - 1.0).max() <= RENORM_TOL:
             bad = int(np.abs(sums - 1.0).argmax())
             raise ValueError(f"channel row {bad} sums to {sums[bad]}")
         w /= sums[:, None]
@@ -175,28 +177,6 @@ def mutual_information(p, w) -> float:
     return total
 
 
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, term for term in the order in which numpy's
-    add.reduce sums a contiguous row (its pairwise summation): in order below
-    8 terms; up to 128 terms in 8 interleaved partial sums joined as a tree,
-    then the rest in order; above that, the two halves apart.  So a sum along
-    an outer axis rounds exactly as the same sum along the inner one."""
-    n = a.shape[0]
-    if n < 8:
-        return a.sum(axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    part = a[:8].copy()
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        part += a[i:i + 8]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-    for i in range(tail, n):
-        total += a[i]
-    return total
-
-
 def typical_rows(counts, p, mu: float) -> np.ndarray:
     """Strong typicality of each row of symbol counts: max_x |Phat(x) - P(x)|
     <= mu, where Phat is the row divided by its total.
@@ -223,15 +203,17 @@ def typical_rows(counts, p, mu: float) -> np.ndarray:
 
 def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     """Conditional typicality under channel W of each block of joint counts:
-    max_{a,b} |Phat_{x,y}(a,b) - Phat_x(a) W(b|a)| <= mu, where the hatted
-    frequencies are the block divided by its total.
+    max_{a,b} |Phat_{x,y}(a,b) - Phat_x(a) W(b|a)| <= mu, where
+    Phat_{x,y}(a,b) = N(a,b)/L and Phat_x(a) = (sum_b N(a,b))/L for a block
+    of L = sum_{a,b} N(a,b) pairs.
 
     `joint_counts` has shape (..., |X|, |Y|), indexed [x, y], and holds
     integers; the result has the leading shape.  An empty block is typical.
     As in `typical_rows`, the counts are taken (|X|, |Y|) first, from a
-    transposed view without a copy; the marginal Phat_x is summed in the
-    order of a contiguous row of |Y| frequencies, so every bit, and every
-    decision on a tie with mu, is that of the blocks taken one at a time.
+    transposed view without a copy.  Every sum is of integers, so exact, and
+    each deviation takes the definition's own steps, N(a,b)/L less
+    (N(a)/L) W(b|a): a decision on a tie with mu is the definition's, on any
+    numpy.
     """
     if not mu > 0.0:  # NaN included
         raise ValueError(f"typicality slack mu must be positive, got {mu}")
@@ -240,11 +222,18 @@ def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     if c.shape[-2:] != wr.shape:
         raise ValueError("joint counts do not match the channel shape")
     c = np.ascontiguousarray(c.transpose(c.ndim - 2, c.ndim - 1, *range(c.ndim - 2)))
-    length = c.sum(axis=(0, 1))  # integers: exact in any order
-    joint = c / np.maximum(length, 1)
-    marg = _pairwise_sum(joint.swapaxes(0, 1))
-    dev = np.abs(joint - marg[:, None] * wr.reshape(wr.shape + (1,) * (c.ndim - 2)))
-    return (dev.max(axis=(0, 1)) <= mu) | (length == 0)
+    row_totals = c.sum(axis=1)  # integers: exact in any order
+    length = row_totals.sum(axis=0)
+    scale = np.maximum(length, 1)
+    dev = c / scale
+    dev -= (row_totals / scale)[:, None] * wr.reshape(wr.shape + (1,) * (c.ndim - 2))
+    return (np.abs(dev).max(axis=(0, 1)) <= mu) | (length == 0)
+
+
+def _check_symbols(a: np.ndarray, size: int) -> None:
+    """Refuse a symbol array with an entry outside {0, ..., size-1}."""
+    if a.size and (a.min() < 0 or a.max() >= size):
+        raise ValueError("sequence contains out-of-alphabet symbols")
 
 
 def is_typical(seq, p, mu: float) -> bool:
@@ -252,8 +241,7 @@ def is_typical(seq, p, mu: float) -> bool:
     counts."""
     pv = _vec(p)
     s = np.asarray(seq, dtype=np.int64)
-    if s.size and (s.min() < 0 or s.max() >= pv.size):
-        raise ValueError("sequence contains out-of-alphabet symbols")
+    _check_symbols(s, pv.size)
     return bool(typical_rows(np.bincount(s, minlength=pv.size), pv, mu))
 
 
@@ -266,7 +254,7 @@ def is_cond_typical(y, x, w, mu: float) -> bool:
     if xs.shape != ys.shape:
         raise ValueError("x and y sequences must have equal length")
     nin, nout = wr.shape
-    if xs.size and (xs.min() < 0 or xs.max() >= nin or ys.min() < 0 or ys.max() >= nout):
-        raise ValueError("sequence contains out-of-alphabet symbols")
+    _check_symbols(xs, nin)
+    _check_symbols(ys, nout)
     joint = np.bincount((xs * nout + ys).ravel(), minlength=nin * nout).reshape(nin, nout)
     return bool(cond_typical_rows(joint, wr, mu))

@@ -37,8 +37,8 @@ from .errors import SizeGuardError
 # is_typical and is_cond_typical are not called here; they stay importable
 # as intermit.sim.is_typical and .is_cond_typical, where perfbench/layers.py
 # wraps them.
-from .prob import (Dmc, _vec, cond_typical_rows, is_cond_typical,  # noqa: F401
-                   is_typical, kl_divergence, typical_rows)
+from .prob import (Dmc, _check_symbols, _vec, cond_typical_rows,  # noqa: F401
+                   is_cond_typical, is_typical, kl_divergence, typical_rows)
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
 # entries a decoder chunk holds at most: its patterns' one-hot outputs and
@@ -211,11 +211,6 @@ class DecodeResult:
     choices_examined: int
     second_stage_checks: int
     typicality_checks: int
-
-
-def _check_symbols(a: np.ndarray, size: int) -> None:
-    if a.size and (a.min() < 0 or a.max() >= size):
-        raise ValueError("sequence contains out-of-alphabet symbols")
 
 
 def _place(codewords: np.ndarray, steps: np.ndarray, lengths: np.ndarray, star: int) -> np.ndarray:
@@ -487,8 +482,14 @@ def decode_pattern(y, k: int, codebook, w: Dmc, mu: float, input_dist) -> Decode
     """Two-stage decoder: a subset enters the second (codeword-matching)
     stage only if its subsequence is typical for the output marginal PW and
     the remaining symbols are typical for the noise output.  As with the
-    exhaustive decoder, success requires a unique witnessed message."""
-    return _decode(y, k, codebook, w, mu, gate=(_vec(input_dist) @ w.rows, w.star_row()))
+    exhaustive decoder, success requires a unique witnessed message.
+
+    PW = sum_x P(x) W_x is summed in input order, as the definition reads,
+    so a tie with mu is decided by the channel and not by a BLAS build."""
+    p = _vec(input_dist)
+    if p.shape != (w.input_size,):
+        raise ValueError("input distribution does not match channel input size")
+    return _decode(y, k, codebook, w, mu, gate=((p[:, None] * w.rows).sum(axis=0), w.star_row()))
 
 
 def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 2,

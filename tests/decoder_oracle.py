@@ -1,6 +1,7 @@
 """The enumeration decoders one instant pattern and one message at a time,
-with the per-sequence typicality arithmetic written out: the cross-check for
-the chunked decoder in `intermit.sim`.  `enumerate_exact_error` drives the
+with the typicality tests written out as their definitions read: the
+cross-check for the chunked decoder in `intermit.sim`, and for the batched
+tests of `intermit.prob`.  `enumerate_exact_error` drives the
 package decoders through every instant pattern of a tiny instance and
 returns their exact error probabilities."""
 
@@ -13,22 +14,35 @@ import numpy as np
 from intermit.sim import decode_exhaustive, decode_pattern
 
 
+def deviation(seq, p) -> float:
+    """max_x |Phat(x) - P(x)| of a nonempty sequence, Phat(x) = N(x)/L."""
+    s = np.asarray(seq, dtype=np.int64)
+    return float(np.abs(np.bincount(s, minlength=p.size) / s.size - p).max())
+
+
+def cond_deviation(y, x, rows) -> float:
+    """max_{a,b} |Phat(a,b) - Phat(a) W(b|a)| over the nonempty pairs
+    (x_i, y_i), with Phat(a,b) = N(a,b)/L and the marginal taken from the
+    counts, Phat(a) = (sum_b N(a,b))/L."""
+    counts = np.zeros(rows.shape, dtype=np.int64)
+    np.add.at(counts, (np.asarray(x), np.asarray(y)), 1)
+    size = len(x)
+    return float(np.abs(counts / size - (counts.sum(axis=1) / size)[:, None] * rows).max())
+
+
 def typical(seq, p, mu: float) -> bool:
     """max_x |Phat(x) - P(x)| <= mu; an empty sequence is typical."""
-    s = np.asarray(seq, dtype=np.int64)
-    if s.size == 0:
-        return True
-    freq = np.bincount(s, minlength=p.size) / s.size
-    return bool(np.abs(freq - p).max() <= mu)
+    return len(seq) == 0 or deviation(seq, p) <= mu
 
 
 def cond_typical(y, x, rows, mu: float) -> bool:
-    """max_{a,b} |Phat(a,b) - Phat(a) W(b|a)| <= mu over the pairs (x_i, y_i)."""
-    joint = np.zeros(rows.shape)
-    np.add.at(joint, (np.asarray(x), np.asarray(y)), 1.0)
-    joint /= len(x)
-    marg = joint.sum(axis=1)
-    return bool(np.abs(joint - marg[:, None] * rows).max() <= mu)
+    """max_{a,b} |Phat(a,b) - Phat(a) W(b|a)| <= mu; no pairs are typical."""
+    return len(x) == 0 or cond_deviation(y, x, rows) <= mu
+
+
+def output_law(input_probs, rows) -> np.ndarray:
+    """PW = sum_x P(x) W_x, added in input order."""
+    return sum(p * row for p, row in zip(np.asarray(input_probs, dtype=float), rows))
 
 
 def decode(y, k: int, codebook, w, mu: float, input_probs=None):
@@ -38,7 +52,7 @@ def decode(y, k: int, codebook, w, mu: float, input_probs=None):
     ys = np.asarray(y, dtype=np.int64)
     cb = np.asarray(codebook, dtype=np.int64)
     if input_probs is not None:
-        pw = np.asarray(input_probs, dtype=float) @ w.rows
+        pw = output_law(input_probs, w.rows)
         star_row = w.star_row()
     examined = second = checks = 0
     witnessed = []

@@ -51,6 +51,11 @@ def test_sparse_matches_dense():
     assert sp == pytest.approx(dense, abs=1e-9)
 
 
+def test_raw_matrix_with_nan_is_refused():
+    with pytest.raises(ValueError, match="rows must each sum to 1"):
+        blahut_capacity(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+
 def test_all_zero_output_column_pruned():
     m = np.array([[0.5, 0.0, 0.5], [0.1, 0.0, 0.9]])
     res = blahut_capacity(m)

@@ -207,6 +207,8 @@ class TestCostCapacity:
             CostModel(gamma=(0.5, 1.0), star=0)  # star must cost nothing
         with pytest.raises(ValueError):
             CostModel(gamma=(0.0, -1.0), star=0)
+        with pytest.raises(ValueError, match="costs must be nonnegative numbers"):
+            CostModel(gamma=(0.0, float("nan")), star=0)  # used to pass
 
     def test_ppm_burst_length(self, bsc01):
         cost = CostModel(gamma=(0.0, 1.0), star=0)

@@ -56,7 +56,9 @@ def test_partial_div_deterministic_output(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("p, q", [("0.5,0.7", "0.5,0.5"), ("0.5,0.5", "1.5,-0.5")])
+# a NaN entry used to pass the pmf check and fail later, with exit 1
+@pytest.mark.parametrize("p, q", [("0.5,0.7", "0.5,0.5"), ("0.5,0.5", "1.5,-0.5"),
+                                  ("nan,1", "0.5,0.5")])
 def test_partial_div_rejects_non_pmf(capsys, p, q):
     code, out, err = run_cli(capsys, ["partial-div", "--p", p, "--q", q, "--rho-grid", "0.5"])
     assert code == 2
@@ -290,7 +292,7 @@ def test_pinned_simulate_trials_bytes(capsys, tmp_path, argv, digest):
 
 
 # a 3-input, 9-output channel: the conditional typicality test sums a
-# row of 9 joint frequencies, which numpy does pairwise
+# row of 9 joint counts for each input's marginal
 CHANNEL_3X9 = {"rows": [[0.6, 0.2, 0.1, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01],
                         [0.02, 0.02, 0.1, 0.6, 0.2, 0.02, 0.02, 0.01, 0.01],
                         [0.01, 0.01, 0.02, 0.02, 0.02, 0.1, 0.2, 0.02, 0.6]], "star": 0}
@@ -500,6 +502,22 @@ def test_flags_that_do_not_apply_are_usage_errors(capsys, tmp_path, argv, messag
     assert code == 2
     assert out == "" and err.startswith(f"error: {message}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--scheme", "r1", "--channel", "json:nan.json", "--alpha-grid", "1.5"],
+     "cannot build channel from 'json:nan.json': channel matrix has negative or NaN entry nan"),
+    (["cpuc", "--gamma", "0,nan", "--alpha-grid", "1.5"], "costs must be nonnegative numbers"),
+], ids=["rate-channel", "cpuc-gamma"])
+def test_nan_inputs_are_usage_errors(capsys, tmp_path, monkeypatch, argv, message):
+    # these used to pass validation: rate printed "1.5,0,nan,0.5|0.5" and
+    # cpuc "1.5,nan,nan", both with exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text('{"rows": [[NaN, 1], [0.5, 0.5]], "star": 0}')
+    code, out, err = run_cli(capsys, argv + ["--out", "out.csv"])
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["nan.json"]
 
 
 def test_aux_g_dump_channel_creates_its_directories(capsys, tmp_path, monkeypatch):

@@ -4,11 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import typicality_oracle
-from decoder_oracle import cond_typical, typical
+from decoder_oracle import cond_deviation, cond_typical, deviation, typical
 from intermit import (
     Dmc,
     Pmf,
@@ -53,6 +52,11 @@ class TestPmf:
         with pytest.raises(ValueError):
             p.probs[0] = 0.5
 
+    def test_rejects_nan(self):
+        # it used to pass both checks and become [nan, nan]
+        with pytest.raises(ValueError, match="NaN entry nan"):
+            Pmf(np.array([np.nan, 1.0]))
+
 
 
 class TestDmc:
@@ -71,6 +75,10 @@ class TestDmc:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             Dmc(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN entry nan"):
+            Dmc(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
     def test_rejects_bad_star(self):
         with pytest.raises(ValueError):
@@ -165,6 +173,17 @@ def test_is_cond_typical():
     assert not is_cond_typical([1, 1, 1], [0, 1, 1], w, mu=0.05)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: is_typical([0, 2], [0.5, 0.5], mu=0.1),
+    lambda: is_typical([-1], [0.5, 0.5], mu=0.1),
+    lambda: is_cond_typical([0, 1], [0, 2], Dmc.identity(2), mu=0.1),
+    lambda: is_cond_typical([0, 2], [0, 1], Dmc.identity(2), mu=0.1),
+], ids=["seq-high", "seq-negative", "x-high", "y-high"])
+def test_typicality_refuses_out_of_alphabet_symbols(call):
+    with pytest.raises(ValueError, match="sequence contains out-of-alphabet symbols"):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 6), st.integers(1, 4),
        st.sampled_from([0.25, 1 / 3, 0.5, 0.1, 1 / 6]), st.integers(0, 2**32 - 1))
@@ -203,33 +222,42 @@ def count_cases(draw):
     return w, joint, joint.sum(axis=-2), law
 
 
+# a 1 x 6 block of 10 pairs whose marginal is 10/10 = 1, so output 3, never
+# received, deviates by exactly W(3|0) = 0.3; summing the six frequencies
+# instead gives 1.0000000000000002 and a deviation above 0.3
+_TIE_ROW = Dmc(np.array([[0.06, 0.07, 0.26, 0.3, 0.17, 0.14]]))
+_TIE_JOINT = np.array([[[1, 2, 3, 0, 3, 1]]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(count_cases())
-def test_row_typicality_matches_the_last_axis_arithmetic(case):
-    # the tests take the counts symbols first; every bit of the frequencies,
-    # the marginal and the deviations must be that of the arithmetic along
-    # the last axes, so mu runs over the blocks' own deviations: each one
-    # sits on a tie.  |Y| >= 8 puts the marginal past numpy's pairwise
-    # summation threshold.
+@example((_TIE_ROW, _TIE_JOINT, _TIE_JOINT.sum(axis=-2), _TIE_ROW.rows[0]))
+def test_row_typicality_matches_the_definition(case):
+    # each block is decided as the per-sequence definition decides it, with
+    # mu running over the blocks' own deviations there: each one sits on a
+    # tie.  The counts are given as integers, as floats and as the
+    # transposed views the decoder passes.
     w, joint, counts, law = case
-    freq = joint / np.maximum(joint.sum(axis=(-2, -1), keepdims=True), 1)
-    marg = freq.sum(axis=-1)
-    cond_dev = np.abs(freq - marg[..., None] * w.rows).max(axis=(-2, -1))
-    out = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
-    dev = np.abs(out - law).max(axis=-1)
+    nin, nout = w.rows.shape
+    lead = counts.shape[:-1]
+    cond_dev, dev = np.full(lead, np.nan), np.full(lead, np.nan)  # NaN: empty block
+    for i in np.ndindex(lead):
+        if counts[i].sum():
+            dev[i] = deviation(np.repeat(np.arange(nout), counts[i]), law)
+            pairs = np.repeat(np.arange(nin * nout), joint[i].ravel())
+            cond_dev[i] = cond_deviation(pairs % nout, pairs // nout, w.rows)
     ties = {float(d) for d in np.concatenate([np.ravel(cond_dev), np.ravel(dev)]) if d > 0}
-    # the decoder holds its counts symbols first and passes transposed views
     ct = np.moveaxis(np.ascontiguousarray(np.moveaxis(counts, -1, 0)), 0, -1)
     jt = np.moveaxis(np.ascontiguousarray(np.moveaxis(joint, (-2, -1), (0, 1))), (0, 1), (-2, -1))
     for mu in sorted(ties) + [0.05]:
-        for test, oracle, c, views, dist in [
-            (typical_rows, typicality_oracle.typical_rows, counts, ct, law),
-            (cond_typical_rows, typicality_oracle.cond_typical_rows, joint, jt, w),
+        for test, c, views, dist, d in [
+            (typical_rows, counts, ct, law, dev),
+            (cond_typical_rows, joint, jt, w, cond_dev),
         ]:
-            want = oracle(c, dist, mu)
+            want = np.isnan(d) | (d <= mu)
             for given_counts in (c, c.astype(float), views):
                 got = test(given_counts, dist, mu)
-                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.dtype == bool and got.shape == lead
                 assert np.array_equal(got, want), mu
 
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import intermit.sim as sim_mod
 import sim_oracle
-from decoder_oracle import decode as oracle_decode, enumerate_exact_error
+from decoder_oracle import (cond_deviation, decode as oracle_decode, deviation,
+                            enumerate_exact_error, output_law)
 from intermit import (
     Dmc,
     SimConfig,
@@ -273,9 +274,8 @@ class TestSequenceDecoders:
 
 @st.composite
 def decode_cases(draw):
-    """A channel, codebook, received block, slack and input law small enough
-    for the one-pattern-at-a-time oracle; up to 9 outputs, past the 8 terms
-    at which numpy starts summing a row pairwise."""
+    """A channel of up to 9 outputs, codebook, received block, slack and
+    input law small enough for the one-pattern-at-a-time oracle."""
     nin = draw(st.integers(2, 3))
     if draw(st.booleans()):
         rows = np.eye(nin)  # deterministic: frequencies land on the tie values j/k
@@ -311,6 +311,63 @@ def test_decoders_match_sequential_oracle(case, chunk):
     for res, expect in zip(got, want):
         assert (res.message, res.choices_examined, res.second_stage_checks,
                 res.typicality_checks) == expect
+
+
+@st.composite
+def tie_cases(draw):
+    """A channel of 1-3 inputs and 2-9 outputs, a codebook of length
+    k = 1..12, a block of k..k+2 received symbols and an input law, with mu
+    one of the deviations the decoders compare with it: of a subset's
+    symbols from a codeword's or from PW, or of the rest from the noise
+    row."""
+    nin, nout = draw(st.integers(1, 3)), draw(st.integers(2, 9))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=nout, max_size=nout),
+                                     min_size=nin, max_size=nin)), dtype=float)
+    weights[weights.sum(axis=1) == 0] = 1.0
+    w = Dmc(weights / weights.sum(axis=1, keepdims=True), star=0)
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(k, k + 2))
+    msgs = draw(st.integers(1, 3))
+    cb = np.array(draw(st.lists(st.lists(st.integers(0, nin - 1), min_size=k, max_size=k),
+                                min_size=msgs, max_size=msgs)))
+    y = np.array(draw(st.lists(st.integers(0, nout - 1), min_size=n, max_size=n)))
+    law = np.array(draw(st.lists(st.integers(1, 4), min_size=nin, max_size=nin)), dtype=float)
+    law /= law.sum()
+    pw = output_law(law, w.rows)
+    devs = set()
+    for subset in combinations(range(n), k):
+        idx = list(subset)
+        devs.add(deviation(y[idx], pw))
+        if n > k:
+            devs.add(deviation(np.delete(y, idx), w.star_row()))
+        devs.update(cond_deviation(y[idx], x, w.rows) for x in cb)
+    mu = draw(st.sampled_from(sorted(d for d in devs if d > 0) or [0.05]))
+    return w, cb, y, mu, law
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_cases())
+def test_decoders_match_the_definition_at_ties(case):
+    w, cb, y, mu, law = case
+    k = cb.shape[1]
+    got = [decode_exhaustive(y, k, cb, w, mu), decode_pattern(y, k, cb, w, mu, law)]
+    want = [oracle_decode(y, k, cb, w, mu), oracle_decode(y, k, cb, w, mu, law)]
+    for res, expect in zip(got, want):
+        assert (res.message, res.choices_examined, res.second_stage_checks,
+                res.typicality_checks) == expect
+
+
+def test_exhaustive_decides_a_tie_by_the_definition():
+    # codeword 1 against the whole block deviates by exactly mu = 0.1 at
+    # (input 2, output 3); a marginal summed from the nine frequencies
+    # rounds above it and decodes no message
+    weights = np.array([[0, 1, 1, 0, 1, 1, 1, 2, 0], [1, 0, 2, 1, 0, 1, 3, 1, 1],
+                        [0, 2, 1, 3, 2, 1, 3, 3, 3]], dtype=float)
+    w = Dmc(weights / weights.sum(axis=1, keepdims=True), star=0)
+    cb = np.array([[0, 1, 1, 1, 1, 2, 2, 1, 2, 2], [2, 2, 2, 0, 2, 2, 2, 1, 0, 1]])
+    y = np.array([7, 2, 1, 8, 6, 8, 8, 3, 3, 4])
+    assert decode_exhaustive(y, 10, cb, w, 0.1).message == 1
+    assert oracle_decode(y, 10, cb, w, 0.1)[0] == 1
 
 
 @settings(max_examples=100, deadline=None)
