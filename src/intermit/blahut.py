@@ -61,12 +61,17 @@ def _as_matrix(w):
     if isinstance(w, Dmc):
         return w.rows
     if _issparse(w):
-        return w.tocsr().astype(float)
-    m = np.asarray(w, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("channel matrix must be 2-D")
-    if not np.abs(m.sum(axis=1) - 1.0).max() <= RENORM_TOL:  # NaN fails it
+        m = w.tocsr().astype(float)
+        entries = m.data
+    else:
+        m = entries = np.asarray(w, dtype=float)
+        if m.ndim != 2:
+            raise ValueError("channel matrix must be 2-D")
+    # the comparisons are written so that NaN fails them
+    if not np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max() <= RENORM_TOL:
         raise ValueError("channel rows must each sum to 1")
+    if not entries.min() >= 0.0:
+        raise ValueError(f"channel matrix has negative or NaN entry {entries.min()}")
     return m
 
 

@@ -72,8 +72,9 @@ def c1_upper(s: int, b_max: int, alpha: float, *, allow_large: bool = False) -> 
           + (1/(s+1)) sum_{b=s}^{b_max} C(b,s) p^{s+1} (1-p)^{b-s}
                                         (phi(s, b_max) - phi(s, b)),
 
-    where phi is the insertion-channel capacity loss and p = 1/alpha.  Every
-    term of the sum vanishes as alpha -> infinity, so alpha = inf gives the
+    where phi is the insertion-channel capacity loss and p = 1/alpha.  The
+    weight of b is the span law `z_pmf(b + 1, s, p)`.  Every term of the sum
+    vanishes as alpha -> infinity, so alpha = inf gives the
     limit 1 - phi(s, b_max)/(s+1) without evaluating it."""
     if s < 1:
         raise ValueError("genie span s must be >= 1")
@@ -87,8 +88,7 @@ def c1_upper(s: int, b_max: int, alpha: float, *, allow_large: bool = False) -> 
         return 1.0 - phi_max / (s + 1)
     acc = 0.0
     for b in range(s, b_max + 1):
-        w = math.comb(b, s) * p ** (s + 1) * (1.0 - p) ** (b - s)
-        acc += w * (phi_max - insertion_loss(s, b, allow_large=allow_large))
+        acc += z_pmf(b + 1, s, p) * (phi_max - insertion_loss(s, b, allow_large=allow_large))
     return 1.0 - phi_max / (s + 1) + acc / (s + 1)
 
 
@@ -197,8 +197,8 @@ def cpuc_lower(w: Dmc, cost: CostModel, alpha: float) -> CostCapacityBound:
                                    / gamma(x).
 
     Equals half the upper bound at alpha = 1."""
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     star_row = w.star_row()
 
     def num(x: int) -> float:

@@ -98,10 +98,14 @@ def _refuse(flags, applies: str, given_to: str) -> None:
             raise UsageError(f"{flag} applies to {applies} only, not to {given_to}")
 
 
-def _parse_alpha_grid(text: str) -> list:
+def _parse_alpha_grid(text: str, *, allow_inf: bool = False) -> list:
+    """The alphas of --alpha-grid, each >= 1; inf only where `allow_inf`
+    (the genie bounds, whose alpha -> infinity limit is defined)."""
     alphas = _parse_grid(text)
     if not all(alpha >= 1.0 for alpha in alphas):
         raise UsageError(f"alpha grid {text!r} has a value below 1")
+    if not allow_inf and math.inf in alphas:
+        raise UsageError(f"alpha grid {text!r} has inf, which only upper-bound accepts")
     return alphas
 
 
@@ -170,6 +174,8 @@ def _cmd_partial_div(args) -> int:
         except ValueError as e:
             raise UsageError(f"{flag} is not a pmf: {e}") from None
     rhos = _parse_grid(args.rho_grid)
+    if not all(0.0 <= rho <= 1.0 for rho in rhos):  # NaN fails it
+        raise UsageError(f"rho grid {args.rho_grid!r} has a value outside [0, 1]")
     rows = []
     for rho in rhos:
         res = partial_divergence(p, q, rho)
@@ -264,20 +270,21 @@ def _cmd_upper_bound(args) -> int:
             rows = [(args.s, bmax, "inf", c1_limit(args.s, bmax, allow_large=True))]
         else:
             rows = [(args.s, bmax, alpha, c1_upper(args.s, bmax, alpha, allow_large=True))
-                    for alpha in _parse_alpha_grid(grid)]
+                    for alpha in _parse_alpha_grid(grid, allow_inf=True)]
         _write_csv(args.out, "upper-bound-c1",
                    {"s": args.s, "bmax": bmax, "alpha_grid": grid, "limit": args.limit},
                    ("s", "b_max", "alpha", "bound"), rows)
     else:
         _refuse((("--limit", args.limit), ("--bmax", args.bmax is not None)), "c1", "c2")
         rows = [(args.s, alpha, c2_upper(args.s, alpha, allow_large=True))
-                for alpha in _parse_alpha_grid(grid)]
+                for alpha in _parse_alpha_grid(grid, allow_inf=True)]
         _write_csv(args.out, "upper-bound-c2", {"s": args.s, "alpha_grid": grid},
                    ("s", "alpha", "bound"), rows)
     return 0
 
 
 def _cmd_cpuc(args) -> int:
+    alphas = _parse_alpha_grid(args.alpha_grid)
     w = _parse_channel(args.channel, args.star)
     gamma = _parse_vector(args.gamma)
     try:
@@ -288,8 +295,7 @@ def _cmd_cpuc(args) -> int:
     if upper.degenerate_symbols:
         print(f"warning: zero-cost informative symbols {upper.degenerate_symbols} "
               "make the bound infinite", file=sys.stderr)
-    rows = [(alpha, cpuc_lower(w, cost, alpha).value, upper.value)
-            for alpha in _parse_alpha_grid(args.alpha_grid)]
+    rows = [(alpha, cpuc_lower(w, cost, alpha).value, upper.value) for alpha in alphas]
     _write_csv(args.out, "cpuc", {"channel": args.channel, "star": args.star,
                                   "gamma": gamma.tolist(), "alpha_grid": args.alpha_grid},
                ("alpha", "lower", "upper"), rows)

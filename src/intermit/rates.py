@@ -20,14 +20,14 @@ import numpy as np
 
 from .blahut import blahut_capacity
 from .prob import Dmc, Pmf, binary_entropy, kl_divergence, output_dist
-# pairwise_descent is not called here; it stays importable as
-# intermit.rates.pairwise_descent, where perfbench/layers.py wraps it.
+# grid_golden_max and pairwise_descent are not called here; they stay
+# importable as intermit.rates attributes, where perfbench/layers.py wraps them.
 from .search import grid_golden_max, pairwise_descent  # noqa: F401
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
 
 
 def _entr(x: np.ndarray) -> np.ndarray:
@@ -162,18 +162,6 @@ class NoiselessRateResult:
     beta: float
 
 
-def _noiseless_objective(p0, am1: float):
-    """Pattern-decoding rate h(p0) - f of the noiseless binary channel at the
-    input law with noise-symbol mass p0 (vectorized over p0).
-
-    At beta*(p0) = p0/(am1 + p0) the overhead is s h(p0/s) with s = p0 + am1
-    (`intermittency_overhead` with PW = (p0, 1-p0) and W* = (1, 0))."""
-    p0 = np.asarray(p0, dtype=float)
-    s = p0 + am1
-    share = np.divide(p0, s, out=np.zeros_like(s), where=s > 0.0)
-    return binary_entropy(p0) - s * binary_entropy(share)
-
-
 def noiseless_binary_rate(alpha: float, *, outer_coarse: int = 257) -> NoiselessRateResult:
     """Pattern-decoding rate of the noiseless binary channel whose noise
     symbol is 0, optimized over the input law:
@@ -185,19 +173,16 @@ def noiseless_binary_rate(alpha: float, *, outer_coarse: int = 257) -> Noiseless
     maximum is reached at beta*(p0) = p0/(alpha-1+p0), where it equals
     h(p0) + s h(p0/s) with s = alpha-1+p0, so the outer objective is
     h(p0) - s h(p0/s).  Its slope is log2((1-p0)/s), so the maximizer is
-    p0* = max(0, 1 - alpha/2), found here by a grid of `outer_coarse` points
-    and a golden-section polish.  Equals 1 bit at alpha = 1 and reaches 0 at
-    alpha = 2.
+    p0* = max(0, 1 - alpha/2).  There s = alpha/2 for alpha <= 2, and the
+    rate is alpha (1 - h(1/alpha)): the slack case of `pattern_decoding_rate`
+    with C_W = 1, as the uniform input puts 1/2 >= 1 - 1/alpha on the noise
+    symbol.  Beyond alpha = 2, p0* = 0 and the rate is 0.  Equals 1 bit at
+    alpha = 1 and reaches 0 at alpha = 2.
+
+    Nothing is searched: `outer_coarse` is accepted and changes nothing.
     """
     _check_alpha(alpha)
-    am1 = alpha - 1.0
-    p0s = np.linspace(0.0, 1.0, outer_coarse)
-    vals = _noiseless_objective(p0s, am1)
-    k = int(vals.argmax())
-    lo, hi = p0s[max(k - 1, 0)], p0s[min(k + 1, outer_coarse - 1)]
-    p0_star, val = grid_golden_max(lambda p0: _noiseless_objective(p0, am1), lo, hi,
-                                   coarse=9, tol=1e-10)
-    if vals[k] > val:
-        p0_star, val = float(p0s[k]), float(vals[k])
-    beta_star = p0_star / (am1 + p0_star) if am1 > 0.0 else 0.0
-    return NoiselessRateResult(max(float(val), 0.0), float(p0_star), float(beta_star))
+    p_zero = max(0.0, 1.0 - alpha / 2.0)
+    rate = alpha * (1.0 - float(binary_entropy(1.0 / alpha))) if alpha <= 2.0 else 0.0
+    beta = p_zero / (alpha - 1.0 + p_zero) if alpha > 1.0 else 0.0
+    return NoiselessRateResult(rate, p_zero, beta)

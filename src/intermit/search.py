@@ -1,6 +1,6 @@
 """Small search utilities: golden-section on an interval (optionally
-bracketed by a coarse grid first), which the noiseless-binary rate uses, and
-pairwise-transfer descent over the simplex."""
+bracketed by a coarse grid first) and pairwise-transfer descent over the
+simplex.  No module of the package calls them; the tests' oracles do."""
 
 from __future__ import annotations
 

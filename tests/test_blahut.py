@@ -56,6 +56,19 @@ def test_raw_matrix_with_nan_is_refused():
         blahut_capacity(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("build", [np.array, sparse.csr_matrix], ids=["dense", "sparse"])
+def test_raw_matrix_with_negative_entry_is_refused(build):
+    # its rows sum to 1, so only the sign check stands between it and a
+    # "certified" capacity
+    with pytest.raises(ValueError, match="negative or NaN entry -0.5"):
+        blahut_capacity(build(np.array([[1.5, -0.5], [0.5, 0.5]])))
+
+
+def test_sparse_matrix_whose_rows_do_not_sum_to_one_is_refused():
+    with pytest.raises(ValueError, match="rows must each sum to 1"):
+        blahut_capacity(sparse.csr_matrix(np.array([[0.9, 0.3], [0.5, 0.5]])))
+
+
 def test_all_zero_output_column_pruned():
     m = np.array([[0.5, 0.0, 0.5], [0.1, 0.0, 0.9]])
     res = blahut_capacity(m)

@@ -187,6 +187,12 @@ class TestCostCapacity:
         lo = cpuc_lower(bsc01, cost, 1.0).value
         assert lo == pytest.approx(up / 2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.5])
+    def test_lower_refuses_alpha_that_is_not_finite_and_at_least_one(self, bsc01, alpha):
+        cost = CostModel(gamma=(0.0, 1.0), star=0)
+        with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+            cpuc_lower(bsc01, cost, alpha)
+
     def test_lower_nonincreasing_and_dominated(self, bsc01):
         cost = CostModel(gamma=(0.0, 1.0), star=0)
         up = cpuc_upper(bsc01, cost).value

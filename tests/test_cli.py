@@ -405,6 +405,35 @@ def test_exit_code_alpha_below_one(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--scheme", "r1"],
+    ["rate", "--scheme", "r2"],
+    ["rate", "--scheme", "insertion"],
+    ["cpuc", "--gamma", "0,1"],
+])
+def test_exit_code_alpha_inf_outside_the_genie_bounds(capsys, tmp_path, argv):
+    # only upper-bound defines alpha = inf; these used to print nan rates
+    # with exit 0 (r1, insertion, cpuc) or fail after seconds of work (r2)
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, argv + ["--alpha-grid", "inf", "--out", str(out_file)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: alpha grid 'inf' has inf, which only upper-bound accepts\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["2", "nan", "-1:1:0.5"])
+def test_partial_div_rho_grid_outside_unit_interval_is_usage_error(capsys, tmp_path, grid):
+    # these used to fail in the library: "failed: ValueError", exit 1
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, ["partial-div", "--p", ".5,.5", "--q", ".25,.75",
+                                      f"--rho-grid={grid}", "--out", str(out_file)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: rho grid {grid!r} has a value outside [0, 1]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_size_guard(capsys):
     code, _, err = run_cli(capsys, ["aux-g", "--a", "2", "--b", "15"])
     assert code == 3

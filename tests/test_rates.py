@@ -7,8 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import intermit.rates
+import intermit.search
 from intermit import (
     Dmc,
+    NoiselessRateResult,
     binary_entropy,
     blahut_capacity,
     exhaustive_decoding_rate,
@@ -29,6 +32,20 @@ from rates_oracle import (noiseless_search, overhead_search, overhead_stationari
 def test_channel_without_noise_input_is_refused(rate):
     with pytest.raises(ValueError, match="channel has no designated noise input"):
         rate(Dmc([[0.9, 0.1], [0.1, 0.9]]))
+
+
+@pytest.mark.parametrize("rate", [
+    exhaustive_decoding_rate,
+    lambda w, alpha: intermittency_overhead(np.array([0.5, 0.5]), w, alpha),
+    pattern_decoding_rate,
+    lambda w, alpha: noiseless_binary_rate(alpha),
+], ids=["r1", "overhead", "r2", "noiseless"])
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.5])
+def test_alpha_that_is_not_finite_and_at_least_one_is_refused(rate, alpha):
+    # alpha = inf used to give nan rates (r1, noiseless) or a long failing
+    # Blahut-Arimoto run (r2)
+    with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+        rate(Dmc.bsc(0.1), alpha)
 
 
 class TestExhaustiveRate:
@@ -217,8 +234,30 @@ class TestPatternRate:
 
 class TestNoiselessBinary:
     def test_endpoints(self):
-        assert noiseless_binary_rate(1.0).rate == pytest.approx(1.0, abs=1e-6)
-        assert noiseless_binary_rate(2.0).rate <= 1e-6
+        assert noiseless_binary_rate(1.0).rate == 1.0
+        assert noiseless_binary_rate(2.0).rate == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.05, 1.2, 1.5, 1.7, 1.8, 1.95, 2.0])
+    def test_closed_form_is_exact(self, alpha):
+        res = noiseless_binary_rate(alpha)
+        assert res.p_zero == max(0.0, 1.0 - alpha / 2.0)
+        assert res.beta == pytest.approx((2.0 - alpha) / alpha if alpha > 1.0 else 0.0,
+                                         rel=4e-16, abs=4e-16)
+
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-12, 2.5, 3.0, 10.0])
+    def test_beyond_two_everything_is_zero(self, alpha):
+        assert noiseless_binary_rate(alpha) == NoiselessRateResult(0.0, 0.0, 0.0)
+
+    def test_calls_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("noiseless_binary_rate searched")
+
+        monkeypatch.setattr(intermit.search, "golden_max", refuse)
+        monkeypatch.setattr(intermit.search, "grid_golden_max", refuse)
+        monkeypatch.setattr(intermit.rates, "grid_golden_max", refuse)
+        for alpha in np.linspace(1.0, 3.0, 81):
+            res = noiseless_binary_rate(float(alpha))
+            assert 0.0 <= res.rate <= 1.0
 
     def test_frozen_interior_value(self):
         res = noiseless_binary_rate(1.2)
