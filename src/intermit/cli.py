@@ -24,7 +24,10 @@ import numpy as np
 
 from . import __version__
 from .blahut import blahut_capacity
-from .bounds import CostModel, c1_limit, c1_upper, c2_upper, cpuc_lower, cpuc_upper
+# c1_limit is not called here; it stays importable as intermit.cli.c1_limit,
+# where perfbench/layers.py wraps it.
+from .bounds import (CostModel, c1_limit, c1_upper, c2_upper, cpuc_lower,  # noqa: F401
+                     cpuc_upper)
 from .errors import SizeGuardError
 from .insertion import insertion_capacity, insertion_capacity_upper, insertion_counts
 from .partialdiv import partial_divergence
@@ -102,8 +105,10 @@ def _parse_alpha_grid(text: str, *, allow_inf: bool = False) -> list:
     """The alphas of --alpha-grid, each >= 1; inf only where `allow_inf`
     (the genie bounds, whose alpha -> infinity limit is defined)."""
     alphas = _parse_grid(text)
-    if not all(alpha >= 1.0 for alpha in alphas):
-        raise UsageError(f"alpha grid {text!r} has a value below 1")
+    bad = [alpha for alpha in alphas if not alpha >= 1.0]  # NaN included
+    if bad:
+        need = "a number >= 1, inf included" if allow_inf else "finite and >= 1"
+        raise UsageError(f"alpha grid {text!r} has {_fmt(bad[0])}; alpha must be {need}")
     if not allow_inf and math.inf in alphas:
         raise UsageError(f"alpha grid {text!r} has inf, which only upper-bound accepts")
     return alphas
@@ -262,17 +267,19 @@ def _cmd_upper_bound(args) -> int:
     _at_least("--s", args.s, 1)
     grid = "1:2:0.1" if args.alpha_grid is None else args.alpha_grid
     if args.which == "c1":
-        if args.limit and args.alpha_grid is not None:
-            raise UsageError("--alpha-grid cannot be combined with --limit, which emits alpha = inf only")
+        if args.limit:
+            if args.alpha_grid is not None:
+                raise UsageError("--alpha-grid cannot be combined with --limit, which emits "
+                                 "alpha = inf only")
+            grid = "inf"  # the same table, under the same hash, as --alpha-grid inf
         bmax = 10 if args.bmax is None else args.bmax
         _at_least("--bmax", bmax, args.s, "--s")
-        if args.limit:
-            rows = [(args.s, bmax, "inf", c1_limit(args.s, bmax, allow_large=True))]
-        else:
-            rows = [(args.s, bmax, alpha, c1_upper(args.s, bmax, alpha, allow_large=True))
-                    for alpha in _parse_alpha_grid(grid, allow_inf=True)]
+        rows = [(args.s, bmax, alpha, c1_upper(args.s, bmax, alpha, allow_large=True))
+                for alpha in _parse_alpha_grid(grid, allow_inf=True)]
+        # "limit" stays in the hashed parameters, always false, so that the
+        # hashes of the alpha sweeps do not change
         _write_csv(args.out, "upper-bound-c1",
-                   {"s": args.s, "bmax": bmax, "alpha_grid": grid, "limit": args.limit},
+                   {"s": args.s, "bmax": bmax, "alpha_grid": grid, "limit": False},
                    ("s", "b_max", "alpha", "bound"), rows)
     else:
         _refuse((("--limit", args.limit), ("--bmax", args.bmax is not None)), "c1", "c2")
@@ -466,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bmax", type=int, help="c1 only (default 10)")
     sp.add_argument("--alpha-grid", help="lo:hi:step (default 1:2:0.1)")
     sp.add_argument("--limit", action="store_true",
-                    help="c1 only: emit the alpha -> infinity limit instead of an alpha grid")
+                    help="c1 only: emit the alpha -> infinity limit instead of an alpha grid "
+                         "(the table of --alpha-grid inf)")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_upper_bound)
 

@@ -177,6 +177,17 @@ def mutual_information(p, w) -> float:
     return total
 
 
+def _typical(counts, length, expected, mu: float, axis) -> np.ndarray:
+    """The typicality rule on counts held symbols first: max over `axis` of
+    |counts/L - expected| <= mu, or L = 0, for sequences of `length` L (an
+    empty sequence is typical for every law).  `length` and `expected`
+    broadcast against `counts`; a caller whose lengths and expected
+    frequencies are the same for many count arrays computes them once."""
+    dev = counts / np.maximum(length, 1)
+    dev -= expected
+    return (np.abs(dev, out=dev).max(axis=axis) <= mu) | (length == 0)
+
+
 def typical_rows(counts, p, mu: float) -> np.ndarray:
     """Strong typicality of each row of symbol counts: max_x |Phat(x) - P(x)|
     <= mu, where Phat is the row divided by its total.
@@ -196,9 +207,7 @@ def typical_rows(counts, p, mu: float) -> np.ndarray:
         raise ValueError("counts do not match the alphabet size")
     c = np.ascontiguousarray(c.transpose(c.ndim - 1, *range(c.ndim - 1)))
     length = c.sum(axis=0)  # integers: exact in any order
-    freq = c / np.maximum(length, 1)
-    dev = np.abs(freq - pv.reshape(pv.shape + (1,) * (c.ndim - 1))).max(axis=0)
-    return (dev <= mu) | (length == 0)
+    return _typical(c, length, pv.reshape(pv.shape + (1,) * (c.ndim - 1)), mu, 0)
 
 
 def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
@@ -224,10 +233,9 @@ def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     c = np.ascontiguousarray(c.transpose(c.ndim - 2, c.ndim - 1, *range(c.ndim - 2)))
     row_totals = c.sum(axis=1)  # integers: exact in any order
     length = row_totals.sum(axis=0)
-    scale = np.maximum(length, 1)
-    dev = c / scale
-    dev -= (row_totals / scale)[:, None] * wr.reshape(wr.shape + (1,) * (c.ndim - 2))
-    return (np.abs(dev).max(axis=(0, 1)) <= mu) | (length == 0)
+    expected = (row_totals / np.maximum(length, 1))[:, None] * wr.reshape(
+        wr.shape + (1,) * (c.ndim - 2))
+    return _typical(c, length, expected, mu, (0, 1))
 
 
 def _check_symbols(a: np.ndarray, size: int) -> None:

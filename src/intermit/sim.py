@@ -13,15 +13,22 @@ trailing run and one uniform per received symbol.  The stream is exactly
 that generator's, but its PCG64 state is derived from SeedSequence([seed,
 trial]) for a block of _SEED_BLOCK = 1024 trials at once and loaded into one
 reused generator, a fraction of the cost of building a generator per trial.
-`monte_carlo_error` then passes the drawn trials through the channel in
-batches of at most _BATCH_SYMBOLS = 8192 received symbols, and decides
-zero-rate trials a batch at a time from their output counts.  Results do
-not depend on the batching.  The sequence decoders keep the table of
-instant patterns of each (n, k) whose enumeration fits in one decoder
-chunk for the life of the process, and test a chunk of patterns at once
-with the patterns on the last, contiguous axis of every count array, so
-each typicality step runs over long vectors rather than over blocks of 2-4
-numbers.
+`monte_carlo_error` then takes the drawn trials in batches of at most
+_BATCH_SYMBOLS = 8192 received symbols; results do not depend on the
+batching.  Sequence-decoder batches are placed and passed through the
+channel.  Zero-rate batches are counted, not built: message 0 is all
+`star`, so each output is the noise row's inverse-CDF output of its
+uniform, except at a message-1 trial's codeword positions, where it is the
+signal symbol's; each trial's output counts come from the uniforms and
+those positions, and the batch is decided at once.
+
+The sequence decoders keep the table of instant patterns of each (n, k)
+whose enumeration fits in one decoder chunk for the life of the process,
+and test a chunk of patterns at once with the patterns on the last,
+contiguous axis of every count array, so each typicality step runs over
+long vectors rather than over blocks of 2-4 numbers.  The lengths and
+expected frequencies of the typicality tests are the same for every
+pattern, so a decoder call forms them once.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from .errors import SizeGuardError
 # is_typical and is_cond_typical are not called here; they stay importable
 # as intermit.sim.is_typical and .is_cond_typical, where perfbench/layers.py
 # wraps them.
-from .prob import (Dmc, _check_symbols, _vec, cond_typical_rows,  # noqa: F401
-                   is_cond_typical, is_typical, kl_divergence, typical_rows)
+from .prob import (Dmc, _check_symbols, _typical, _vec, is_cond_typical,  # noqa: F401
+                   is_typical, kl_divergence, typical_rows)
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
 # entries a decoder chunk holds at most: its patterns' one-hot outputs and
@@ -155,6 +162,10 @@ def _trial_streams(seed: int, start: int, stop: int):
         lo = hi
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     k: int
@@ -165,14 +176,15 @@ class SimConfig:
     epsilon: float = 0.2
 
     def __post_init__(self):
-        # the comparisons are written so that NaN fails them
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        # the comparisons are written so that NaN fails them; a bool is an
+        # int to Python, but True is no count
+        if not _is_integer(self.k) or self.k < 1:
             raise ValueError(f"codeword length k must be an integer >= 1, got {self.k!r}")
         if not 1.0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.mu > 0.0:
             raise ValueError(f"typicality slack mu must be positive, got {self.mu}")
@@ -400,8 +412,14 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     outputs onehot[b, j, s] (output b at instant j of subset s), their sum
     over j the gate's counts, and one batched 0/1 product with the
     codebook's per-input position masks, summed over j, the joint counts
-    joint[a, b, m, s] of every message m; the typicality tests take them
-    as transposed views.
+    joint[a, b, m, s] of every message m.
+
+    Every subset holds k symbols, one per instant, so its length, the rest's
+    length n - k and each codeword's input counts N_m(a) are the same for
+    all subsets.  The expected frequencies (PW, the noise row and
+    (N_m(a)/k) W(b|a)) are therefore formed once per call, and each chunk
+    only takes its counts through `prob._typical`, the typicality tests'
+    own arithmetic, so a tie with mu is decided as the definition decides it.
     """
     ys = np.asarray(y, dtype=np.int64)
     cb = np.asarray(codebook, dtype=np.int64)
@@ -417,10 +435,15 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
         raise SizeGuardError(
             f"C({ys.size},{k}) = {count} instant patterns exceed the enumeration guard {ENUM_GUARD}"
         )
+    if not mu > 0.0:  # NaN included
+        raise ValueError(f"typicality slack mu must be positive, got {mu}")
     n_msg = cb.shape[0]
-    totals = np.bincount(ys, minlength=nout)[:, None]
     symbols = np.arange(nout)[:, None, None]
     masks = (cb == np.arange(nin)[:, None, None]).astype(float)  # [a, m, j]: cb[m, j] == a
+    expected = (masks.sum(axis=2) / k)[:, None, :, None] * w.rows[:, :, None, None]
+    if gate is not None:
+        totals = np.bincount(ys, minlength=nout)[:, None]
+        law, noise = (g[:, None] for g in gate)
     rows = max(1, _CHUNK_ENTRIES // (nout * (k + n_msg * nin)))
     examined = second = checks = 0
     known = None  # the one message witnessed so far
@@ -435,38 +458,43 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
             passed = np.ones(size, dtype=bool)
         else:
             kept = onehot.sum(axis=1)
-            passed = typical_rows(kept.T, gate[0], mu) & typical_rows((totals - kept).T, gate[1], mu)
+            passed = (_typical(kept, k, law, mu, 0)
+                      & _typical(totals - kept, ys.size - k, noise, mu, 0))
             onehot = onehot[:, :, passed]
         # joint[a, b, m, s]: integers <= k, so the float sums are exact in
         # any order.  einsum runs its own loop; a BLAS product would map
         # about 0.3 MB of library pages into the process on its first call.
         joint = np.einsum("amj,bjs->abms", masks, onehot, dtype=float)
-        hit = np.zeros((n_msg, size), dtype=bool)
-        hit[:, passed] = cond_typical_rows(joint.transpose(2, 3, 0, 1), w, mu)
+        if gate is None:
+            hit = _typical(joint, k, expected, mu, (0, 1))
+        else:
+            hit = np.zeros((n_msg, size), dtype=bool)
+            hit[:, passed] = _typical(joint, k, expected, mu, (0, 1))
         # first[m]: the subset at which message m is first witnessed (size
         # if never, -1 if witnessed before this chunk)
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), size)
+        first = [f if h else size for f, h in zip(hit.argmax(axis=1).tolist(),
+                                                   hit.any(axis=1).tolist())]
         if known is not None:
             first[known] = -1
-        order = [m for m in np.lexsort((np.arange(n_msg), first)) if first[m] < size]
+        order = sorted((m for m in range(n_msg) if first[m] < size), key=first.__getitem__)
         if len(order) > 1:
-            stop, last = int(first[order[1]]), int(order[1])  # the second witness
+            stop, last = first[order[1]], order[1]  # the second witness
         else:
             stop, last = size, -1
         # a message is checked at every gated subset before `stop` up to and
         # including the one that witnesses it, and at `stop` if it comes no
         # later than the second witness
         gated = np.cumsum(passed)
-        upto = np.minimum(first, stop - 1)
-        checks += int(np.where(upto >= 0, gated[upto], 0).sum())
-        checks += int(((np.arange(n_msg) <= last) & (first >= stop)).sum())
+        for m, f in enumerate(first):
+            upto = min(f, stop - 1)
+            checks += (int(gated[upto]) if upto >= 0 else 0) + (m <= last and f >= stop)
         end = min(stop, size - 1)  # the last subset scanned
         examined += end + 1
         second += int(gated[end])
         if stop < size:
             return DecodeResult(None, examined, second if gate is not None else 0, checks)
         if order:
-            known = int(order[0])
+            known = order[0]
     return DecodeResult(known, examined, second if gate is not None else 0, checks)
 
 
@@ -492,6 +520,122 @@ def decode_pattern(y, k: int, codebook, w: Dmc, mu: float, input_dist) -> Decode
     return _decode(y, k, codebook, w, mu, gate=((p[:, None] * w.rows).sum(axis=0), w.star_row()))
 
 
+def _steps(rng, cfg: SimConfig, trailing: bool):
+    """A trial's Geometric1 steps and its received length N: the noise run
+    before each codeword symbol is its step less one, so N is the steps'
+    sum (plus the trailing run when `trailing`)."""
+    steps = rng.geometric(cfg.p_t, size=cfg.k)
+    n = int(steps.sum())
+    if trailing:
+        n += int(rng.geometric(cfg.p_t)) - 1
+    return steps, n
+
+
+def _zero_rate_outcomes(cfg: SimConfig, w: Dmc, trailing: bool) -> list:
+    """The zero-rate trials' outcomes, from their output counts; no block is
+    built.
+
+    Message 0 is all `star`, so a batch's outputs are the noise row's
+    inverse-CDF outputs of its uniforms, and a message-1 trial (odd t) then
+    takes the signal symbol's row at its k codeword positions.  The
+    comparisons are `_channel`'s, so the outputs are those of the placed
+    blocks.  A batch's uniforms and its trials' steps are drawn into buffers
+    made once per run."""
+    k, nout = cfg.k, w.output_size
+    cdf = np.cumsum(w.rows, axis=1)[:, :-1]  # the last step only counts past the last output
+    # each codeword repeats one symbol: star for message 0, the signal for 1
+    noise_cdf, signal_cdf = cdf[zero_rate_codebook(w, 1)[:, 0]]
+    steps = np.empty((max(1, _BATCH_SYMBOLS // k), k), dtype=np.int64)
+    lengths = np.empty(steps.shape[0], dtype=np.int64)
+    uniforms = np.empty(_BATCH_SYMBOLS)
+    outcomes = []
+
+    def run_batch(size: int, u: np.ndarray) -> None:
+        ns = lengths[:size]
+        starts = np.cumsum(ns) - ns
+        # every earlier trial has its outcome, so the batch's first trial is
+        # len(outcomes); the odd trials send message 1
+        odd = slice((len(outcomes) + 1) % 2, size, 2)
+        u_at = u[starts[odd, None] + np.cumsum(steps[odd], axis=1) - 1]
+        # above[b, i]: how many outputs of trial i are b or more.  An output
+        # is the number of CDF steps below its uniform, and the steps rise,
+        # so it exceeds j exactly when its uniform is above step j: the noise
+        # row's step everywhere but at a message-1 codeword position
+        above = np.zeros((nout + 1, size), dtype=np.int64)
+        above[0] = ns
+        for j in range(nout - 1):
+            above[j + 1] = np.add.reduceat(u > noise_cdf[j], starts, dtype=np.int64)
+            above[j + 1, odd] += ((u_at > signal_cdf[j]).sum(axis=1)
+                                  - (u_at > noise_cdf[j]).sum(axis=1))
+        counts = (above[:-1] - above[1:]).T
+        decided = _zero_rate_decisions(ns, counts, w, cfg)
+        outcomes.extend(TrialOutcome(n, None if d < 0 else d, 1)
+                        for n, d in zip(ns.tolist(), decided.tolist()))
+
+    size = pending = 0  # trials and received symbols in the batch
+    for rng in _trial_streams(cfg.seed, 0, cfg.trials):
+        row, n = _steps(rng, cfg, trailing)
+        if size and pending + n > _BATCH_SYMBOLS:
+            run_batch(size, uniforms[:pending])
+            size = pending = 0
+        steps[size], lengths[size] = row, n
+        size += 1
+        if n > _BATCH_SYMBOLS:  # a longer trial forms a batch alone
+            run_batch(1, rng.random(n))
+            size = 0
+        else:
+            rng.random(out=uniforms[pending:pending + n])
+            pending += n
+    if size:
+        run_batch(size, uniforms[:pending])
+    return outcomes
+
+
+def _sequence_outcomes(scheme: str, cfg: SimConfig, w: Dmc, n_messages: int,
+                       trailing: bool) -> list:
+    """The outcomes of the exhaustive or pattern decoder's trials: each
+    trial draws a codebook of `n_messages` i.i.d. uniform codewords, a batch
+    of blocks is placed and sent through the channel at once, and each block
+    is decoded on its own."""
+    # uniform, yet passed as p=: rng.choice draws other codewords without it
+    pvec = np.full(w.input_size, 1.0 / w.input_size)
+    outcomes = []
+    batch = []  # (codebook, Geometric1 steps, received length, uniforms)
+
+    def run_batch():
+        codebooks, step_rows, ns, uniforms = zip(*batch)
+        batch.clear()
+        lengths = np.array(ns)
+        # every earlier trial has its outcome, so the batch's first trial is
+        # len(outcomes)
+        sent = np.arange(len(outcomes), len(outcomes) + len(ns)) % n_messages
+        codewords = np.array(codebooks)[np.arange(len(ns)), sent]
+        y = _channel(_place(codewords, np.array(step_rows), lengths, w.star),
+                     np.concatenate(uniforms), w)
+        for cb, n, stop in zip(codebooks, ns, np.cumsum(lengths)):
+            y_t = y[stop - n:stop]
+            try:
+                if scheme == "exhaustive":
+                    res = decode_exhaustive(y_t, cfg.k, cb, w, cfg.mu)
+                else:
+                    res = decode_pattern(y_t, cfg.k, cb, w, cfg.mu, pvec)
+                outcomes.append(TrialOutcome(n, res.message, res.choices_examined))
+            except SizeGuardError:
+                outcomes.append(TrialOutcome(n, None, 0))
+
+    pending = 0  # received symbols in the batch
+    for rng in _trial_streams(cfg.seed, 0, cfg.trials):
+        cb = rng.choice(w.input_size, size=(n_messages, cfg.k), p=pvec)
+        steps, n = _steps(rng, cfg, trailing)
+        if batch and pending + n > _BATCH_SYMBOLS:
+            run_batch()
+            pending = 0
+        batch.append((cb, steps, n, rng.random(n)))
+        pending += n
+    run_batch()
+    return outcomes
+
+
 def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 2,
                       leading_and_trailing: bool = False) -> SimResult:
     """Estimate the decoding error probability of a scheme by independent
@@ -510,74 +654,21 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     stream, as `_trial_streams` derives it; the drawn trials then go through
     the channel, and zero-rate trials through their decision, in batches of
     at most _BATCH_SYMBOLS received symbols (a longer trial forms a batch
-    alone).  The sequence decoders still see one trial at a time.  Batching
-    changes no draw, so no result.
+    alone).  A zero-rate batch is counted from the uniforms and the codeword
+    positions without placing its blocks; the sequence decoders still see
+    one trial at a time.  Batching changes no draw, so no result.
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
     w.star_row()  # refuses a channel without a noise input
     if n_messages < 1:
         raise ValueError(f"need at least one message, got n_messages={n_messages}")
-    if scheme == "zero_rate" and n_messages != 2:
-        raise ValueError(f"the zero-rate scheme sends two messages, got n_messages={n_messages}")
-    fixed_cb = zero_rate_codebook(w, cfg.k) if scheme == "zero_rate" else None
-    # uniform, yet passed as p=: rng.choice draws other codewords without it
-    pvec = np.full(w.input_size, 1.0 / w.input_size)
-
-    outcomes = []
-    batch = []  # (codebook or None, Geometric1 steps, received length, uniforms)
-
-    def run_batch():
-        codebooks, step_rows, ns, uniforms = zip(*batch)
-        batch.clear()
-        lengths = np.array(ns)
-        # every earlier trial has its outcome, so the batch's first trial is
-        # len(outcomes)
-        sent = np.arange(len(outcomes), len(outcomes) + len(ns)) % n_messages
-        if fixed_cb is None:
-            codewords = np.array(codebooks)[np.arange(len(ns)), sent]
-        else:
-            codewords = fixed_cb[sent]
-        y = _channel(_place(codewords, np.array(step_rows), lengths, w.star),
-                     np.concatenate(uniforms), w)
-        if scheme == "zero_rate":
-            nout = w.output_size
-            flat = np.repeat(np.arange(len(ns)) * nout, lengths) + y
-            counts = np.bincount(flat, minlength=len(ns) * nout).reshape(-1, nout)
-            decided = _zero_rate_decisions(lengths, counts, w, cfg)
-            outcomes.extend(TrialOutcome(n, None if d < 0 else int(d), 1)
-                            for n, d in zip(ns, decided))
-            return
-        for cb, n, stop in zip(codebooks, ns, np.cumsum(lengths)):
-            y_t = y[stop - n:stop]
-            try:
-                if scheme == "exhaustive":
-                    res = decode_exhaustive(y_t, cfg.k, cb, w, cfg.mu)
-                else:
-                    res = decode_pattern(y_t, cfg.k, cb, w, cfg.mu, pvec)
-                outcomes.append(TrialOutcome(n, res.message, res.choices_examined))
-            except SizeGuardError:
-                outcomes.append(TrialOutcome(n, None, 0))
-
-    # a trial makes its draws and nothing else: the noise run before each
-    # codeword symbol is its Geometric1 step less one, so N is the steps'
-    # sum (plus the trailing run)
-    p = cfg.p_t
-    pending = 0  # received symbols in the batch
-    for rng in _trial_streams(cfg.seed, 0, cfg.trials):
-        cb = None
-        if fixed_cb is None:
-            cb = rng.choice(w.input_size, size=(n_messages, cfg.k), p=pvec)
-        steps = rng.geometric(p, size=cfg.k)
-        n = int(steps.sum())
-        if leading_and_trailing:
-            n += int(rng.geometric(p)) - 1
-        if batch and pending + n > _BATCH_SYMBOLS:
-            run_batch()
-            pending = 0
-        batch.append((cb, steps, n, rng.random(n)))
-        pending += n
-    run_batch()
+    if scheme == "zero_rate":
+        if n_messages != 2:
+            raise ValueError(f"the zero-rate scheme sends two messages, got n_messages={n_messages}")
+        outcomes = _zero_rate_outcomes(cfg, w, leading_and_trailing)
+    else:
+        outcomes = _sequence_outcomes(scheme, cfg, w, n_messages, leading_and_trailing)
 
     errors = sum(o.decoded != t % n_messages for t, o in enumerate(outcomes))
     lo, hi = wilson_interval(errors, cfg.trials)

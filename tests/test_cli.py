@@ -167,11 +167,12 @@ def test_upper_bound_c1_limit(capsys):
     assert header == ["s", "b_max", "alpha", "bound"]
     assert rows[0][2] == "inf"
     assert float(rows[0][3]) == pytest.approx(c1_limit(3, 8), abs=1e-12)
-    # the sweep at alpha = inf prints the same row
-    code, out, _ = run_cli(capsys, ["upper-bound", "c1", "--s", "3", "--bmax", "8",
-                                    "--alpha-grid", "inf"])
+    # the sweep at alpha = inf prints the same bytes, config hash included
+    # (--limit used to hash as a table of its own)
+    code, sweep, _ = run_cli(capsys, ["upper-bound", "c1", "--s", "3", "--bmax", "8",
+                                      "--alpha-grid", "inf"])
     assert code == 0
-    assert parse_csv(out)[1] == rows
+    assert sweep == out
 
 
 def test_upper_bound_c2(capsys):
@@ -303,10 +304,14 @@ PINNED_TRIALS_3X9 = [
     (["--scheme", "pattern", "--k", "6", "--alpha", "1.3", "--trials", "100", "--seed", "17",
       "--mu", "0.25"],
      "dc7ac79b68f0f4d695fe41a5c4d3933bb866304e4d2db6c88a74e77053f2ea5e"),
+    # counted per output from the uniforms, without placing the blocks
+    (["--scheme", "zero_rate", "--k", "30", "--alpha", "1.3", "--trials", "200", "--seed", "19",
+      "--mu", "0.1"],
+     "4251af00b7c9de9db6e20c2e44575b9059fe053fc5e05bbd06c54b37e395e4d7"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_TRIALS_3X9, ids=["exhaustive", "pattern"])
+@pytest.mark.parametrize("argv, digest", PINNED_TRIALS_3X9, ids=["exhaustive", "pattern", "zero_rate"])
 def test_pinned_simulate_trials_bytes_on_a_9_output_channel(capsys, tmp_path, monkeypatch,
                                                             argv, digest):
     # the channel path is part of the config hash, so it is given relative
@@ -403,6 +408,19 @@ def test_exit_code_alpha_below_one(capsys, argv):
     assert code == 2
     assert "error:" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, need", [
+    (["rate", "--scheme", "r1"], "finite and >= 1"),
+    (["cpuc", "--gamma", "0,1"], "finite and >= 1"),
+    (["upper-bound", "c2", "--s", "3"], "a number >= 1, inf included"),
+])
+def test_alpha_grid_nan_names_the_rule(capsys, argv, need):
+    # NaN used to be refused as "has a value below 1"
+    code, out, err = run_cli(capsys, argv + ["--alpha-grid", "nan"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: alpha grid 'nan' has nan; alpha must be {need}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -56,9 +56,11 @@ def test_sim_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("k", 5.5), ("k", 10.0), ("trials", 2.5), ("alpha", math.inf), ("alpha", math.nan),
     ("mu", math.nan), ("mu", 0.0), ("epsilon", math.nan), ("epsilon", -0.1),
+    ("k", True), ("trials", True), ("seed", False),
 ])
 def test_sim_config_refuses_bad_values(field, value):
-    # with mu = nan every zero-rate trial used to decode as message 1
+    # with mu = nan every zero-rate trial used to decode as message 1; k =
+    # True used to run as k = 1
     kwargs = dict(k=10, alpha=2.0, trials=100, seed=1)
     kwargs[field] = value
     with pytest.raises(ValueError, match=field):
@@ -509,22 +511,37 @@ class TestMonteCarlo:
             monte_carlo_error("telepathy", cfg, bsc01)
 
 
+# channels whose noise input is not 0 and whose zero-rate signal symbol (the
+# best distinguishing input) is not the last input
+TERNARY_3X3 = Dmc([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]], star=1)  # signal 0
+TERNARY_3X4 = Dmc([[0.3, 0.3, 0.2, 0.2], [0.1, 0.1, 0.1, 0.7], [0.4, 0.3, 0.2, 0.1]],
+                  star=2)  # signal 1
+
+
+def test_ternary_channels_signal_inside_the_alphabet():
+    assert best_distinguishing_symbol(TERNARY_3X3) == 0
+    assert best_distinguishing_symbol(TERNARY_3X4) == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(scheme=st.sampled_from(["zero_rate", "exhaustive", "pattern"]),
        trailing=st.booleans(),
-       noisy=st.booleans(),
+       w=st.sampled_from([NOISELESS, Dmc.bsc(0.1), TERNARY_3X3, TERNARY_3X4]),
        k=st.integers(1, 6),
        alpha=st.sampled_from([1.0, 1.3, 2.0]),
-       trials=st.integers(1, 30),
+       trials=st.integers(1, 60),
        seed=st.integers(0, 2**64),
-       budget=st.sampled_from([1, 40, sim_mod._BATCH_SYMBOLS]),
+       budget=st.sampled_from([1, 24, 40, sim_mod._BATCH_SYMBOLS]),
        guard=st.sampled_from([10, sim_mod.ENUM_GUARD]))
-def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, noisy, k, alpha, trials, seed,
+@example(scheme="zero_rate", trailing=False, w=TERNARY_3X4, k=1, alpha=1.0, trials=11, seed=3,
+         budget=24, guard=sim_mod.ENUM_GUARD)
+def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, w, k, alpha, trials, seed,
                                               budget, guard):
     # a 1-symbol budget puts every trial in a batch of its own, longer than
-    # the budget; 40 symbols end batches mid-run; a guard of 10 patterns
-    # trips on some trials inside a batch
-    w = Dmc.bsc(0.1) if noisy else NOISELESS
+    # the budget; 24 and 40 symbols end batches mid-run, and 24 symbols
+    # hold three 8-symbol zero-rate trials at alpha = 1, so batches start
+    # on odd trials as well as on even ones (the @example); a guard of 10
+    # patterns trips on some trials inside a batch
     if scheme == "zero_rate":
         k *= 8
     cfg = SimConfig(k=k, alpha=alpha, trials=trials, seed=seed, mu=0.2)
