@@ -75,7 +75,7 @@ def _as_matrix(w):
     return m
 
 
-def _newton_step(m, r, t, d):
+def _newton_step(m, r, t, d, work):
     """One Newton step for max I(r, W) + sum_x r(x) b(x) subject to
     sum r = 1, on the support of r, or None when it cannot be taken.
 
@@ -84,6 +84,9 @@ def _newton_step(m, r, t, d):
     KKT system is solved for u = delta / sqrt(r), where the Hessian becomes
     sqrt(r) H sqrt(r) (less _RIDGE on its diagonal) and the constraint
     sqrt(r).u = 0; the step is cut to 0.99 of the way to the first r(x) = 0.
+
+    A dense `m` is column-major, and `work` holds two buffers of at least
+    k x chunk entries each, reused across the run's Newton steps.
     """
     supp = np.flatnonzero(r > _SUPPORT_REL * r.max())
     k = supp.size
@@ -96,8 +99,17 @@ def _newton_step(m, r, t, d):
         neg_hess = np.zeros((k, k))
         step = max(1, _CHUNK_ENTRIES // k)
         for c0 in range(0, t.size, step):
-            block = m[supp, c0:c0 + step]
-            neg_hess += (block / t[c0:c0 + step]) @ block.T
+            cols = m.T[c0:c0 + step]  # the chunk's columns as rows, contiguous
+            n = cols.shape[0]
+            # the chunk's support rows, row-major k x n like a fresh
+            # m[supp, c0:c0 + step]: GEMM rounds by its operands' layout.
+            # take writes `out` directly in the modes other than "raise"
+            gathered = work[1][:k * n].reshape(n, k)
+            np.take(cols, supp, axis=1, out=gathered, mode="clip")
+            block = work[0][:k * n].reshape(k, n)
+            block[...] = gathered.T
+            scaled = np.divide(block, t[c0:c0 + step], out=work[1][:k * n].reshape(k, n))
+            neg_hess += scaled @ block.T
     root = np.sqrt(r[supp])
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = -neg_hess * root[:, None] * root
@@ -125,6 +137,12 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     `tol`.  Accepts a Dmc, a dense row-stochastic matrix, or a scipy sparse
     matrix (rows are trusted to be stochastic in the sparse case).  All-zero
     output columns are dropped; they cannot carry probability.
+
+    A dense channel is iterated on column-major.  BLAS rounds the products
+    rW and W log(rW) by the operand layout, so one layout for every input
+    makes the result independent of the input's.  A column-major matrix
+    without an all-zero column is used as it is; any other is copied.  The
+    weight classes of `intermit.insertion` are built column-major for this.
 
     The update is over-relaxed, r <- r exp(mu (D(W_x || rW) - max)),
     normalized: the natural-gradient step of Matz and Duhamel (IEEE ITW 2004)
@@ -188,9 +206,21 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
             logm = m.copy()
             logm.data = np.log(logm.data)
             row_ent = np.asarray(m.multiply(logm).sum(axis=1)).ravel()  # sum w ln w
+            work = None
         else:
-            m = m[:, m.sum(axis=0) > 0.0]
-            row_ent = (m * np.where(m > 0.0, np.log(m), 0.0)).sum(axis=1)
+            # the iteration runs on a column-major matrix, copied only when
+            # the input is not column-major or has an empty column
+            keep = m.sum(axis=0) > 0.0
+            if not (m.flags.f_contiguous and keep.all()):
+                m = np.asfortranarray(m[:, keep])
+            ent = np.zeros(m.shape, order="F")  # w ln w, laid out like m
+            np.log(m, out=ent, where=m > 0.0)
+            ent *= m
+            row_ent = ent.sum(axis=1)
+            del ent
+            # the Newton step's two chunk buffers, made once per run
+            size = min(m.size, max(nin, _CHUNK_ENTRIES))
+            work = (np.empty(size), np.empty(size))
         t, d, lb = bounds(r)
         for iters in range(1, _MAX_ITER + 1):
             ub = float(d.max())
@@ -199,7 +229,7 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
             if not gap >= tol_nats:
                 break  # certified (or NaN), with `input_dist` the law the bounds were taken at
             if gap < _NEWTON_GAP:
-                cand = _newton_step(m, r, t, d)
+                cand = _newton_step(m, r, t, d, work)
                 if cand is not None:
                     ct, cd, clb = bounds(cand)
                     if clb > lb:

@@ -36,9 +36,13 @@ from .errors import ConvergenceError, SizeGuardError
 B_DESK = 12
 B_HARD = 17
 _DENSE_LIMIT = 1 << 22  # max entries for a dense class/full matrix
-# (input, composition) entries in one chunk of a count build; larger chunks
-# build faster but raise the peak memory.
-_CHUNK_ENTRIES = 1 << 16
+# (input, composition) entries in one chunk of a count build.  Larger chunks
+# build a little faster but raise the peak memory: over every class of the
+# benchmark's genie windows, 2^16 built 4 % faster than 2^14 (71 against
+# 75 ms on 2 vCPUs), while insertion_capacity(9, 17) peaked at 9.4 against
+# 6.6 MB (tracemalloc); below 2^14 the peak stays at 6.6 MB, which the
+# largest class's Blahut-Arimoto run sets.
+_CHUNK_ENTRIES = 1 << 14
 # C(n, k) for 0 <= k <= n <= B_HARD (0 above the diagonal)
 _BINOM = np.array([[math.comb(n, k) for k in range(B_HARD + 1)] for n in range(B_HARD + 1)],
                   dtype=np.int32)
@@ -187,8 +191,10 @@ class WeightClass:
     so the class capacity is `blahut_capacity(matrix, offset=offset)`, whose
     sandwich equals the unfolded one at the same law.
 
-    `matrix` is dense, or scipy CSR above _DENSE_LIMIT entries; `offset` is
-    in bits; `sizes` holds the input orbit sizes; `inputs` and `outputs` the
+    `matrix` is dense and column-major, or scipy CSR above _DENSE_LIMIT
+    entries.  Column-major is the layout `blahut_capacity` iterates on, so it
+    runs on the dense class itself rather than on a copy.  `offset` is in
+    bits; `sizes` holds the input orbit sizes; `inputs` and `outputs` the
     big-endian codes of the input and output orbit representatives (the
     blocks whose code is at most that of their reversal), in increasing order.
     """
@@ -225,7 +231,11 @@ def weight_class_channel(a: int, b: int, weight: int, *,
     key_of[outputs] = column
     denom = math.comb(b, a)
     offset = np.empty(nin)
-    rows, cols, vals = [], [], []
+    dense = nin * nout <= _DENSE_LIMIT
+    if dense:  # column-major, the layout blahut_capacity iterates on
+        matrix = np.zeros((nin, nout), order="F")
+    else:
+        rows, cols, vals = [], [], []
     for r0, codes, counts in _count_chunks(inputs, a, b, weight):
         n, m = codes.shape
         key = np.ascontiguousarray(key_of[codes] | counts)
@@ -243,15 +253,15 @@ def weight_class_channel(a: int, b: int, weight: int, *,
             - np.bincount(fr, weights=_xlog2x(folded) - folded * (out_sizes[fc] - 1),
                           minlength=n)
         ) / denom
-        rows.append(fr + r0)
-        cols.append(fc)
-        vals.append(folded / denom)
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    if nin * nout > _DENSE_LIMIT:
-        matrix = _csr(rows, cols, vals, (nin, nout))
-    else:  # each (row, output orbit) pair occurs once, so assignment places it
-        matrix = np.zeros((nin, nout))
-        matrix[rows, cols] = vals
+        if dense:  # each (row, output orbit) pair occurs once, so assignment places it
+            matrix[fr + r0, fc] = folded / denom
+        else:
+            rows.append(fr + r0)
+            cols.append(fc)
+            vals.append(folded / denom)
+    if not dense:
+        matrix = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                      (nin, nout))
     return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
                        outputs=outputs)
 
@@ -305,6 +315,7 @@ def insertion_capacity(a: int, b: int, *, allow_large: bool = False) -> Insertio
             raise ConvergenceError(
                 f"insertion channel a={a}, b={b}, weight class {w}: {e}") from e
         caps[w], iterations[w], gaps[w] = res.capacity, res.iterations, res.gap
+        del cls  # before the next class is built
     # neither union can really exceed a bits (the input alphabet), but the
     # exp2/log2 round trip may overshoot the ceiling by a couple of ulps
     cap = min(union_capacity(caps), float(a))

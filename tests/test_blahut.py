@@ -204,10 +204,10 @@ def test_full_insertion_channel_matches_plain_iteration():
 
 
 @st.composite
-def channels(draw):
-    """A channel with 2-6 inputs and outputs, often with zero entries and a
-    duplicated row, and an optional per-input offset in bits."""
-    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+def channels(draw, max_size=6):
+    """A channel with 2 to `max_size` inputs and outputs, often with zero
+    entries and a duplicated row, and an optional per-input offset in bits."""
+    n, m = draw(st.integers(2, max_size)), draw(st.integers(2, max_size))
     weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
     rows = np.array(draw(st.lists(st.lists(weight, min_size=m, max_size=m),
                                   min_size=n, max_size=n)))
@@ -235,6 +235,26 @@ def test_newton_steps_match_plain_iteration(case):
     csr = blahut_capacity(sparse.csr_matrix(w), tol=1e-12, offset=offset)
     assert csr.gap < 1e-12
     assert csr.capacity == pytest.approx(res.capacity, abs=1e-12)
+
+
+def _result_bits(res):
+    return (np.array([res.capacity, res.gap, *res.lb_history]).tobytes(),
+            res.iterations, res.input_dist.probs.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels(max_size=8))
+def test_result_does_not_depend_on_memory_layout(case):
+    # the run iterates on a column-major matrix, copying the input only when
+    # it is not one or has an all-zero column, so every layout of one channel
+    # gives the same bits
+    w, offset = case
+    wide = np.zeros((w.shape[0], 2 * w.shape[1]))
+    wide[:, ::2] = w
+    layouts = [np.ascontiguousarray(w), np.asfortranarray(w), wide[:, ::2],
+               np.asfortranarray(wide)[:, ::2]]
+    bits = [_result_bits(blahut_capacity(m, offset=offset)) for m in layouts]
+    assert all(b == bits[0] for b in bits[1:])
 
 
 def test_union_capacity():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -191,6 +192,29 @@ def test_pinned_csr_class_bytes(monkeypatch):
     cls = weight_class_channel(7, 14, 3, allow_large=True)
     assert sparse.issparse(cls.matrix)
     assert _class_digest([cls]) == "8e25008c490618219e35d92040b951e295a34755a04d196dc2a4867231bca1f3"
+
+
+def test_dense_class_is_column_major():
+    # the layout blahut_capacity iterates on, so it runs on the class itself
+    for a, b, w in [(2, 3, 1), (5, 9, 2), (7, 14, 3)]:
+        assert weight_class_channel(a, b, w, allow_large=True).matrix.flags.f_contiguous
+
+
+def test_paper_scale_window_memory_bound():
+    # the block tables and reversal orbits are cached for the process, so
+    # they are filled first and the peak counts only the class builds and
+    # Blahut-Arimoto runs; numpy reports its buffers to tracemalloc, so the
+    # figure repeats exactly (6.6 MB with numpy 2.4)
+    for w in range(10):
+        insertion_mod._orbits(9, w)
+        insertion_mod._orbits(17, w)
+    tracemalloc.start()
+    try:
+        insertion_capacity(9, 17, allow_large=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_folded_certificate_is_the_unfolded_one():
