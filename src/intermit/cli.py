@@ -4,7 +4,10 @@ Subcommands compute figure-ready CSV data: partial-divergence curves,
 achievable-rate curves, insertion-channel capacities, genie upper bounds,
 capacity per unit cost, and Monte-Carlo decoding runs.  Output is
 deterministic for a fixed command line (no timestamps; every file carries a
-hash of the resolved configuration), so reruns are byte-identical.
+hash of the resolved configuration), so reruns are byte-identical under the
+same numpy/OpenBLAS build and BLAS thread count.  Another thread count can
+move the last printed digits of a converse bound (Blahut-Arimoto's matrix
+products sum through BLAS); each value printed is still a certified bound.
 
 Exit codes: 0 success, 2 invalid arguments, 3 size-guard refusal, 1 anything
 else.

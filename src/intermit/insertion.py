@@ -47,7 +47,7 @@ _CHUNK_ENTRIES = 1 << 14
 _BINOM = np.array([[math.comb(n, k) for k in range(B_HARD + 1)] for n in range(B_HARD + 1)],
                   dtype=np.int32)
 # code weights of the B_HARD bit positions; an n-bit block uses the last n
-_PLACES = 1 << np.arange(B_HARD - 1, -1, -1)
+_PLACES = np.left_shift(1, np.arange(B_HARD - 1, -1, -1), dtype=np.int32)
 
 
 def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
@@ -97,14 +97,17 @@ def _orbits(n: int, weight: int):
 
 def _ones(codes, n: int, weight: int):
     """Positions of the ones of the weight-`weight` n-bit blocks `codes`, in
-    increasing order, one block per row."""
-    bits = (codes[:, None] & _PLACES[B_HARD - n:]) != 0
-    return (np.flatnonzero(bits) % n).reshape(codes.size, weight)
+    increasing order, one block per row, as int8 (n <= B_HARD)."""
+    bits = (codes.astype(np.int32)[:, None] & _PLACES[B_HARD - n:]) != 0
+    ones = np.flatnonzero(bits)
+    ones %= n
+    return ones.astype(np.int8).reshape(codes.size, weight)
 
 
 def _runs(ones, n: int):
     """Zero-run lengths of n-bit blocks from the positions of their ones, one
-    block per row: the run before each one, then the run after the last."""
+    block per row: the run before each one, then the run after the last; in
+    the ones' dtype, which must hold -1 and n."""
     ends = np.empty((len(ones), ones.shape[1] + 2), dtype=ones.dtype)
     ends[:, 0], ends[:, 1:-1], ends[:, -1] = -1, ones, n
     return ends[:, 1:] - ends[:, :-1] - 1
@@ -128,18 +131,21 @@ def _count_chunks(inputs, a: int, b: int, weight: int):
     A chunk holds at most _CHUNK_ENTRIES entries (at least one input), so
     the memory beyond the result stays bounded."""
     n = b - a + weight
+    # the tables hold one row per composition, so each is kept in the
+    # smallest integer dtype that holds its values (b <= B_HARD): int8 for
+    # positions, runs and table rows (below 90), int32 for codes below 2^b
     ones = _ones(_weight_codes(n, weight), n, weight)
     # moving the j-th one right by s_j scales its code weight by 2^-s_j, so
     # the output codes are the products of 2^(b - a - s_j) with the input's
     # one weights 2^(a - 1 - q_j)
-    scale = 1 << (b - a - (ones - np.arange(weight)))
+    scale = np.left_shift(1, b - a - (ones - np.arange(weight, dtype=np.int8)), dtype=np.int32)
     # the count factor of part j at c_j, as a row of the per-input table below
-    pick = _runs(ones, n) + (b - a + 1) * np.arange(weight + 1)
+    pick = _runs(ones, n) + (b - a + 1) * np.arange(weight + 1, dtype=np.int8)
     span = np.arange(b - a + 1)[:, None]
     step = max(1, _CHUNK_ENTRIES // len(ones))
     for r0 in range(0, inputs.size, step):
         q = _ones(inputs[r0:r0 + step], a, weight)
-        codes = scale @ (1 << (a - 1 - q.T))
+        codes = scale @ np.left_shift(1, a - 1 - q.T, dtype=np.int32)
         # C(x_j + c, c) for every part j and every c, one column per input
         table = _BINOM[_runs(q, a).T[:, None] + span, span].reshape(-1, len(q))
         counts = table[pick[:, 0]]

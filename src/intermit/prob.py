@@ -182,10 +182,17 @@ def _typical(counts, length, expected, mu: float, axis) -> np.ndarray:
     |counts/L - expected| <= mu, or L = 0, for sequences of `length` L (an
     empty sequence is typical for every law).  `length` and `expected`
     broadcast against `counts`; a caller whose lengths and expected
-    frequencies are the same for many count arrays computes them once."""
-    dev = counts / np.maximum(length, 1)
+    frequencies are the same for many count arrays computes them once.  A
+    Python-int `length` is that one length for every count array: L >= 1
+    divides as it is, and L = 0 returns np.True_, typical outright, which
+    broadcasts against any result."""
+    scalar = isinstance(length, int)
+    if scalar and length == 0:
+        return np.True_
+    dev = counts / (length if scalar else np.maximum(length, 1))
     dev -= expected
-    return (np.abs(dev, out=dev).max(axis=axis) <= mu) | (length == 0)
+    typical = np.abs(dev, out=dev).max(axis=axis) <= mu
+    return typical if scalar else typical | (length == 0)
 
 
 def typical_rows(counts, p, mu: float) -> np.ndarray:
@@ -238,10 +245,13 @@ def cond_typical_rows(joint_counts, w, mu: float) -> np.ndarray:
     return _typical(c, length, expected, mu, (0, 1))
 
 
+OUT_OF_ALPHABET = "sequence contains out-of-alphabet symbols"
+
+
 def _check_symbols(a: np.ndarray, size: int) -> None:
     """Refuse a symbol array with an entry outside {0, ..., size-1}."""
     if a.size and (a.min() < 0 or a.max() >= size):
-        raise ValueError("sequence contains out-of-alphabet symbols")
+        raise ValueError(OUT_OF_ALPHABET)
 
 
 def is_typical(seq, p, mu: float) -> bool:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -44,12 +45,12 @@ from .errors import SizeGuardError
 # is_typical and is_cond_typical are not called here; they stay importable
 # as intermit.sim.is_typical and .is_cond_typical, where perfbench/layers.py
 # wraps them.
-from .prob import (Dmc, _check_symbols, _typical, _vec, is_cond_typical,  # noqa: F401
-                   is_typical, kl_divergence, typical_rows)
+from .prob import (OUT_OF_ALPHABET, Dmc, _check_symbols, _typical, _vec,  # noqa: F401
+                   is_cond_typical, is_typical, kl_divergence, typical_rows)
 
 ENUM_GUARD = 1_000_000  # max number of instant patterns a decoder may scan
 # entries a decoder chunk holds at most: its patterns' one-hot outputs and
-# joint counts together
+# joint counts together, floats of 8 bytes (2 MB)
 _CHUNK_ENTRIES = 1 << 18
 # Pattern tables of the enumerations that fit in one decoder chunk, by
 # (n, k), least recently used first.  Such a table holds at most
@@ -412,7 +413,11 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     outputs onehot[b, j, s] (output b at instant j of subset s), their sum
     over j the gate's counts, and one batched 0/1 product with the
     codebook's per-input position masks, summed over j, the joint counts
-    joint[a, b, m, s] of every message m.
+    joint[a, b, m, s] of every message m.  The one-hot outputs are made
+    floats once, so the product runs einsum's float loop; casting booleans
+    inside einsum took twice as long at 2 002 subsets.  The scan's
+    bookkeeping is in Python ints, from the indices of the subsets that
+    pass the gate (every subset, without one).
 
     Every subset holds k symbols, one per instant, so its length, the rest's
     length n - k and each codeword's input counts N_m(a) are the same for
@@ -429,7 +434,11 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
     if cb.ndim != 2 or cb.shape[0] < 1 or cb.shape[1] != k:
         raise ValueError("codebook must hold at least one codeword of length k")
     _check_symbols(ys, nout)
-    _check_symbols(cb, nin)
+    masks = (cb == np.arange(nin)[:, None, None]).astype(float)  # [a, m, j]: cb[m, j] == a
+    inputs = masks.sum(axis=2)  # N_m(a)
+    # each in-alphabet symbol sits in exactly one input's mask
+    if inputs.sum() != cb.size:
+        raise ValueError(OUT_OF_ALPHABET)
     count = math.comb(ys.size, k)
     if count > ENUM_GUARD:
         raise SizeGuardError(
@@ -439,8 +448,7 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
         raise ValueError(f"typicality slack mu must be positive, got {mu}")
     n_msg = cb.shape[0]
     symbols = np.arange(nout)[:, None, None]
-    masks = (cb == np.arange(nin)[:, None, None]).astype(float)  # [a, m, j]: cb[m, j] == a
-    expected = (masks.sum(axis=2) / k)[:, None, :, None] * w.rows[:, :, None, None]
+    expected = (inputs / k)[:, None, :, None] * w.rows[:, :, None, None]
     if gate is not None:
         totals = np.bincount(ys, minlength=nout)[:, None]
         law, noise = (g[:, None] for g in gate)
@@ -453,27 +461,29 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
         chunks = _pattern_chunks(ys.size, k, rows)
     for patterns in chunks:
         size = patterns.shape[0]
-        onehot = ys.take(patterns.T) == symbols
+        onehot = (ys.take(patterns.T) == symbols).astype(float)
+        # the indices of the chunk's subsets that reach the codeword checks,
+        # ascending: bisect_right(passed, i) of them come no later than i
         if gate is None:
-            passed = np.ones(size, dtype=bool)
+            passed = range(size)
         else:
             kept = onehot.sum(axis=1)
-            passed = (_typical(kept, k, law, mu, 0)
-                      & _typical(totals - kept, ys.size - k, noise, mu, 0))
+            passed = np.flatnonzero(_typical(kept, k, law, mu, 0)
+                                    & _typical(totals - kept, ys.size - k, noise, mu, 0))
             onehot = onehot[:, :, passed]
-        # joint[a, b, m, s]: integers <= k, so the float sums are exact in
-        # any order.  einsum runs its own loop; a BLAS product would map
-        # about 0.3 MB of library pages into the process on its first call.
-        joint = np.einsum("amj,bjs->abms", masks, onehot, dtype=float)
-        if gate is None:
-            hit = _typical(joint, k, expected, mu, (0, 1))
-        else:
-            hit = np.zeros((n_msg, size), dtype=bool)
-            hit[:, passed] = _typical(joint, k, expected, mu, (0, 1))
+            passed = passed.tolist()
         # first[m]: the subset at which message m is first witnessed (size
         # if never, -1 if witnessed before this chunk)
-        first = [f if h else size for f, h in zip(hit.argmax(axis=1).tolist(),
-                                                   hit.any(axis=1).tolist())]
+        first = [size] * n_msg
+        if passed:
+            # joint[a, b, m, s]: integers <= k, so the float sums are exact
+            # in any order.  einsum runs its own loop; a BLAS product would
+            # map about 0.3 MB of library pages into the process on its first
+            # call.
+            joint = np.einsum("amj,bjs->abms", masks, onehot)
+            hit = _typical(joint, k, expected, mu, (0, 1))
+            first = [passed[f] if h else size for f, h in zip(hit.argmax(axis=1).tolist(),
+                                                              hit.any(axis=1).tolist())]
         if known is not None:
             first[known] = -1
         order = sorted((m for m in range(n_msg) if first[m] < size), key=first.__getitem__)
@@ -484,13 +494,11 @@ def _decode(y, k: int, codebook, w: Dmc, mu: float, gate=None) -> DecodeResult:
         # a message is checked at every gated subset before `stop` up to and
         # including the one that witnesses it, and at `stop` if it comes no
         # later than the second witness
-        gated = np.cumsum(passed)
         for m, f in enumerate(first):
-            upto = min(f, stop - 1)
-            checks += (int(gated[upto]) if upto >= 0 else 0) + (m <= last and f >= stop)
+            checks += bisect_right(passed, min(f, stop - 1)) + (m <= last and f >= stop)
         end = min(stop, size - 1)  # the last subset scanned
         examined += end + 1
-        second += int(gated[end])
+        second += bisect_right(passed, end)
         if stop < size:
             return DecodeResult(None, examined, second if gate is not None else 0, checks)
         if order:

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,27 @@ def test_pinned_stdout_bytes(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.paper_scale
+def test_c1_limit_agrees_across_blas_thread_counts():
+    # Blahut-Arimoto's matrix products go through BLAS, whose sums follow
+    # the thread count: this command prints 0.673883733405 with one OpenBLAS
+    # thread and 0.67388373339 with two.  Both are certified upper bounds,
+    # so bytes repeat only for the same numpy build and thread count, while
+    # the values must agree within the certificate's tolerance.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    bounds = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run([sys.executable, "-m", "intermit.cli", "upper-bound", "c1", "--s",
+                              "9", "--bmax", "17", "--limit"], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        header, rows = parse_csv(out)
+        bounds.append(float(rows[0][header.index("bound")]))
+    assert abs(bounds[0] - bounds[1]) <= 1e-9, bounds
 
 
 def test_cpuc_rows(capsys, bsc01):

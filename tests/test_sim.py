@@ -274,6 +274,27 @@ class TestSequenceDecoders:
         assert 1 <= res.choices_examined <= math.comb(3, 2)
 
 
+# two inputs and three outputs, so a symbol equal to one alphabet's size lies
+# inside the other
+WIDE = Dmc(np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]), star=0)
+
+
+@pytest.mark.parametrize("scheme", ["exhaustive", "pattern"])
+@pytest.mark.parametrize("where, bad", [("block", -1), ("block", 3),
+                                        ("codebook", -1), ("codebook", 2)])
+def test_decoders_refuse_out_of_alphabet_symbols(scheme, where, bad):
+    y, cb = np.array([2, 0, 1, 0]), np.array([[0, 1, 1], [1, 0, 1]])
+    if where == "block":
+        y[2] = bad
+    else:
+        cb[1, 2] = bad
+    with pytest.raises(ValueError, match="sequence contains out-of-alphabet symbols"):
+        if scheme == "exhaustive":
+            decode_exhaustive(y, 3, cb, WIDE, 0.1)
+        else:
+            decode_pattern(y, 3, cb, WIDE, 0.1, [0.5, 0.5])
+
+
 @st.composite
 def decode_cases(draw):
     """A channel of up to 9 outputs, codebook, received block, slack and
@@ -300,8 +321,48 @@ def decode_cases(draw):
     return w, cb, y, mu, law / law.sum()
 
 
+# The simulate benchmark's decode regime, beyond the strategies' reach: k = 9
+# blocks of n = 13 and 14 received symbols (715 and 2 002 instant patterns,
+# one memo chunk) on BSC(0.05) and the noiseless channel, with 2 messages and
+# the uniform input law.  Codebook, block, and what each decoder does at
+# mu = 0.09.
+REGIME = [
+    # both decoders declare message 1 after all 2 002 patterns
+    (Dmc.bsc(0.05), [[1, 1, 1, 1, 1, 1, 1, 1, 0], [1, 0, 0, 0, 1, 0, 0, 1, 0]],
+     [1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]),
+    # the exhaustive decoder stops at pattern 62 (ambiguity), the pattern
+    # decoder declares message 0
+    (Dmc.bsc(0.05), [[0, 0, 0, 1, 1, 1, 1, 1, 0], [0, 0, 0, 1, 1, 1, 0, 0, 1]],
+     [0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0]),
+    # the exhaustive decoder stops at pattern 135, the pattern decoder
+    # declares message 1 after all 715
+    (NOISELESS, [[1, 0, 0, 0, 1, 0, 1, 1, 0], [1, 0, 0, 1, 0, 1, 0, 1, 1]],
+     [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1]),
+    # both stop at pattern 590 (ambiguity), after 49 second-stage checks
+    (NOISELESS, [[1, 0, 1, 0, 1, 1, 1, 0, 0], [1, 0, 1, 0, 1, 1, 1, 0, 0]],
+     [0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0]),
+]
+UNIFORM = np.array([0.5, 0.5])
+
+
+def regime_case(i: int, mu: float = 0.09):
+    w, cb, y = REGIME[i]
+    return w, np.array(cb), np.array(y), mu, UNIFORM
+
+
+def regime_tie_case(i: int):
+    """The regime's block with mu on a tie of the pattern decoder's first
+    test: the first subset's deviation from PW."""
+    w, cb, y = REGIME[i]
+    return regime_case(i, deviation(np.array(y[:9]), output_law(UNIFORM, w.rows)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(decode_cases(), st.sampled_from([1, 5, 40, sim_mod._CHUNK_ENTRIES]))
+@example(regime_case(0), sim_mod._CHUNK_ENTRIES)
+@example(regime_case(1), sim_mod._CHUNK_ENTRIES)
+@example(regime_case(2), sim_mod._CHUNK_ENTRIES)
+@example(regime_case(3), sim_mod._CHUNK_ENTRIES)
 def test_decoders_match_sequential_oracle(case, chunk):
     # budgets down to one pattern per chunk put the stop at the second
     # witnessed message both inside a chunk and on a chunk border
@@ -349,6 +410,10 @@ def tie_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tie_cases())
+@example(regime_tie_case(0))
+@example(regime_tie_case(1))
+@example(regime_tie_case(2))
+@example(regime_tie_case(3))
 def test_decoders_match_the_definition_at_ties(case):
     w, cb, y, mu, law = case
     k = cb.shape[1]
