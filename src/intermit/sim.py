@@ -7,12 +7,11 @@ ends with the last codeword symbol.  Decoders: a two-message zero-rate
 typicality test, exhaustive unique-typicality over all transmission-instant
 patterns, and the two-stage pattern decoder.
 
-Every trial draws from its own np.random.default_rng([seed, trial]) stream,
-in a fixed order: the codebook (sequence decoders), the noise gaps, the
-trailing run and one uniform per received symbol.  The stream is exactly
-that generator's, but its PCG64 state is derived from SeedSequence([seed,
-trial]) for a block of _SEED_BLOCK = 1024 trials at once and loaded into one
-reused generator, a fraction of the cost of building a generator per trial.
+Trial t draws from its own np.random.Generator(np.random.PCG64(seed).jumped(t))
+stream, numpy's way to make independent parallel streams, in a fixed order:
+the codebook (sequence decoders), the noise gaps, the trailing run and one
+uniform per received symbol.  One reused generator is set to each trial's
+jumped state in turn, a fraction of the cost of building one per trial.
 `monte_carlo_error` then takes the drawn trials in batches of at most
 _BATCH_SYMBOLS = 8192 received symbols; results do not depend on the
 batching.  Sequence-decoder batches are placed and passed through the
@@ -65,102 +64,29 @@ _TABLES_LOCK = threading.Lock()  # decoders on several threads share the memo
 # memory: over the simulate benchmark's zero-rate jobs, peak RSS was 0.2 MB
 # above that of one-trial batches at 2**13 and 1.5 MB above at 2**15
 _BATCH_SYMBOLS = 1 << 13
-# trials whose stream states _trial_streams derives at once
-_SEED_BLOCK = 1 << 10
-
-# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
-# 128-bit LCG multiplier
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64.jumped's step, (golden ratio - 1) * 2**128: trial t's stream starts
+# t * _JUMP draws after the seed's
+_JUMP = 210306068529402873165736369884012333109
 
 
-def _words(n: int) -> list:
-    """n's 32-bit words, least significant first, as SeedSequence splits an
-    int (0 is one word)."""
-    out = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        out.append(n & _MASK32)
-    return out
+def _trial_streams(seed: int, trials):
+    """The streams np.random.Generator(np.random.PCG64(seed).jumped(t)) of
+    the trial indices t in `trials`, in order, as one reused Generator set
+    to each trial's state in turn: a trial must make its draws before the
+    next one is taken.
 
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays: each call xors in the running
-    constant, steps it by `mult` and multiplies by the new one."""
-    def hashmix(v):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * mult & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _seed_state(entropy: list) -> list:
-    """SeedSequence(entropy).generate_state(4, np.uint64) for a block of
-    entropies at once, as four uint64 arrays: entropy[i] is the i-th 32-bit
-    word of every entropy in the block, as a uint32 array."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return [w[i] | w[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
-
-
-def _trial_streams(seed: int, start: int, stop: int):
-    """The streams np.random.default_rng([seed, t]) of trials t = start ..
-    stop-1, in order, as one reused Generator set to each trial's state in
-    turn: a trial must make its draws before the next one is taken.
-
-    SeedSequence([seed, t]) is evaluated _SEED_BLOCK trials at a time in
-    uint32 arithmetic, and its four 64-bit words seed PCG64 as numpy does:
-    inc = 2*initseq + 1, state = (inc + initstate)*MULT + inc mod 2**128.
-    The first trial of each block is checked against numpy's own
-    SeedSequence, so a numpy that mixes differently raises RuntimeError
-    rather than drawing other streams.
+    Each trial restores the seed's fresh state, which also drops a 32-bit
+    draw the previous trial left buffered, and advances it by t * _JUMP,
+    reduced mod 2**128 into the range PCG64.advance takes; this is what
+    jumped(t) does, without building a bit generator per trial.
     """
-    rng = np.random.Generator(np.random.PCG64(0))
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    head = _words(int(seed))
-    lo = start
-    while lo < stop:
-        # a block stays below the next multiple of 2**32, so its indices
-        # share every word but the lowest
-        hi = min(lo + _SEED_BLOCK, stop, (lo | _MASK32) + 1)
-        low = np.arange(lo & _MASK32, (lo & _MASK32) + hi - lo, dtype=np.uint32)
-        entropy = [np.full(low.size, w, dtype=np.uint32) for w in head]
-        entropy += [low] + [np.full(low.size, w, dtype=np.uint32) for w in _words(lo)[1:]]
-        words = [v.tolist() for v in _seed_state(entropy)]
-        if [v[0] for v in words] != np.random.SeedSequence([seed, lo]).generate_state(
-                4, np.uint64).tolist():
-            raise RuntimeError(f"SeedSequence([{seed}, {lo}]) derived here differs from "
-                               f"numpy {np.__version__}'s own")
-        for s_hi, s_lo, i_hi, i_lo in zip(*words):
-            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            pcg["inc"] = inc
-            rng.bit_generator.state = state
-            yield rng
-        lo = hi
+    bitgen = np.random.PCG64(seed)
+    fresh = bitgen.state
+    rng = np.random.Generator(bitgen)
+    for t in trials:
+        bitgen.state = fresh
+        bitgen.advance(t * _JUMP % (1 << 128))
+        yield rng
 
 
 def _is_integer(v) -> bool:
@@ -581,7 +507,7 @@ def _zero_rate_outcomes(cfg: SimConfig, w: Dmc, trailing: bool) -> list:
                         for n, d in zip(ns.tolist(), decided.tolist()))
 
     size = pending = 0  # trials and received symbols in the batch
-    for rng in _trial_streams(cfg.seed, 0, cfg.trials):
+    for rng in _trial_streams(cfg.seed, range(cfg.trials)):
         row, n = _steps(rng, cfg, trailing)
         if size and pending + n > _BATCH_SYMBOLS:
             run_batch(size, uniforms[:pending])
@@ -605,7 +531,8 @@ def _sequence_outcomes(scheme: str, cfg: SimConfig, w: Dmc, n_messages: int,
     trial draws a codebook of `n_messages` i.i.d. uniform codewords, a batch
     of blocks is placed and sent through the channel at once, and each block
     is decoded on its own."""
-    # uniform, yet passed as p=: rng.choice draws other codewords without it
+    # the codewords' i.i.d. uniform input law, which the pattern decoder's
+    # first stage takes
     pvec = np.full(w.input_size, 1.0 / w.input_size)
     outcomes = []
     batch = []  # (codebook, Geometric1 steps, received length, uniforms)
@@ -632,8 +559,8 @@ def _sequence_outcomes(scheme: str, cfg: SimConfig, w: Dmc, n_messages: int,
                 outcomes.append(TrialOutcome(n, None, 0))
 
     pending = 0  # received symbols in the batch
-    for rng in _trial_streams(cfg.seed, 0, cfg.trials):
-        cb = rng.choice(w.input_size, size=(n_messages, cfg.k), p=pvec)
+    for rng in _trial_streams(cfg.seed, range(cfg.trials)):
+        cb = rng.integers(w.input_size, size=(n_messages, cfg.k))
         steps, n = _steps(rng, cfg, trailing)
         if batch and pending + n > _BATCH_SYMBOLS:
             run_batch()
@@ -658,11 +585,10 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     message and counts as an error; its outcome records 0 choices examined,
     which no decoded trial does.
 
-    Each trial makes its draws from its own default_rng([seed, trial])
-    stream, as `_trial_streams` derives it; the drawn trials then go through
-    the channel, and zero-rate trials through their decision, in batches of
-    at most _BATCH_SYMBOLS received symbols (a longer trial forms a batch
-    alone).  A zero-rate batch is counted from the uniforms and the codeword
+    Trial t makes its draws from its own PCG64(seed).jumped(t) stream, as
+    `_trial_streams` sets it; the drawn trials then go through the channel,
+    and zero-rate trials through their decision, in batches of at most
+    _BATCH_SYMBOLS received symbols (a longer trial forms a batch alone).  A zero-rate batch is counted from the uniforms and the codeword
     positions without placing its blocks; the sequence decoders still see
     one trial at a time.  Batching changes no draw, so no result.
     """

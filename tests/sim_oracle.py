@@ -1,9 +1,10 @@
 """The Monte-Carlo loop one trial at a time through the single-sequence entry
 points: the cross-check for the batched `intermit.sim.monte_carlo_error`.
 
-Each trial draws from default_rng([seed, trial]) in the order the package
-does (codebook, noise gaps, trailing run, channel uniforms), then goes through
-`transmit_intermittent`, `apply_dmc` and its decoder on its own.
+Trial t draws from a generator on np.random.PCG64(seed).jumped(t), built
+afresh for every trial, in the order the package does (codebook, noise gaps,
+trailing run, channel uniforms), then goes through `transmit_intermittent`,
+`apply_dmc` and its decoder on its own.
 """
 
 import numpy as np
@@ -23,10 +24,10 @@ def monte_carlo_error(scheme: str, cfg, w, *, n_messages: int = 2,
     total_n = 0
     outcomes = []
     for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, t])
+        rng = np.random.Generator(np.random.PCG64(cfg.seed).jumped(t))
         m = t % n_msg
         if fixed_cb is None:
-            cb = rng.choice(w.input_size, size=(n_msg, cfg.k), p=pvec)
+            cb = rng.integers(w.input_size, size=(n_msg, cfg.k))
         else:
             cb = fixed_cb
         x = sim.transmit_intermittent(cb[m], cfg.alpha, w.star, rng,

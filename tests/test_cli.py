@@ -301,13 +301,13 @@ def test_simulate_writes_deterministic_artifacts(capsys, tmp_path):
 PINNED_TRIALS = [
     (["--scheme", "zero_rate", "--channel", "bsc:0.05", "--k", "40", "--alpha", "1.5",
       "--trials", "200", "--seed", "11"],
-     "e57d88c12480702a9661b1436b03187e6ff8929cc51d26f13e8e20151885eba6"),
+     "9cfb622ffd2186c04cd08509da0078722154b964c3aea9f370ebd22d51a2a19b"),
     (["--scheme", "exhaustive", "--channel", "noiseless:2", "--k", "6", "--alpha", "1.3",
       "--trials", "100", "--seed", "5", "--mu", "0.1"],
-     "9e21e9a19e2f481704a2c3f9791e5d1d8ddb41b56449ca122b4b2c0e50223a11"),
+     "0eb84f9aa960394cdc916ef4746d632483a1eaaa388d211c7e15b7e9eddb1fc3"),
     (["--scheme", "pattern", "--channel", "bsc:0.05", "--k", "6", "--alpha", "1.3",
       "--trials", "100", "--seed", "7", "--mu", "0.1", "--leading-trailing"],
-     "7322509b53e74c3325950d66160222d96338e5ab96c0928ae19e02717876f658"),
+     "b950a86f6ff0298b09a21257f7d357a5a947e01349d029ca4ff104c3324b2904"),
 ]
 
 
@@ -325,14 +325,14 @@ CHANNEL_3X9 = {"rows": [[0.6, 0.2, 0.1, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01],
 PINNED_TRIALS_3X9 = [
     (["--scheme", "exhaustive", "--k", "6", "--alpha", "1.3", "--trials", "100", "--seed", "13",
       "--mu", "0.15"],
-     "479fe37f0a7f128460702b58680f6588c841eaaf4466f4a2dcd1cfe43ef8ecb4"),
+     "bc5b84d002996671adcb49e5e039619e984b1e420e2a4e6ba14c4e327ece677d"),
     (["--scheme", "pattern", "--k", "6", "--alpha", "1.3", "--trials", "100", "--seed", "17",
       "--mu", "0.25"],
-     "dc7ac79b68f0f4d695fe41a5c4d3933bb866304e4d2db6c88a74e77053f2ea5e"),
+     "0b90d2fdad25c1d6f83039a6d2d5bd6ac37898df887c4b730bb2f84ecc5973e4"),
     # counted per output from the uniforms, without placing the blocks
     (["--scheme", "zero_rate", "--k", "30", "--alpha", "1.3", "--trials", "200", "--seed", "19",
       "--mu", "0.1"],
-     "4251af00b7c9de9db6e20c2e44575b9059fe053fc5e05bbd06c54b37e395e4d7"),
+     "69f7a55e64e7fbd3ecc444fbb186c3fedad83d3d2a01b60ccd0712542bb0e8f3"),
 ]
 
 
@@ -621,7 +621,7 @@ def test_simulate_summary_pinned_and_matches_trials(capsys, tmp_path):
     assert run_cli(capsys, ["simulate", *argv, "--out", str(tmp_path)])[0] == 0
     summary = (tmp_path / "summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == (
-        "68d4928dd2ada2ca70b26d4f76b403bdbbef088e2f4c06ff0b2e737bf8714880")
+        "881a2b763fd1206c43d2a4e9fa77ea660891fe72eb0e66b9d46280f721077481")
     head = (tmp_path / "trials.csv").read_text().split("\n", 1)[0]
     assert head == f"# config_hash={json.loads(summary)['config_hash']}"
 

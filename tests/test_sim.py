@@ -1,7 +1,6 @@
 """Monte-Carlo channel simulator and the three decoders."""
 
 import math
-import re
 import sys
 import threading
 from dataclasses import astuple
@@ -618,23 +617,24 @@ def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, w, k, alpha, tri
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**70),
-       start=st.sampled_from([0, 2**32 - 5]),
-       trials=st.integers(1, 12),
-       block=st.sampled_from([1, 3, 4, sim_mod._SEED_BLOCK]))
-@example(seed=0, start=0, trials=5, block=2)
-@example(seed=2**64 - 1, start=0, trials=5, block=2)
-@example(seed=2**128 + 3, start=0, trials=5, block=2)
-def test_trial_streams_match_default_rng(seed, start, trials, block):
-    # small blocks put block boundaries inside the run; a start just below
-    # 2**32 gives the later trials a second index word, and a five-word
-    # seed overflows SeedSequence's four-word pool
-    with mock.patch.object(sim_mod, "_SEED_BLOCK", block):
-        got = [rng.bit_generator.state
-               for rng in sim_mod._trial_streams(seed, start, start + trials)]
-    want = [np.random.default_rng([seed, t]).bit_generator.state
-            for t in range(start, start + trials)]
-    assert got == want
+@given(seed=st.one_of(st.integers(0, 2**130), st.integers(0, 2**63 - 1).map(np.int64)),
+       start=st.sampled_from([0, 2**32 - 3]),
+       trials=st.integers(1, 8))
+@example(seed=0, start=0, trials=5)
+@example(seed=2**64 - 1, start=2**32 - 3, trials=6)
+@example(seed=2**128 + 3, start=0, trials=5)
+@example(seed=np.int64(2**62 + 5), start=2**32 - 3, trials=6)
+def test_trial_streams_are_the_jumped_pcg64_streams(seed, start, trials):
+    # trial t's stream starts at PCG64(seed).jumped(t)'s state, at indices
+    # just below and above 2**32 too; each trial leaves a 32-bit draw
+    # buffered, which the next trial's state must not carry
+    indices = range(start, start + trials)
+    got = []
+    for rng in sim_mod._trial_streams(seed, indices):
+        got.append(rng.bit_generator.state)
+        rng.integers(10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    assert got == [np.random.PCG64(seed).jumped(t).state for t in indices]
 
 
 class TestExactEnumeration:
@@ -652,15 +652,3 @@ class TestExactEnumeration:
             enumerate_exact_error(
                 k=2, n=3, codebook=np.array([[0, 1], [1, 0]]), w=bsc01, mu=0.05
             )
-
-
-def test_trial_streams_check_each_block_against_numpy():
-    # a wrong hash constant stands in for a numpy whose SeedSequence mixes
-    # differently: the first trial of every block is checked, so the second
-    # block refuses once the constant changes
-    with mock.patch.object(sim_mod, "_SEED_BLOCK", 2):
-        streams = sim_mod._trial_streams(3, 0, 5)
-        next(streams), next(streams)
-        with mock.patch.object(sim_mod, "_MIX_L", sim_mod._MIX_L ^ 1), \
-                pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
-            next(streams)
