@@ -134,9 +134,10 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
 
     Alternates the Blahut-Arimoto update on the input distribution and stops
     when the certified sandwich max_x D(W_x || rW) - I(r, W) drops below
-    `tol`.  Accepts a Dmc, a dense row-stochastic matrix, or a scipy sparse
-    matrix (rows are trusted to be stochastic in the sparse case).  All-zero
-    output columns are dropped; they cannot carry probability.
+    `tol`.  Accepts a Dmc, a dense matrix or a scipy sparse matrix; a
+    matrix, sparse or dense, whose rows do not each sum to 1 within
+    RENORM_TOL, or with a negative or NaN entry, is refused (ValueError).
+    All-zero output columns are dropped; they cannot carry probability.
 
     A dense channel is iterated on column-major.  BLAS rounds the products
     rW and W log(rW) by the operand layout, so one layout for every input

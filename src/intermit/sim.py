@@ -12,14 +12,17 @@ stream, numpy's way to make independent parallel streams, in a fixed order:
 the codebook (sequence decoders), the noise gaps, the trailing run and one
 uniform per received symbol.  One reused generator is set to each trial's
 jumped state in turn, a fraction of the cost of building one per trial.
-`monte_carlo_error` then takes the drawn trials in batches of at most
-_BATCH_SYMBOLS = 8192 received symbols; results do not depend on the
-batching.  Sequence-decoder batches are placed and passed through the
-channel.  Zero-rate batches are counted, not built: message 0 is all
-`star`, so each output is the noise row's inverse-CDF output of its
-uniform, except at a message-1 trial's codeword positions, where it is the
-signal symbol's; each trial's output counts come from the uniforms and
-those positions, and the batch is decided at once.
+One generator, `_trial_batches`, makes every trial's draws, into buffers
+made once per run, and hands `monte_carlo_error` the trials in batches of
+at most _BATCH_SYMBOLS = 8192 received symbols; results do not depend on
+the batching.  Each scheme family consumes the batches with one per-batch
+function.  Sequence-decoder batches are placed and passed through the
+channel, then each block is decoded.  Zero-rate batches are counted, not
+built: message 0 is all `star`, so each output is the noise row's
+inverse-CDF output of its uniform, except at a message-1 trial's codeword
+positions, where it is the signal symbol's; each trial's output counts
+come from the uniforms and those positions, and the batch is decided at
+once.
 
 The sequence decoders keep the table of instant patterns of each (n, k)
 whose enumeration fits in one decoder chunk for the life of the process,
@@ -36,6 +39,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
 
 import numpy as np
@@ -454,120 +458,104 @@ def decode_pattern(y, k: int, codebook, w: Dmc, mu: float, input_dist) -> Decode
     return _decode(y, k, codebook, w, mu, gate=((p[:, None] * w.rows).sum(axis=0), w.star_row()))
 
 
-def _steps(rng, cfg: SimConfig, trailing: bool):
-    """A trial's Geometric1 steps and its received length N: the noise run
-    before each codeword symbol is its step less one, so N is the steps'
-    sum (plus the trailing run when `trailing`)."""
-    steps = rng.geometric(cfg.p_t, size=cfg.k)
-    n = int(steps.sum())
-    if trailing:
-        n += int(rng.geometric(cfg.p_t)) - 1
-    return steps, n
+def _trial_batches(cfg: SimConfig, trailing: bool, codebook=None):
+    """Every trial of a run, drawn in order and yielded in batches of at
+    most _BATCH_SYMBOLS received symbols as (first trial index, codebooks,
+    Geometric1 steps, received lengths, uniforms): row i of each is trial
+    first + i, and the uniforms are the batch's blocks end to end.
 
-
-def _zero_rate_outcomes(cfg: SimConfig, w: Dmc, trailing: bool) -> list:
-    """The zero-rate trials' outcomes, from their output counts; no block is
-    built.
-
-    Message 0 is all `star`, so a batch's outputs are the noise row's
-    inverse-CDF outputs of its uniforms, and a message-1 trial (odd t) then
-    takes the signal symbol's row at its k codeword positions.  The
-    comparisons are `_channel`'s, so the outputs are those of the placed
-    blocks.  A batch's uniforms and its trials' steps are drawn into buffers
-    made once per run."""
-    k, nout = cfg.k, w.output_size
-    cdf = np.cumsum(w.rows, axis=1)[:, :-1]  # the last step only counts past the last output
-    # each codeword repeats one symbol: star for message 0, the signal for 1
-    noise_cdf, signal_cdf = cdf[zero_rate_codebook(w, 1)[:, 0]]
-    steps = np.empty((max(1, _BATCH_SYMBOLS // k), k), dtype=np.int64)
-    lengths = np.empty(steps.shape[0], dtype=np.int64)
+    Trial t draws from its `_trial_streams` stream: with `codebook` =
+    (inputs, messages), a codebook of i.i.d. uniform codewords (codebooks is
+    None without), then k steps, each one more than the noise run before its
+    codeword symbol, the trailing run when `trailing`, and one uniform per
+    received symbol.  A batch ends before the trial that would take it past
+    the budget; a longer trial grows the uniform buffer and so forms a batch
+    alone.  The buffers are made once per run and reused: a batch must be
+    consumed before the next is drawn.
+    """
+    k = cfg.k
+    rows = max(1, _BATCH_SYMBOLS // k)  # every trial has at least k symbols
+    codebooks = None if codebook is None else np.empty((rows, codebook[1], k), dtype=np.int64)
+    steps = np.empty((rows, k), dtype=np.int64)
+    lengths = np.empty(rows, dtype=np.int64)
     uniforms = np.empty(_BATCH_SYMBOLS)
-    outcomes = []
-
-    def run_batch(size: int, u: np.ndarray) -> None:
-        ns = lengths[:size]
-        starts = np.cumsum(ns) - ns
-        # every earlier trial has its outcome, so the batch's first trial is
-        # len(outcomes); the odd trials send message 1
-        odd = slice((len(outcomes) + 1) % 2, size, 2)
-        u_at = u[starts[odd, None] + np.cumsum(steps[odd], axis=1) - 1]
-        # above[b, i]: how many outputs of trial i are b or more.  An output
-        # is the number of CDF steps below its uniform, and the steps rise,
-        # so it exceeds j exactly when its uniform is above step j: the noise
-        # row's step everywhere but at a message-1 codeword position
-        above = np.zeros((nout + 1, size), dtype=np.int64)
-        above[0] = ns
-        for j in range(nout - 1):
-            above[j + 1] = np.add.reduceat(u > noise_cdf[j], starts, dtype=np.int64)
-            above[j + 1, odd] += ((u_at > signal_cdf[j]).sum(axis=1)
-                                  - (u_at > noise_cdf[j]).sum(axis=1))
-        counts = (above[:-1] - above[1:]).T
-        decided = _zero_rate_decisions(ns, counts, w, cfg)
-        outcomes.extend(TrialOutcome(n, None if d < 0 else d, 1)
-                        for n, d in zip(ns.tolist(), decided.tolist()))
-
-    size = pending = 0  # trials and received symbols in the batch
-    for rng in _trial_streams(cfg.seed, range(cfg.trials)):
-        row, n = _steps(rng, cfg, trailing)
+    first = size = pending = 0  # the batch's first trial, its trials and symbols
+    for t, rng in enumerate(_trial_streams(cfg.seed, range(cfg.trials))):
+        cb = None if codebook is None else rng.integers(codebook[0], size=(codebook[1], k))
+        row = rng.geometric(cfg.p_t, size=k)
+        n = int(row.sum())
+        if trailing:
+            n += int(rng.geometric(cfg.p_t)) - 1
         if size and pending + n > _BATCH_SYMBOLS:
-            run_batch(size, uniforms[:pending])
-            size = pending = 0
+            yield (first, None if codebook is None else codebooks[:size], steps[:size],
+                   lengths[:size], uniforms[:pending])
+            first, size, pending = t, 0, 0
+        if n > uniforms.size:
+            uniforms = np.empty(n)
+        if cb is not None:
+            codebooks[size] = cb
         steps[size], lengths[size] = row, n
+        rng.random(out=uniforms[pending:pending + n])
         size += 1
-        if n > _BATCH_SYMBOLS:  # a longer trial forms a batch alone
-            run_batch(1, rng.random(n))
-            size = 0
-        else:
-            rng.random(out=uniforms[pending:pending + n])
-            pending += n
-    if size:
-        run_batch(size, uniforms[:pending])
-    return outcomes
+        pending += n
+    yield (first, None if codebook is None else codebooks[:size], steps[:size],
+           lengths[:size], uniforms[:pending])
 
 
-def _sequence_outcomes(scheme: str, cfg: SimConfig, w: Dmc, n_messages: int,
-                       trailing: bool) -> list:
-    """The outcomes of the exhaustive or pattern decoder's trials: each
-    trial draws a codebook of `n_messages` i.i.d. uniform codewords, a batch
-    of blocks is placed and sent through the channel at once, and each block
-    is decoded on its own."""
+def _zero_rate_batch(w: Dmc, cfg: SimConfig, noise_cdf: np.ndarray, signal_cdf: np.ndarray,
+                     first: int, codebooks, steps: np.ndarray, lengths: np.ndarray,
+                     u: np.ndarray) -> list:
+    """The outcomes of a batch of zero-rate trials, from their output
+    counts; no block is built.
+
+    Message 0 is all `star`, so the outputs are the noise row's inverse-CDF
+    outputs of the uniforms, and a message-1 trial (odd t) then takes the
+    signal symbol's row at its k codeword positions.  The comparisons are
+    `_channel`'s, so the outputs are those of the placed blocks.  The CDFs
+    lack their last step, which only counts past the last output.  The
+    codebooks are None: the scheme's two codewords are fixed."""
+    size = lengths.size
+    starts = np.cumsum(lengths) - lengths
+    odd = slice((first + 1) % 2, size, 2)
+    u_at = u[starts[odd, None] + np.cumsum(steps[odd], axis=1) - 1]
+    # above[b, i]: how many outputs of trial i are b or more.  An output is
+    # the number of CDF steps below its uniform, and the steps rise, so it
+    # exceeds j exactly when its uniform is above step j: the noise row's
+    # step everywhere but at a message-1 codeword position
+    above = np.zeros((w.output_size + 1, size), dtype=np.int64)
+    above[0] = lengths
+    for j in range(w.output_size - 1):
+        above[j + 1] = np.add.reduceat(u > noise_cdf[j], starts, dtype=np.int64)
+        above[j + 1, odd] += ((u_at > signal_cdf[j]).sum(axis=1)
+                              - (u_at > noise_cdf[j]).sum(axis=1))
+    decided = _zero_rate_decisions(lengths, (above[:-1] - above[1:]).T, w, cfg)
+    return [TrialOutcome(n, None if d < 0 else d, 1)
+            for n, d in zip(lengths.tolist(), decided.tolist())]
+
+
+def _sequence_batch(scheme: str, w: Dmc, cfg: SimConfig, n_messages: int, first: int,
+                    codebooks: np.ndarray, steps: np.ndarray, lengths: np.ndarray,
+                    u: np.ndarray) -> list:
+    """The outcomes of a batch of exhaustive or pattern decoder trials: the
+    blocks are placed and sent through the channel at once, and each is
+    decoded on its own."""
+    trial = np.arange(lengths.size)
+    codewords = codebooks[trial, (first + trial) % n_messages]
+    y = _channel(_place(codewords, steps, lengths, w.star), u, w)
     # the codewords' i.i.d. uniform input law, which the pattern decoder's
     # first stage takes
     pvec = np.full(w.input_size, 1.0 / w.input_size)
     outcomes = []
-    batch = []  # (codebook, Geometric1 steps, received length, uniforms)
-
-    def run_batch():
-        codebooks, step_rows, ns, uniforms = zip(*batch)
-        batch.clear()
-        lengths = np.array(ns)
-        # every earlier trial has its outcome, so the batch's first trial is
-        # len(outcomes)
-        sent = np.arange(len(outcomes), len(outcomes) + len(ns)) % n_messages
-        codewords = np.array(codebooks)[np.arange(len(ns)), sent]
-        y = _channel(_place(codewords, np.array(step_rows), lengths, w.star),
-                     np.concatenate(uniforms), w)
-        for cb, n, stop in zip(codebooks, ns, np.cumsum(lengths)):
-            y_t = y[stop - n:stop]
-            try:
-                if scheme == "exhaustive":
-                    res = decode_exhaustive(y_t, cfg.k, cb, w, cfg.mu)
-                else:
-                    res = decode_pattern(y_t, cfg.k, cb, w, cfg.mu, pvec)
-                outcomes.append(TrialOutcome(n, res.message, res.choices_examined))
-            except SizeGuardError:
-                outcomes.append(TrialOutcome(n, None, 0))
-
-    pending = 0  # received symbols in the batch
-    for rng in _trial_streams(cfg.seed, range(cfg.trials)):
-        cb = rng.integers(w.input_size, size=(n_messages, cfg.k))
-        steps, n = _steps(rng, cfg, trailing)
-        if batch and pending + n > _BATCH_SYMBOLS:
-            run_batch()
-            pending = 0
-        batch.append((cb, steps, n, rng.random(n)))
-        pending += n
-    run_batch()
+    for cb, n, stop in zip(codebooks, lengths.tolist(), np.cumsum(lengths).tolist()):
+        y_t = y[stop - n:stop]
+        try:
+            if scheme == "exhaustive":
+                res = decode_exhaustive(y_t, cfg.k, cb, w, cfg.mu)
+            else:
+                res = decode_pattern(y_t, cfg.k, cb, w, cfg.mu, pvec)
+            outcomes.append(TrialOutcome(n, res.message, res.choices_examined))
+        except SizeGuardError:
+            outcomes.append(TrialOutcome(n, None, 0))
     return outcomes
 
 
@@ -585,12 +573,12 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
     message and counts as an error; its outcome records 0 choices examined,
     which no decoded trial does.
 
-    Trial t makes its draws from its own PCG64(seed).jumped(t) stream, as
-    `_trial_streams` sets it; the drawn trials then go through the channel,
-    and zero-rate trials through their decision, in batches of at most
-    _BATCH_SYMBOLS received symbols (a longer trial forms a batch alone).  A zero-rate batch is counted from the uniforms and the codeword
-    positions without placing its blocks; the sequence decoders still see
-    one trial at a time.  Batching changes no draw, so no result.
+    `_trial_batches` draws every trial, from its own PCG64(seed).jumped(t)
+    stream, and hands them over in batches of at most _BATCH_SYMBOLS
+    received symbols.  A zero-rate batch is counted from its uniforms and
+    codeword positions, with no block placed; a sequence-decoder batch is
+    placed and sent through the channel at once, and each block is decoded
+    on its own.  Batching changes no draw, so no result.
     """
     if scheme not in ("zero_rate", "exhaustive", "pattern"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -599,10 +587,19 @@ def monte_carlo_error(scheme: str, cfg: SimConfig, w: Dmc, *, n_messages: int = 
         raise ValueError(f"need at least one message, got n_messages={n_messages}")
     if scheme == "zero_rate":
         if n_messages != 2:
-            raise ValueError(f"the zero-rate scheme sends two messages, got n_messages={n_messages}")
-        outcomes = _zero_rate_outcomes(cfg, w, leading_and_trailing)
+            raise ValueError("the zero-rate scheme sends two messages, "
+                             f"got n_messages={n_messages}")
+        # each codeword repeats one symbol, star for message 0 and the signal
+        # for 1, so each message's outputs follow one row's CDF steps
+        cdf = np.cumsum(w.rows, axis=1)[:, :-1]
+        decide = partial(_zero_rate_batch, w, cfg, *cdf[zero_rate_codebook(w, 1)[:, 0]])
+        codebook = None
     else:
-        outcomes = _sequence_outcomes(scheme, cfg, w, n_messages, leading_and_trailing)
+        decide = partial(_sequence_batch, scheme, w, cfg, n_messages)
+        codebook = (w.input_size, n_messages)
+    outcomes = []
+    for batch in _trial_batches(cfg, leading_and_trailing, codebook):
+        outcomes += decide(*batch)
 
     errors = sum(o.decoded != t % n_messages for t, o in enumerate(outcomes))
     lo, hi = wilson_interval(errors, cfg.trials)

@@ -226,11 +226,13 @@ def test_pinned_stdout_bytes(capsys, argv, digest):
 
 @pytest.mark.paper_scale
 def test_c1_limit_agrees_across_blas_thread_counts():
-    # Blahut-Arimoto's matrix products go through BLAS, whose sums follow
-    # the thread count: this command prints 0.673883733405 with one OpenBLAS
-    # thread and 0.67388373339 with two.  Both are certified upper bounds,
-    # so bytes repeat only for the same numpy build and thread count, while
-    # the values must agree within the certificate's tolerance.
+    # One of Blahut-Arimoto's BLAS products, the Newton step's Hessian
+    # (neg_hess += scaled @ block.T in blahut._newton_step), sums in an
+    # order that follows the thread count; rW, W log(rW) and r.d do not.
+    # So this command prints 0.673883733405 with one OpenBLAS thread and
+    # 0.67388373339 with two.  Both are certified upper bounds, so bytes
+    # repeat only for the same numpy build and thread count, while the
+    # values must agree within the certificate's tolerance.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))

@@ -539,6 +539,23 @@ class TestMonteCarlo:
         res = monte_carlo_error("zero_rate", cfg, bsc01)
         assert res.mean_n == pytest.approx(100.0, rel=0.02)
 
+    @pytest.mark.parametrize("trailing", [False, True])
+    def test_received_length_law(self, trailing):
+        # the simulator's own draws, not sample_receive_lengths: N is
+        # NB(5, 1/2) on n >= 5, and with the trailing run N + 1 is NB(6, 1/2)
+        cfg = SimConfig(k=5, alpha=2.0, trials=50_000, seed=7)
+        res = monte_carlo_error("zero_rate", cfg, Dmc.bsc(0.1), leading_and_trailing=trailing)
+        seen = np.bincount([o.n_received for o in res.outcomes]) / cfg.trials
+        if trailing:
+            law = [negbinom_pmf(n + 1, 6, 0.5) for n in range(5, seen.size)]
+        else:
+            law = [negbinom_pmf(n, 5, 0.5) for n in range(5, seen.size)]
+        assert not seen[:5].any()
+        # total variation: the histogram's distance on its range, plus the
+        # law's mass beyond it
+        tv = 0.5 * (np.abs(seen[5:] - law).sum() + 1.0 - math.fsum(law))
+        assert tv < 0.02
+
     def test_exhaustive_noiseless_low_error(self):
         cfg = SimConfig(k=6, alpha=1.3, trials=300, seed=9)
         res = monte_carlo_error("exhaustive", cfg, NOISELESS)
@@ -596,23 +613,33 @@ def test_ternary_channels_signal_inside_the_alphabet():
        trials=st.integers(1, 60),
        seed=st.integers(0, 2**64),
        budget=st.sampled_from([1, 24, 40, sim_mod._BATCH_SYMBOLS]),
-       guard=st.sampled_from([10, sim_mod.ENUM_GUARD]))
+       guard=st.sampled_from([10, sim_mod.ENUM_GUARD]),
+       n_messages=st.sampled_from([1, 2, 3]))
 @example(scheme="zero_rate", trailing=False, w=TERNARY_3X4, k=1, alpha=1.0, trials=11, seed=3,
-         budget=24, guard=sim_mod.ENUM_GUARD)
+         budget=24, guard=sim_mod.ENUM_GUARD, n_messages=2)
+@example(scheme="exhaustive", trailing=True, w=Dmc.bsc(0.1), k=4, alpha=2.0, trials=20, seed=261,
+         budget=24, guard=sim_mod.ENUM_GUARD, n_messages=3)
 def test_monte_carlo_matches_per_trial_oracle(scheme, trailing, w, k, alpha, trials, seed,
-                                              budget, guard):
+                                              budget, guard, n_messages):
     # a 1-symbol budget puts every trial in a batch of its own, longer than
     # the budget; 24 and 40 symbols end batches mid-run, and 24 symbols
     # hold three 8-symbol zero-rate trials at alpha = 1, so batches start
-    # on odd trials as well as on even ones (the @example); a guard of 10
-    # patterns trips on some trials inside a batch
+    # on odd trials as well as on even ones (the first @example); a guard
+    # of 10 patterns trips on some trials inside a batch.  With 1-3
+    # messages a sequence batch may start at any message.  In the second
+    # @example, trials 3 and 4 form a batch, and trial 5, 25 symbols long,
+    # forms one alone, sends message 2 and is decoded over its 12 650
+    # patterns, before 14 more trials
     if scheme == "zero_rate":
         k *= 8
+        n_messages = 2
     cfg = SimConfig(k=k, alpha=alpha, trials=trials, seed=seed, mu=0.2)
     with mock.patch.object(sim_mod, "_BATCH_SYMBOLS", budget), \
             mock.patch.object(sim_mod, "ENUM_GUARD", guard):
-        got = monte_carlo_error(scheme, cfg, w, leading_and_trailing=trailing)
-        want = sim_oracle.monte_carlo_error(scheme, cfg, w, leading_and_trailing=trailing)
+        got = monte_carlo_error(scheme, cfg, w, n_messages=n_messages,
+                                leading_and_trailing=trailing)
+        want = sim_oracle.monte_carlo_error(scheme, cfg, w, n_messages=n_messages,
+                                            leading_and_trailing=trailing)
     assert got == want
 
 
