@@ -7,21 +7,24 @@ decomposition + Blahut-Arimoto, and a combinatorial upper bound from the
 entropy of the insertion positions.
 Hamming weight is preserved by zero insertion, so the channel splits into
 independent weight classes and the capacity is the union capacity of the
-class capacities.  Zero insertion also commutes with reversing the block, so
-each class is solved on its reversal orbits (see `WeightClass`).
+class capacities.
 
 The counts come from the zero runs.  A weight-w block has w + 1 zero runs,
 the first before its first one and the last after its last one, and
 inserting zeros only lengthens them.  So the distinct outputs of an input
 with runs x are the blocks with runs x + c, one for each composition c of
-b - a into w + 1 nonnegative parts, and output x + c arises from
-prod_i C(x_i + c_i, c_i) of the position sets: the choice, in each run, of
-which of its zeros are the inserted ones.
+b - a into w + 1 nonnegative parts, and output y = x + c arises from
+prod_i C(y_i, x_i) of the position sets: the choice, in each run, of which
+of its zeros are the inserted ones.  That product is unchanged when one
+permutation is applied to the runs of x and of y, so each class is solved on
+the orbits of its blocks under permutations of their zero runs: the
+partitions of a - w and of b - w into w + 1 parts (see `WeightClass`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,17 +34,12 @@ from .blahut import blahut_capacity, union_capacity
 from .errors import ConvergenceError, SizeGuardError
 
 # Desk-scale guard on the output block length; larger b (up to B_HARD) is an
-# explicit opt-in because the weight-class matrices and their Blahut-Arimoto
-# runs grow combinatorially.
+# explicit opt-in.  The full count table `insertion_counts` grows as 2^a x 2^b,
+# while every folded weight class up to B_HARD is at most 47 x 57.
 B_DESK = 12
 B_HARD = 17
-_DENSE_LIMIT = 1 << 22  # max entries for a dense class/full matrix
-# (input, composition) entries in one chunk of a count build.  Larger chunks
-# build a little faster but raise the peak memory: over every class of the
-# benchmark's genie windows, 2^16 built 4 % faster than 2^14 (71 against
-# 75 ms on 2 vCPUs), while insertion_capacity(9, 17) peaked at 9.4 against
-# 6.6 MB (tracemalloc); below 2^14 the peak stays at 6.6 MB, which the
-# largest class's Blahut-Arimoto run sets.
+# (input, composition) entries in one chunk of a full count build.  Larger
+# chunks build a little faster but raise the peak memory.
 _CHUNK_ENTRIES = 1 << 14
 # C(n, k) for 0 <= k <= n <= B_HARD (0 above the diagonal)
 _BINOM = np.array([[math.comb(n, k) for k in range(B_HARD + 1)] for n in range(B_HARD + 1)],
@@ -62,37 +60,52 @@ def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
 
 
 @lru_cache(maxsize=1)
-def _block_tables():
-    """Hamming weight and reversal of every B_HARD-bit block code; an n-bit
-    block x reverses to rev[x] >> (B_HARD - n)."""
+def _block_weights():
+    """Hamming weight of every B_HARD-bit block code."""
     weight = np.zeros(1 << B_HARD, dtype=np.uint8)
-    rev = np.zeros(1 << B_HARD, dtype=np.int32)
     for k in range(B_HARD):  # the codes with bit k set follow those below 2^k
         np.add(weight[:1 << k], 1, out=weight[1 << k:2 << k])
-        np.bitwise_or(rev[:1 << k], 1 << (B_HARD - 1 - k), out=rev[1 << k:2 << k])
-    weight.flags.writeable = rev.flags.writeable = False  # shared through the cache
-    return weight, rev
+    weight.flags.writeable = False  # shared through the cache
+    return weight
 
 
 def _weight_codes(n: int, weight: int):
     """Big-endian codes of the weight-`weight` n-bit blocks, in increasing
     order."""
-    return np.flatnonzero(_block_tables()[0][:1 << n] == weight)
+    return np.flatnonzero(_block_weights()[:1 << n] == weight)
 
 
-@lru_cache(maxsize=None)  # 20 bytes per orbit: 2.6 MB for every n <= B_HARD
-def _orbits(n: int, weight: int):
-    """Reversal orbits of the weight-`weight` n-bit blocks: the codes of their
-    representatives (the blocks whose code is at most that of their reversal),
-    in increasing order, the orbit sizes (1 for palindromes, else 2) and the
-    codes of the representatives' reversals."""
-    codes = _weight_codes(n, weight)
-    rev = _block_tables()[1][codes] >> (B_HARD - n)
-    rep = codes <= rev
-    codes, rev = codes[rep], rev[rep]
-    sizes = np.where(rev == codes, 1, 2)
-    codes.flags.writeable = sizes.flags.writeable = rev.flags.writeable = False
-    return codes, sizes, rev
+def _descending(total: int, parts: int, cap: int):
+    """The partitions of `total` into `parts` nonnegative parts of at most
+    `cap`, each in non-increasing order, in decreasing lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(min(total, cap), -(-total // parts) - 1, -1):
+        for rest in _descending(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _run_codes(runs, n: int):
+    """Big-endian codes of the n-bit blocks with zero runs `runs` (last axis)."""
+    ones = np.cumsum(runs[..., :-1], axis=-1) + np.arange(runs.shape[-1] - 1)
+    return np.left_shift(1, n - 1 - ones).sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _partitions(total: int, parts: int):
+    """Run-permutation orbits of the blocks with `parts` zero runs summing to
+    `total`: the runs of their representatives, the blocks whose runs do not
+    increase, which have the smallest code in their orbit (int8, one per
+    row); the orbit sizes, the multinomials parts! / prod_j m_j! over the
+    multiplicities m_j of the run lengths; and the representatives' codes, in
+    increasing order."""
+    runs = np.array(list(_descending(total, parts, total)), dtype=np.int8)
+    sizes = np.array([math.factorial(parts) // math.prod(map(math.factorial, Counter(r).values()))
+                      for r in runs.tolist()], dtype=np.int64)
+    codes = _run_codes(runs, total + parts - 1)
+    runs.flags.writeable = sizes.flags.writeable = codes.flags.writeable = False
+    return runs, sizes, codes
 
 
 def _ones(codes, n: int, weight: int):
@@ -154,14 +167,6 @@ def _count_chunks(inputs, a: int, b: int, weight: int):
         yield r0, codes.T, counts.T
 
 
-def _csr(rows, cols, vals, shape):
-    """scipy CSR from entries in row-major order."""
-    from scipy import sparse  # imported here: no class below _DENSE_LIMIT needs it
-
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
-
-
 def insertion_counts(a: int, b: int, *, allow_large: bool = False):
     """Integer counts of the full 2^a x 2^b insertion channel as scipy CSR.
 
@@ -175,21 +180,27 @@ def insertion_counts(a: int, b: int, *, allow_large: bool = False):
             rows.append(np.repeat(inputs[r0:r0 + len(codes)], codes.shape[1]))
             cols.append(codes.ravel())
             vals.append(counts.ravel())
+    from scipy import sparse  # imported here: nothing else in intermit needs it
+
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")  # keeps each row's outputs in order
-    return _csr(rows[order], np.concatenate(cols)[order],
-                np.concatenate(vals)[order].astype(np.int64), (1 << a, 1 << b))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=1 << a))))
+    return sparse.csr_matrix((np.concatenate(vals)[order].astype(np.int64),
+                              np.concatenate(cols)[order], indptr), shape=(1 << a, 1 << b))
 
 
 @dataclass(frozen=True)
 class WeightClass:
-    """One weight class of the insertion channel, folded over block reversal.
+    """One weight class of the insertion channel, folded over permutations of
+    the zero runs.
 
-    Zero insertion commutes with reversing the block, so the class capacity
-    is reached by a reversal-invariant input law and the class can be solved
-    on orbits.  Row O of `matrix` is V(Yo|O) = sum_{y in Yo} W(y|x) for the
-    representative x of input orbit O, over the output orbits Yo.  For an
-    invariant law with orbit masses rho,
+    The counts are unchanged when one permutation is applied to the runs of
+    the input and of the output, so the class commutes with the symmetric
+    group on its w + 1 runs, its capacity is reached by an invariant input
+    law (Gallager 1968, sec. 4.5), and the class can be solved on orbits, the
+    partitions of a - w and of b - w into w + 1 parts.  Row O of `matrix` is
+    V(Yo|O) = sum_{y in Yo} W(y|x) for the representative x of input orbit O,
+    over the output orbits Yo.  For an invariant law with orbit masses rho,
 
         D(W_x || rW) = D(V_O || rho V) + offset(O),
         offset(O) = H(V_O) + sum_Yo V(Yo|O) log2 |Yo| - H(W_x) >= 0,
@@ -197,15 +208,15 @@ class WeightClass:
     so the class capacity is `blahut_capacity(matrix, offset=offset)`, whose
     sandwich equals the unfolded one at the same law.
 
-    `matrix` is dense and column-major, or scipy CSR above _DENSE_LIMIT
-    entries.  Column-major is the layout `blahut_capacity` iterates on, so it
-    runs on the dense class itself rather than on a copy.  `offset` is in
+    `matrix` is dense and column-major, the layout `blahut_capacity` iterates
+    on, so it runs on the class itself rather than on a copy.  `offset` is in
     bits; `sizes` holds the input orbit sizes; `inputs` and `outputs` the
     big-endian codes of the input and output orbit representatives (the
-    blocks whose code is at most that of their reversal), in increasing order.
+    blocks whose zero runs do not increase, which have the smallest code in
+    their orbit), in increasing order.
     """
 
-    matrix: object
+    matrix: np.ndarray
     offset: np.ndarray
     sizes: np.ndarray
     inputs: np.ndarray
@@ -219,57 +230,32 @@ def _xlog2x(v):
 def weight_class_channel(a: int, b: int, weight: int, *,
                          allow_large: bool = False) -> WeightClass:
     """The insertion channel restricted to inputs of one Hamming weight,
-    folded over block reversal (see `WeightClass`)."""
+    folded over permutations of the zero runs (see `WeightClass`)."""
     _check_block_sizes(a, b, allow_large)
     if not 0 <= weight <= a:
         raise ValueError(f"weight {weight} out of range for block length {a}")
-    inputs, sizes, _ = _orbits(a, weight)
-    outputs, out_sizes, out_rev = _orbits(b, weight)
-    nin, nout = inputs.size, outputs.size
-    # the two blocks of output orbit k count in columns 2k and 2k + 1, so the
-    # entries of one orbit are adjacent in each row sorted by column; each
-    # entry sorts as one key, its column above its count (at most
-    # C(b, a) <= 2^b) in the low b + 1 bits
-    low = b + 1
-    key_of = np.empty(1 << b, dtype=np.int64)
-    column = np.arange(nout) << (low + 1)
-    key_of[out_rev] = column + (1 << low)
-    key_of[outputs] = column
+    runs, sizes, inputs = _partitions(a - weight, weight + 1)
+    _, out_sizes, outputs = _partitions(b - weight, weight + 1)
+    n = b - a + weight
+    # input x and composition c give output y = x + c (one row per input, one
+    # column per composition), counted by prod_i C(y_i, x_i)
+    y = runs[:, None] + _runs(_ones(_weight_codes(n, weight), n, weight), n)
+    counts = _BINOM[y, runs[:, None]].prod(axis=2)
+    y.sort(axis=2)  # y's orbit is the block with y's runs in non-increasing order
+    orbit = np.searchsorted(outputs, _run_codes(y[..., ::-1], b))
+    nin, nout = len(runs), len(outputs)
+    folded = np.bincount((orbit + nout * np.arange(nin)[:, None]).ravel(),
+                         weights=counts.ravel(), minlength=nin * nout).reshape(nin, nout)
+    # denom * offset = sum n log2 n - sum (f log2 f - f log2 |Yo|) over the
+    # counts n and folded counts f, each sum taken in column order; f is an
+    # integer, so max(f, 1) log2 max(f, 1) is f log2 f, and 0 at f = 0
+    counts = np.take_along_axis(counts, np.argsort(orbit, axis=1, kind="stable"), axis=1)
     denom = math.comb(b, a)
-    offset = np.empty(nin)
-    dense = nin * nout <= _DENSE_LIMIT
-    if dense:  # column-major, the layout blahut_capacity iterates on
-        matrix = np.zeros((nin, nout), order="F")
-    else:
-        rows, cols, vals = [], [], []
-    for r0, codes, counts in _count_chunks(inputs, a, b, weight):
-        n, m = codes.shape
-        key = np.ascontiguousarray(key_of[codes] | counts)
-        key.sort(axis=1)  # each row in column order
-        orbit, cnt = key >> (low + 1), key & ((1 << low) - 1)
-        start = np.ones((n, m), dtype=bool)
-        np.not_equal(orbit[:, 1:], orbit[:, :-1], out=start[:, 1:])
-        first = np.flatnonzero(start)
-        folded = np.add.reduceat(cnt.ravel(), first)
-        fr, fc = first // m, orbit.ravel()[first]
-        # denom * offset = sum n log2 n - sum f log2 f + sum_{|Yo| = 2} f, each
-        # sum taken in column order
-        offset[r0:r0 + n] = (
-            np.cumsum(_xlog2x(cnt), axis=1)[:, -1]
-            - np.bincount(fr, weights=_xlog2x(folded) - folded * (out_sizes[fc] - 1),
-                          minlength=n)
-        ) / denom
-        if dense:  # each (row, output orbit) pair occurs once, so assignment places it
-            matrix[fr + r0, fc] = folded / denom
-        else:
-            rows.append(fr + r0)
-            cols.append(fc)
-            vals.append(folded / denom)
-    if not dense:
-        matrix = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                      (nin, nout))
-    return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
-                       outputs=outputs)
+    offset = (np.cumsum(_xlog2x(counts), axis=1)[:, -1]
+              - np.cumsum(_xlog2x(np.maximum(folded, 1.0)) - folded * np.log2(out_sizes),
+                          axis=1)[:, -1]) / denom
+    return WeightClass(matrix=np.asfortranarray(folded / denom), offset=offset, sizes=sizes,
+                       inputs=inputs, outputs=outputs)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,23 @@
 """Brute-force zero-insertion counts, one output tuple per kept-position set:
 the cross-check for the run-composition builder in `intermit.insertion`; the
-dense full insertion channel and its weight classes without the reversal
-fold, for cross-checks against the folded weight-class route; and the
-run-length formula for the insertion-position entropy, the cross-check for
-the count-based `insertion_capacity_upper`."""
+dense full insertion channel and its weight classes without any fold, for
+cross-checks against the folded weight-class route; the weight classes
+folded over block reversal only, the paper-scale cross-check for the
+run-permutation fold; and the run-length formula for the insertion-position
+entropy, the cross-check for the count-based `insertion_capacity_upper`."""
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from intermit import Dmc, insertion_counts
+from intermit import Dmc, WeightClass, insertion_counts
+from intermit.insertion import B_HARD, _check_block_sizes, _count_chunks, _weight_codes, _xlog2x
+
+_DENSE_LIMIT = 1 << 22  # max entries for a dense reversal-folded class
 
 
 def all_blocks(n: int):
@@ -65,12 +70,107 @@ def weight_blocks(n: int, weight: int):
 
 def unfolded_class_channel(a: int, b: int, weight: int):
     """The insertion channel restricted to weight-`weight` inputs, without
-    the reversal fold, sliced from `insertion_counts`: (dense matrix, inputs,
+    any fold, sliced from `insertion_counts`: (dense matrix, inputs,
     outputs), rows and columns in increasing big-endian value."""
     rows = [i for i in range(1 << a) if i.bit_count() == weight]
     cols = [j for j in range(1 << b) if j.bit_count() == weight]
     counts = insertion_counts(a, b)[rows][:, cols].toarray()
     return counts / math.comb(b, a), weight_blocks(a, weight), weight_blocks(b, weight)
+
+
+@lru_cache(maxsize=1)
+def _reversals():
+    """Reversal of every B_HARD-bit block code; an n-bit block x reverses to
+    rev[x] >> (B_HARD - n)."""
+    rev = np.zeros(1 << B_HARD, dtype=np.int32)
+    for k in range(B_HARD):  # the codes with bit k set follow those below 2^k
+        np.bitwise_or(rev[:1 << k], 1 << (B_HARD - 1 - k), out=rev[1 << k:2 << k])
+    rev.flags.writeable = False  # shared through the cache
+    return rev
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int, weight: int):
+    """Reversal orbits of the weight-`weight` n-bit blocks: the codes of their
+    representatives (the blocks whose code is at most that of their reversal),
+    in increasing order, the orbit sizes (1 for palindromes, else 2) and the
+    codes of the representatives' reversals."""
+    codes = _weight_codes(n, weight)
+    rev = _reversals()[codes] >> (B_HARD - n)
+    rep = codes <= rev
+    codes, rev = codes[rep], rev[rep]
+    sizes = np.where(rev == codes, 1, 2)
+    codes.flags.writeable = sizes.flags.writeable = rev.flags.writeable = False
+    return codes, sizes, rev
+
+
+def _csr(rows, cols, vals, shape):
+    """scipy CSR from entries in row-major order."""
+    from scipy import sparse
+
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
+
+
+def reversal_class_channel(a: int, b: int, weight: int, *,
+                           allow_large: bool = False) -> WeightClass:
+    """The insertion channel restricted to inputs of one Hamming weight,
+    folded over block reversal only: row O of `matrix` sums W(y|x) over the
+    output orbits {y, reversed y} for the representative x of input orbit O,
+    with the offset H(V_O) + sum_Yo V(Yo|O) log2 |Yo| - H(W_x) of
+    `intermit.WeightClass`.  The matrix is dense and column-major, or scipy
+    CSR above _DENSE_LIMIT entries; `inputs` and `outputs` hold the codes of
+    the blocks whose code is at most that of their reversal."""
+    _check_block_sizes(a, b, allow_large)
+    if not 0 <= weight <= a:
+        raise ValueError(f"weight {weight} out of range for block length {a}")
+    inputs, sizes, _ = _orbits(a, weight)
+    outputs, out_sizes, out_rev = _orbits(b, weight)
+    nin, nout = inputs.size, outputs.size
+    # the two blocks of output orbit k count in columns 2k and 2k + 1, so the
+    # entries of one orbit are adjacent in each row sorted by column; each
+    # entry sorts as one key, its column above its count (at most
+    # C(b, a) <= 2^b) in the low b + 1 bits
+    low = b + 1
+    key_of = np.empty(1 << b, dtype=np.int64)
+    column = np.arange(nout) << (low + 1)
+    key_of[out_rev] = column + (1 << low)
+    key_of[outputs] = column
+    denom = math.comb(b, a)
+    offset = np.empty(nin)
+    dense = nin * nout <= _DENSE_LIMIT
+    if dense:  # column-major, the layout blahut_capacity iterates on
+        matrix = np.zeros((nin, nout), order="F")
+    else:
+        rows, cols, vals = [], [], []
+    for r0, codes, counts in _count_chunks(inputs, a, b, weight):
+        n, m = codes.shape
+        key = np.ascontiguousarray(key_of[codes] | counts)
+        key.sort(axis=1)  # each row in column order
+        orbit, cnt = key >> (low + 1), key & ((1 << low) - 1)
+        start = np.ones((n, m), dtype=bool)
+        np.not_equal(orbit[:, 1:], orbit[:, :-1], out=start[:, 1:])
+        first = np.flatnonzero(start)
+        folded = np.add.reduceat(cnt.ravel(), first)
+        fr, fc = first // m, orbit.ravel()[first]
+        # denom * offset = sum n log2 n - sum f log2 f + sum_{|Yo| = 2} f, each
+        # sum taken in column order
+        offset[r0:r0 + n] = (
+            np.cumsum(_xlog2x(cnt), axis=1)[:, -1]
+            - np.bincount(fr, weights=_xlog2x(folded) - folded * (out_sizes[fc] - 1),
+                          minlength=n)
+        ) / denom
+        if dense:  # each (row, output orbit) pair occurs once, so assignment places it
+            matrix[fr + r0, fc] = folded / denom
+        else:
+            rows.append(fr + r0)
+            cols.append(fc)
+            vals.append(folded / denom)
+    if not dense:
+        matrix = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                      (nin, nout))
+    return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
+                       outputs=outputs)
 
 
 @dataclass(frozen=True)

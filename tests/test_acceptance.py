@@ -2,7 +2,7 @@
 
 Each test is one observable guarantee of the toolkit, checked at a pinned
 tolerance.  Run with -v to get one pass/fail line per guarantee.  The
-full-size long-window reproduction is marked `paper_scale` (about 10 s on
+full-size long-window reproduction is marked `paper_scale` (about 0.2 s on
 2 vCPUs); it runs by default, and -m 'not paper_scale' leaves it out.
 """
 

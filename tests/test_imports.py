@@ -2,9 +2,9 @@
 
 scipy.stats, scipy.optimize, scipy.special, scipy.linalg and scipy.sparse
 together take most of a second to import, and every CLI call would pay for
-them.  scipy.sparse is needed only by weight classes above
-`insertion._DENSE_LIMIT` entries and by `insertion_counts`, so even the
-paper-scale (9, 17) channel, whose classes are all dense, must not load it.
+them.  scipy.sparse is needed only by `insertion_counts`, the full count
+table; every weight class is a small dense matrix, so even the paper-scale
+(9, 17) channel must not load it.
 The tilt solve behind the partial divergence and `figures` is numpy only.
 The check runs in a fresh interpreter, so modules imported by other tests
 do not count.

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,9 +16,9 @@ from scipy.special import entr
 import intermit.insertion as insertion_mod
 from blahut_oracle import plain_blahut_capacity
 from insertion_oracle import (all_blocks, count_matrix, position_entropy,
-                              position_entropy_terms, run_length_upper, run_profile,
-                              unfolded_class_channel, uniform_insertion_channel,
-                              weight_blocks)
+                              position_entropy_terms, reversal_class_channel,
+                              run_length_upper, run_profile, unfolded_class_channel,
+                              uniform_insertion_channel, weight_blocks)
 from intermit import (
     Dmc,
     SizeGuardError,
@@ -52,7 +53,8 @@ def test_weight_class_split_of_full_channel():
     assert inputs == [(0, 1), (1, 0)]
     assert outputs == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert np.array_equal(m * 3, np.array([[2, 1, 0], [0, 1, 2]]))
-    # folded: 01 and 10 form one input orbit, 001 and 100 one output orbit
+    # folded: 01 and 10 (zero runs (1, 0) and (0, 1)) form one input orbit,
+    # 001 and 100 one output orbit
     cls = weight_class_channel(2, 3, 1)
     assert cls.inputs.tolist() == [0b01]
     assert cls.sizes.tolist() == [2]
@@ -78,9 +80,23 @@ def _code(x) -> int:
     return int("".join(map(str, x)) or "0", 2)
 
 
-def _representatives(blocks):
-    """The blocks whose code is at most that of their reversal."""
-    return [x for x in blocks if _code(x) <= _code(x[::-1])]
+def _zero_runs(x):
+    """The zero runs of a binary tuple: before each one, then after the last."""
+    return tuple(len(run) for run in "".join(map(str, x)).split("1"))
+
+
+def _run_orbits(blocks):
+    """The blocks grouped by the multiset of their zero runs, each group in
+    the order given, the groups in increasing code of their smallest block."""
+    groups = {}
+    for x in blocks:
+        groups.setdefault(tuple(sorted(_zero_runs(x))), []).append(x)
+    return sorted(groups.values(), key=lambda g: min(map(_code, g)))
+
+
+def _multinomial(runs) -> int:
+    return math.factorial(len(runs)) // math.prod(
+        math.factorial(m) for m in Counter(runs).values())
 
 
 def _entropy_bits(rows):
@@ -88,33 +104,37 @@ def _entropy_bits(rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(class_sizes(), CHUNKS)
-@example((0, 5, 0), 1)  # a = 0: the empty input
-@example((5, 9, 0), 7)  # w = 0: one composition, one run
-@example((5, 9, 5), 300)  # w = a: no zero in the input
-@example((7, 7, 3), 1)  # a = b: nothing inserted
-def test_class_counts_match_oracle(sizes, chunk):
+@given(class_sizes())
+@example((0, 5, 0))  # a = 0: the empty input
+@example((5, 9, 0))  # w = 0: one composition, one run
+@example((5, 9, 5))  # w = a: no zero in the input
+@example((7, 7, 3))  # a = b: nothing inserted
+@example((5, 9, 2))  # input orbits of 1, 3 and 6 blocks
+def test_class_counts_match_oracle(sizes):
     a, b, w = sizes
-    with mock.patch.object(insertion_mod, "_CHUNK_ENTRIES", chunk):
-        cls = weight_class_channel(a, b, w)
+    cls = weight_class_channel(a, b, w)
     inputs, outputs = weight_blocks(a, w), weight_blocks(b, w)
-    in_reps, out_reps = _representatives(inputs), _representatives(outputs)
+    in_orbits, out_orbits = _run_orbits(inputs), _run_orbits(outputs)
+    in_reps = [min(g, key=_code) for g in in_orbits]
+    out_reps = [min(g, key=_code) for g in out_orbits]
+    # the smallest code of each orbit is its block whose runs do not increase
+    for rep in in_reps + out_reps:
+        assert list(_zero_runs(rep)) == sorted(_zero_runs(rep), reverse=True)
     assert cls.inputs.tolist() == [_code(x) for x in in_reps]
     assert cls.outputs.tolist() == [_code(y) for y in out_reps]
-    # every palindromic input is an orbit of its own
-    assert cls.sizes.tolist() == [1 if x == x[::-1] else 2 for x in in_reps]
+    assert cls.sizes.tolist() == [len(g) for g in in_orbits]
+    assert cls.sizes.tolist() == [_multinomial(_zero_runs(x)) for x in in_reps]
     expect = count_matrix(in_reps, outputs, a, b)
     denom = math.comb(b, a)
     assert np.array_equal(expect.sum(axis=1), np.full(len(in_reps), denom))
-    # the oracle's counts summed over each output orbit {y, reversed y}
-    orbit = {y: k for k, rep in enumerate(out_reps) for y in (rep, rep[::-1])}
-    fold = np.zeros((len(outputs), len(out_reps)), dtype=np.int64)
+    # the oracle's counts summed over each output orbit
+    orbit = {y: k for k, g in enumerate(out_orbits) for y in g}
+    fold = np.zeros((len(outputs), len(out_orbits)), dtype=np.int64)
     fold[np.arange(len(outputs)), [orbit[y] for y in outputs]] = 1
     folded = expect @ fold
-    mat = cls.matrix.toarray() if sparse.issparse(cls.matrix) else cls.matrix
-    assert np.array_equal(np.rint(mat * denom).astype(np.int64), folded)
-    assert np.array_equal(mat, folded / denom)  # bit for bit
-    out_sizes = np.array([1 if y == y[::-1] else 2 for y in out_reps])
+    assert np.array_equal(np.rint(cls.matrix * denom).astype(np.int64), folded)
+    assert np.array_equal(cls.matrix, folded / denom)  # bit for bit
+    out_sizes = np.array([len(g) for g in out_orbits])
     v = folded / denom
     offset = _entropy_bits(v) + v @ np.log2(out_sizes) - _entropy_bits(expect / denom)
     assert np.allclose(cls.offset, offset, rtol=0.0, atol=1e-12)
@@ -134,25 +154,6 @@ def test_full_channel_counts_match_oracle(sizes, chunk):
     assert np.array_equal(ch.rows, Dmc(expect / math.comb(b, a)).rows)
 
 
-def test_sparse_class_matches_dense(monkeypatch):
-    # the dense scatter and the CSR build must place the same bits
-    tol = 1e-9
-    for a, b in [(5, 9), (6, 11)]:
-        dense = [weight_class_channel(a, b, w) for w in range(a + 1)]
-        dense_caps = insertion_capacity(a, b).class_capacities
-        with monkeypatch.context() as m:
-            m.setattr(insertion_mod, "_DENSE_LIMIT", 4)
-            m.setattr(insertion_mod, "_CHUNK_ENTRIES", 40)  # several chunks per class
-            for w in range(1, a):
-                cls = weight_class_channel(a, b, w)
-                assert sparse.issparse(cls.matrix)
-                assert cls.matrix.has_sorted_indices
-                assert np.array_equal(cls.matrix.toarray(), dense[w].matrix)
-                assert np.array_equal(cls.offset, dense[w].offset)
-            sparse_caps = insertion_capacity(a, b).class_capacities
-        assert np.allclose(sparse_caps, dense_caps, rtol=0.0, atol=tol)
-
-
 def _class_digest(classes) -> str:
     """SHA-256 over the dtype, shape and bytes of every array of the classes,
     in order; a CSR matrix contributes its data, indices and index pointers."""
@@ -169,29 +170,34 @@ def _class_digest(classes) -> str:
 
 # every weight class of paper-scale windows, pinned byte for byte from the
 # kept-set enumeration: a change to a count, a summation order or a dtype
-# shows here, where the oracle property compares offsets to 1e-12 for b <= 10
+# shows here, where the oracle property compares offsets to 1e-12 for b <= 10.
+# The first digest is the block-reversal fold of `insertion_oracle`, the
+# second the run-permutation fold of `weight_class_channel`.
 PINNED_CLASSES = [
-    ((9, 17), "62200453ca4a23ec66305bf696b1aeb759b1a9bbb726942c6aaf547d3f5b78c5"),
-    ((6, 16), "1dc6ac9a5677e8d7c673ad743ca8872ad08e088f76384f9756b77d0a17e5b441"),
-    ((7, 14), "94cb62c65bf812343b50d41556720a3b1b622dbb162e4204be70f799c81c059f"),
-    ((11, 12), "990e700a08137b9068a6653d7da16933ea7147d776403ddc6be34165d4ddda7e"),
+    ((9, 17), "62200453ca4a23ec66305bf696b1aeb759b1a9bbb726942c6aaf547d3f5b78c5",
+     "f08999a43a17ee4ade579a2c2951a4f8e7a05bad834f5b4bc128ced528e4ad84"),
+    ((6, 16), "1dc6ac9a5677e8d7c673ad743ca8872ad08e088f76384f9756b77d0a17e5b441",
+     "4717966d32beb8a4ba068695d787079409a41d906dfe10326fbce5f1966cc839"),
+    ((7, 14), "94cb62c65bf812343b50d41556720a3b1b622dbb162e4204be70f799c81c059f",
+     "a2f045af8a74dac93fc8b19e2225cf86137c98f35c8176bdfcda3ab0ed36b1dd"),
+    ((11, 12), "990e700a08137b9068a6653d7da16933ea7147d776403ddc6be34165d4ddda7e",
+     "0672255b3fe0c4bca4f3f56523f5c0024c1b25fd01880100aa54921f8bdf4a1e"),
 ]
+PINNED_IDS = [f"{a}-{b}" for (a, b), _, _ in PINNED_CLASSES]
 
 
-@pytest.mark.parametrize("pair, digest", PINNED_CLASSES,
-                         ids=[f"{a}-{b}" for (a, b), _ in PINNED_CLASSES])
-def test_pinned_class_bytes(pair, digest):
+@pytest.mark.parametrize("pair, oracle_digest, digest", PINNED_CLASSES, ids=PINNED_IDS)
+def test_pinned_class_bytes(pair, oracle_digest, digest):
     a, b = pair
     classes = [weight_class_channel(a, b, w, allow_large=True) for w in range(a + 1)]
     assert _class_digest(classes) == digest
 
 
-def test_pinned_csr_class_bytes(monkeypatch):
-    monkeypatch.setattr(insertion_mod, "_DENSE_LIMIT", 4)
-    monkeypatch.setattr(insertion_mod, "_CHUNK_ENTRIES", 100)
-    cls = weight_class_channel(7, 14, 3, allow_large=True)
-    assert sparse.issparse(cls.matrix)
-    assert _class_digest([cls]) == "8e25008c490618219e35d92040b951e295a34755a04d196dc2a4867231bca1f3"
+@pytest.mark.parametrize("pair, oracle_digest, digest", PINNED_CLASSES, ids=PINNED_IDS)
+def test_pinned_reversal_oracle_class_bytes(pair, oracle_digest, digest):
+    a, b = pair
+    classes = [reversal_class_channel(a, b, w, allow_large=True) for w in range(a + 1)]
+    assert _class_digest(classes) == oracle_digest
 
 
 def test_dense_class_is_column_major():
@@ -201,39 +207,73 @@ def test_dense_class_is_column_major():
 
 
 def test_paper_scale_window_memory_bound():
-    # the block tables and reversal orbits are cached for the process, so
+    # the block weights and run partitions are cached for the process, so
     # they are filled first and the peak counts only the class builds and
     # Blahut-Arimoto runs; numpy reports its buffers to tracemalloc, so the
-    # figure repeats exactly (6.6 MB with numpy 2.4)
+    # figure repeats exactly (2.7 MB with numpy 2.4, set by the build of the
+    # (9, 17, 8) class, whose 12 870 compositions each give one output)
+    insertion_mod._block_weights()
     for w in range(10):
-        insertion_mod._orbits(9, w)
-        insertion_mod._orbits(17, w)
+        insertion_mod._partitions(9 - w, w + 1)
+        insertion_mod._partitions(17 - w, w + 1)
     tracemalloc.start()
     try:
         insertion_capacity(9, 17, allow_large=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 4e6
+
+
+def _orbit_code(x) -> int:
+    """Code of the block with the zero runs of x in non-increasing order: the
+    representative of x's orbit."""
+    runs = sorted(_zero_runs(x), reverse=True)
+    return _code(sum(([0] * r + [1] for r in runs[:-1]), []) + [0] * runs[-1])
 
 
 def test_folded_certificate_is_the_unfolded_one():
     # at the invariant law that spreads each orbit's mass evenly, the
     # unfolded class has the folded run's objective and sandwich
-    for a, b, w in [(4, 7, 2), (5, 9, 2), (6, 10, 3)]:
+    for a, b, w in [(4, 7, 2), (5, 9, 2), (6, 10, 3), (8, 11, 4)]:
         cls = weight_class_channel(a, b, w)
         res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
         m, inputs, _ = unfolded_class_channel(a, b, w)
         orbit = {code: k for k, code in enumerate(cls.inputs.tolist())}
         rho = res.input_dist.probs
-        r = np.array([rho[orbit[min(_code(x), _code(x[::-1]))]] / (1 if x == x[::-1] else 2)
-                      for x in inputs])
+        r = np.array([rho[orbit[_orbit_code(x)]] / _multinomial(_zero_runs(x)) for x in inputs])
         t = r @ m
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(m > 0.0, m * np.log2(m / t), 0.0).sum(axis=1)
         assert res.gap < 1e-9
         assert float(r @ d) == pytest.approx(res.capacity, abs=1e-12)
         assert float(d.max() - r @ d) == pytest.approx(res.gap, abs=1e-12)
+
+
+# every class with b <= 12 and every class of the pinned paper-scale windows
+CROSS_CHECK_PAIRS = sorted({(a, b) for b in range(1, 13) for a in range(1, b + 1)}
+                           | {pair for pair, _, _ in PINNED_CLASSES})
+
+
+@pytest.mark.paper_scale
+def test_capacity_matches_reversal_oracle():
+    # each class's capacity on run-permutation orbits lies within the two
+    # certified gaps of the block-reversal oracle's, and the union brackets of
+    # insertion_capacity built from either fold overlap.  1e-12 allows for the
+    # rounding of the offsets, differences of sums of n log2 n that the
+    # oracle property holds to 1e-12: at (7, 14, 5) the two folds' lower
+    # bounds differ by the same 9e-14 at every iterate
+    for a, b in CROSS_CHECK_PAIRS:
+        for w in range(1, a):
+            cls = weight_class_channel(a, b, w, allow_large=True)
+            res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+            cls = reversal_class_channel(a, b, w, allow_large=True)
+            ref = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+            assert abs(res.capacity - ref.capacity) <= res.gap + ref.gap + 1e-12, (a, b, w)
+        res = insertion_capacity(a, b, allow_large=True)
+        with mock.patch.object(insertion_mod, "weight_class_channel", reversal_class_channel):
+            ref = insertion_capacity(a, b, allow_large=True)
+        assert res.capacity <= ref.capacity_upper and ref.capacity <= res.capacity_upper, (a, b)
 
 
 def test_run_profile():
