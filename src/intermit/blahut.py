@@ -5,7 +5,6 @@ certified optimality gap; plus the capacity of a disjoint union of channels."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,28 +49,20 @@ class CapacityResult:
     lb_history: tuple
 
 
-def _issparse(m) -> bool:
-    """Whether `m` is a scipy sparse matrix.  A caller that holds one has
-    imported scipy.sparse already, so it is looked up, never imported, here."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(m)
-
-
 def _as_matrix(w):
     if isinstance(w, Dmc):
         return w.rows
-    if _issparse(w):
-        m = w.tocsr().astype(float)
-        entries = m.data
-    else:
-        m = entries = np.asarray(w, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("channel matrix must be 2-D")
+    if hasattr(w, "toarray"):  # a scipy sparse matrix, which np.asarray cannot read
+        raise TypeError("blahut_capacity takes a dense channel matrix: call .toarray() on a "
+                        "sparse one")
+    m = np.asarray(w, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("channel matrix must be 2-D")
     # the comparisons are written so that NaN fails them
-    if not np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0).max() <= RENORM_TOL:
+    if not np.abs(m.sum(axis=1) - 1.0).max() <= RENORM_TOL:
         raise ValueError("channel rows must each sum to 1")
-    if not entries.min() >= 0.0:
-        raise ValueError(f"channel matrix has negative or NaN entry {entries.min()}")
+    if not m.min() >= 0.0:
+        raise ValueError(f"channel matrix has negative or NaN entry {m.min()}")
     return m
 
 
@@ -85,31 +76,27 @@ def _newton_step(m, r, t, d, work):
     sqrt(r) H sqrt(r) (less _RIDGE on its diagonal) and the constraint
     sqrt(r).u = 0; the step is cut to 0.99 of the way to the first r(x) = 0.
 
-    A dense `m` is column-major, and `work` holds two buffers of at least
-    k x chunk entries each, reused across the run's Newton steps.
+    `m` is column-major, and `work` holds two buffers of at least k x chunk
+    entries each, reused across the run's Newton steps.
     """
     supp = np.flatnonzero(r > _SUPPORT_REL * r.max())
     k = supp.size
     if k < 2 or k > _NEWTON_MAX_SUPPORT:
         return None
-    if _issparse(m):
-        rows = m[supp]
-        neg_hess = (rows.multiply(1.0 / t).tocsr() @ rows.T).toarray()
-    else:
-        neg_hess = np.zeros((k, k))
-        step = max(1, _CHUNK_ENTRIES // k)
-        for c0 in range(0, t.size, step):
-            cols = m.T[c0:c0 + step]  # the chunk's columns as rows, contiguous
-            n = cols.shape[0]
-            # the chunk's support rows, row-major k x n like a fresh
-            # m[supp, c0:c0 + step]: GEMM rounds by its operands' layout.
-            # take writes `out` directly in the modes other than "raise"
-            gathered = work[1][:k * n].reshape(n, k)
-            np.take(cols, supp, axis=1, out=gathered, mode="clip")
-            block = work[0][:k * n].reshape(k, n)
-            block[...] = gathered.T
-            scaled = np.divide(block, t[c0:c0 + step], out=work[1][:k * n].reshape(k, n))
-            neg_hess += scaled @ block.T
+    neg_hess = np.zeros((k, k))
+    step = max(1, _CHUNK_ENTRIES // k)
+    for c0 in range(0, t.size, step):
+        cols = m.T[c0:c0 + step]  # the chunk's columns as rows, contiguous
+        n = cols.shape[0]
+        # the chunk's support rows, row-major k x n like a fresh
+        # m[supp, c0:c0 + step]: GEMM rounds by its operands' layout.
+        # take writes `out` directly in the modes other than "raise"
+        gathered = work[1][:k * n].reshape(n, k)
+        np.take(cols, supp, axis=1, out=gathered, mode="clip")
+        block = work[0][:k * n].reshape(k, n)
+        block[...] = gathered.T
+        scaled = np.divide(block, t[c0:c0 + step], out=work[1][:k * n].reshape(k, n))
+        neg_hess += scaled @ block.T
     root = np.sqrt(r[supp])
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = -neg_hess * root[:, None] * root
@@ -134,12 +121,12 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
 
     Alternates the Blahut-Arimoto update on the input distribution and stops
     when the certified sandwich max_x D(W_x || rW) - I(r, W) drops below
-    `tol`.  Accepts a Dmc, a dense matrix or a scipy sparse matrix; a
-    matrix, sparse or dense, whose rows do not each sum to 1 within
-    RENORM_TOL, or with a negative or NaN entry, is refused (ValueError).
-    All-zero output columns are dropped; they cannot carry probability.
+    `tol`.  Accepts a Dmc or a dense matrix; a matrix whose rows do not each
+    sum to 1 within RENORM_TOL, or with a negative or NaN entry, is refused
+    (ValueError), and a scipy sparse matrix is refused (TypeError).  All-zero
+    output columns are dropped; they cannot carry probability.
 
-    A dense channel is iterated on column-major.  BLAS rounds the products
+    The channel is iterated on column-major.  BLAS rounds the products
     rW and W log(rW) by the operand layout, so one layout for every input
     makes the result independent of the input's.  A column-major matrix
     without an all-zero column is used as it is; any other is copied.  The
@@ -201,27 +188,19 @@ def blahut_capacity(w, tol: float = 1e-9, *, offset=None, start=None) -> Capacit
     # probability under rW underflows to 0 makes the bounds NaN, which is
     # refused below: neither may warn
     with np.errstate(divide="ignore", invalid="ignore"):
-        if _issparse(m):
-            col_mass = np.asarray(m.sum(axis=0)).ravel()
-            m = m[:, col_mass > 0.0].tocsr()
-            logm = m.copy()
-            logm.data = np.log(logm.data)
-            row_ent = np.asarray(m.multiply(logm).sum(axis=1)).ravel()  # sum w ln w
-            work = None
-        else:
-            # the iteration runs on a column-major matrix, copied only when
-            # the input is not column-major or has an empty column
-            keep = m.sum(axis=0) > 0.0
-            if not (m.flags.f_contiguous and keep.all()):
-                m = np.asfortranarray(m[:, keep])
-            ent = np.zeros(m.shape, order="F")  # w ln w, laid out like m
-            np.log(m, out=ent, where=m > 0.0)
-            ent *= m
-            row_ent = ent.sum(axis=1)
-            del ent
-            # the Newton step's two chunk buffers, made once per run
-            size = min(m.size, max(nin, _CHUNK_ENTRIES))
-            work = (np.empty(size), np.empty(size))
+        # the iteration runs on a column-major matrix, copied only when the
+        # input is not column-major or has an empty column
+        keep = m.sum(axis=0) > 0.0
+        if not (m.flags.f_contiguous and keep.all()):
+            m = np.asfortranarray(m[:, keep])
+        ent = np.zeros(m.shape, order="F")  # w ln w, laid out like m
+        np.log(m, out=ent, where=m > 0.0)
+        ent *= m
+        row_ent = ent.sum(axis=1)
+        del ent
+        # the Newton step's two chunk buffers, made once per run
+        size = min(m.size, max(nin, _CHUNK_ENTRIES))
+        work = (np.empty(size), np.empty(size))
         t, d, lb = bounds(r)
         for iters in range(1, _MAX_ITER + 1):
             ub = float(d.max())

@@ -18,13 +18,15 @@ prod_i C(y_i, x_i) of the position sets: the choice, in each run, of which
 of its zeros are the inserted ones.  That product is unchanged when one
 permutation is applied to the runs of x and of y, so each class is solved on
 the orbits of its blocks under permutations of their zero runs: the
-partitions of a - w and of b - w into w + 1 parts (see `WeightClass`).
+partitions of a - w and of b - w into w + 1 parts (see `WeightClass`).  For
+the same reason a class is built, and the upper bound summed, from the
+orbits of the compositions under the permutations of x's equal runs, not
+from every composition.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,6 +94,25 @@ def _run_codes(runs, n: int):
     return np.left_shift(1, n - 1 - ones).sum(axis=-1)
 
 
+def _ranks(starts):
+    """1 + the number of places since the last True of `starts` (last axis),
+    whose first place must be True."""
+    place = np.arange(starts.shape[-1])
+    return place - np.maximum.accumulate(np.where(starts, place, 0), axis=-1) + 1
+
+
+def _orbit_sizes(blocks, runs):
+    """Sizes of the orbits of the rows of `runs` under the permutations that
+    keep the rows of `blocks`: prod_B m_B! / prod_G m_G! over the blocks B of
+    equal entries of `blocks` and the groups G of equal (block, run) pairs,
+    whose places must each be adjacent (last axis, int64)."""
+    block_starts = np.ones(blocks.shape, dtype=bool)
+    block_starts[..., 1:] = blocks[..., 1:] != blocks[..., :-1]
+    group_starts = block_starts.copy()
+    group_starts[..., 1:] |= runs[..., 1:] != runs[..., :-1]
+    return _ranks(block_starts).prod(axis=-1) // _ranks(group_starts).prod(axis=-1)
+
+
 @lru_cache(maxsize=None)
 def _partitions(total: int, parts: int):
     """Run-permutation orbits of the blocks with `parts` zero runs summing to
@@ -101,8 +122,7 @@ def _partitions(total: int, parts: int):
     multiplicities m_j of the run lengths; and the representatives' codes, in
     increasing order."""
     runs = np.array(list(_descending(total, parts, total)), dtype=np.int8)
-    sizes = np.array([math.factorial(parts) // math.prod(map(math.factorial, Counter(r).values()))
-                      for r in runs.tolist()], dtype=np.int64)
+    sizes = _orbit_sizes(np.zeros_like(runs), runs)
     codes = _run_codes(runs, total + parts - 1)
     runs.flags.writeable = sizes.flags.writeable = codes.flags.writeable = False
     return runs, sizes, codes
@@ -128,7 +148,9 @@ def _runs(ones, n: int):
 
 def _count_chunks(inputs, a: int, b: int, weight: int):
     """Distinct outputs and insertion counts of the weight-`weight` a-bit
-    inputs `inputs`.
+    inputs `inputs`, one entry per input and composition: the full count
+    table of `insertion_counts`, which the folded classes and the upper bound
+    do not need.
 
     The compositions c of b - a into weight + 1 parts are the zero runs of
     the weight-`weight` (b - a + weight)-bit blocks, taken in increasing code
@@ -206,7 +228,11 @@ class WeightClass:
         offset(O) = H(V_O) + sum_Yo V(Yo|O) log2 |Yo| - H(W_x) >= 0,
 
     so the class capacity is `blahut_capacity(matrix, offset=offset)`, whose
-    sandwich equals the unfolded one at the same law.
+    sandwich equals the unfolded one at the same law.  A permutation of the
+    equal runs of x keeps x and maps output x + c to an output of the same
+    orbit with the same count, so both V_O and the sum of n log2 n in H(W_x)
+    are taken over the orbits of the compositions c under those
+    permutations, each weighted by its size (`_composition_orbits`).
 
     `matrix` is dense and column-major, the layout `blahut_capacity` iterates
     on, so it runs on the class itself rather than on a copy.  `offset` is in
@@ -227,6 +253,38 @@ def _xlog2x(v):
     return v * np.log2(v)
 
 
+def _composition_orbits(a: int, b: int, weight: int):
+    """The (input orbit, composition) pairs of the weight-`weight` class, one
+    per orbit of the compositions under the permutations that keep the input
+    representative x.
+
+    A permutation of equal runs of x maps output x + c to x + c', in the same
+    output orbit and with the same count, so only the compositions that do
+    not increase within any block of equal x_i are kept, each standing for
+    its orbit.  Returns, one entry per kept pair, sorted by input orbit and
+    then stably by output orbit, the input orbit's row and the output
+    orbit's column; the pair's mass, its orbit size times the count
+    prod_i C(y_i, x_i) of y = x + c; and, per input orbit, sum_c n log2 n over
+    every composition c and its count n, summed from the kept pairs as
+    sum size * n log2 n in that order."""
+    runs = _partitions(a - weight, weight + 1)[0]
+    outputs = _partitions(b - weight, weight + 1)[2]
+    n = b - a + weight
+    comps = _runs(_ones(_weight_codes(n, weight), n, weight), n)
+    keep = ((runs[:, None, 1:] != runs[:, None, :-1]) | (comps[:, :-1] >= comps[:, 1:])).all(axis=2)
+    row, col = np.nonzero(keep)
+    x, c = runs[row], comps[col]
+    y = x + c
+    counts = _BINOM[y, x].prod(axis=1)
+    sizes = _orbit_sizes(x, c)
+    y.sort(axis=1)  # y's orbit is the block with y's runs in non-increasing order
+    orbit = np.searchsorted(outputs, _run_codes(y[:, ::-1], b))
+    order = np.lexsort((orbit, row))
+    row, orbit, counts, sizes = row[order], orbit[order], counts[order], sizes[order]
+    nlogn = np.bincount(row, weights=sizes * _xlog2x(counts), minlength=len(runs))
+    return row, orbit, sizes * counts, nlogn
+
+
 def weight_class_channel(a: int, b: int, weight: int, *,
                          allow_large: bool = False) -> WeightClass:
     """The insertion channel restricted to inputs of one Hamming weight,
@@ -234,26 +292,18 @@ def weight_class_channel(a: int, b: int, weight: int, *,
     _check_block_sizes(a, b, allow_large)
     if not 0 <= weight <= a:
         raise ValueError(f"weight {weight} out of range for block length {a}")
-    runs, sizes, inputs = _partitions(a - weight, weight + 1)
+    _, sizes, inputs = _partitions(a - weight, weight + 1)
     _, out_sizes, outputs = _partitions(b - weight, weight + 1)
-    n = b - a + weight
-    # input x and composition c give output y = x + c (one row per input, one
-    # column per composition), counted by prod_i C(y_i, x_i)
-    y = runs[:, None] + _runs(_ones(_weight_codes(n, weight), n, weight), n)
-    counts = _BINOM[y, runs[:, None]].prod(axis=2)
-    y.sort(axis=2)  # y's orbit is the block with y's runs in non-increasing order
-    orbit = np.searchsorted(outputs, _run_codes(y[..., ::-1], b))
-    nin, nout = len(runs), len(outputs)
-    folded = np.bincount((orbit + nout * np.arange(nin)[:, None]).ravel(),
-                         weights=counts.ravel(), minlength=nin * nout).reshape(nin, nout)
+    row, orbit, mass, nlogn = _composition_orbits(a, b, weight)
+    nin, nout = len(inputs), len(outputs)
+    folded = np.bincount(row * nout + orbit, weights=mass,
+                         minlength=nin * nout).reshape(nin, nout)
     # denom * offset = sum n log2 n - sum (f log2 f - f log2 |Yo|) over the
-    # counts n and folded counts f, each sum taken in column order; f is an
-    # integer, so max(f, 1) log2 max(f, 1) is f log2 f, and 0 at f = 0
-    counts = np.take_along_axis(counts, np.argsort(orbit, axis=1, kind="stable"), axis=1)
+    # counts n and folded counts f, the second sum taken in column order; f
+    # is an integer, so max(f, 1) log2 max(f, 1) is f log2 f, and 0 at f = 0
     denom = math.comb(b, a)
-    offset = (np.cumsum(_xlog2x(counts), axis=1)[:, -1]
-              - np.cumsum(_xlog2x(np.maximum(folded, 1.0)) - folded * np.log2(out_sizes),
-                          axis=1)[:, -1]) / denom
+    offset = (nlogn - np.cumsum(_xlog2x(np.maximum(folded, 1.0)) - folded * np.log2(out_sizes),
+                                axis=1)[:, -1]) / denom
     return WeightClass(matrix=np.asfortranarray(folded / denom), offset=offset, sizes=sizes,
                        inputs=inputs, outputs=outputs)
 
@@ -350,15 +400,13 @@ def insertion_capacity_upper(a: int, b: int, *, allow_large: bool = False) -> fl
         F(x) = sum_y n(x, y) log2 n(x, y) / C(b, a),
 
     over the distinct outputs y of x, the blocks whose zero runs are x's runs
-    plus a composition c of b - a, each with n(x, y) = prod_i C(y_i, c_i)."""
+    plus a composition c of b - a, each with n(x, y) = prod_i C(y_i, c_i).
+    F is unchanged when x's runs are permuted, so the max runs over the input
+    orbits of `weight_class_channel`, and F is the first term of its offset."""
     _check_block_sizes(a, b, allow_large)
     if a < 1:
         raise ValueError("upper bound needs input length a >= 1")
     denom = math.comb(b, a)
-    fmax = np.full(a + 1, -np.inf)
-    for w in range(a + 1):
-        for _, _, counts in _count_chunks(_weight_codes(a, w), a, b, w):
-            # each row's terms summed in increasing output order
-            fmax[w] = max(fmax[w], np.cumsum(_xlog2x(counts), axis=1)[:, -1].max() / denom)
-    terms = [math.log2(math.comb(b, j)) for j in range(a + 1)] + fmax
+    fmax = [_composition_orbits(a, b, w)[3].max() / denom for w in range(a + 1)]
+    terms = np.array([math.log2(math.comb(b, j)) for j in range(a + 1)]) + fmax
     return float(np.logaddexp2.reduce(terms) - math.log2(denom))

@@ -6,7 +6,6 @@ with no optimal mass is nearly optimal or two rows nearly coincide."""
 import math
 
 import numpy as np
-from scipy import sparse
 
 from intermit.blahut import CapacityResult, _as_matrix
 from intermit.prob import Pmf
@@ -21,18 +20,10 @@ def plain_blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
     max_x D - I drops below `tol` or after `max_iter` iterations."""
     m = _as_matrix(w)
     nin = m.shape[0]
-    is_sparse = sparse.issparse(m)
-    if is_sparse:
-        col_mass = np.asarray(m.sum(axis=0)).ravel()
-        m = m[:, col_mass > 0.0].tocsr()
-        logm = m.copy()
-        logm.data = np.log(logm.data)
-        row_ent = np.asarray(m.multiply(logm).sum(axis=1)).ravel()
-    else:
-        m = m[:, m.sum(axis=0) > 0.0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lw = np.where(m > 0.0, np.log(m), 0.0)
-        row_ent = (m * lw).sum(axis=1)
+    m = m[:, m.sum(axis=0) > 0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw = np.where(m > 0.0, np.log(m), 0.0)
+    row_ent = (m * lw).sum(axis=1)
 
     tol_nats = tol * _LN2
     offset = None if offset is None else np.asarray(offset, dtype=float) * _LN2
@@ -42,12 +33,8 @@ def plain_blahut_capacity(w, tol: float = 1e-9, max_iter: int = 100_000, *,
     gap = math.inf
     iters = 0
     for iters in range(1, max_iter + 1):
-        t = m.T.dot(r) if is_sparse else r @ m
-        logt = np.log(t)
-        if is_sparse:
-            d = row_ent - np.asarray(m.dot(logt)).ravel()
-        else:
-            d = row_ent - m @ logt
+        t = r @ m
+        d = row_ent - m @ np.log(t)
         if offset is not None:
             d = d + offset
         lb = float(r @ d)

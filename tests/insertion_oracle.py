@@ -3,8 +3,10 @@ the cross-check for the run-composition builder in `intermit.insertion`; the
 dense full insertion channel and its weight classes without any fold, for
 cross-checks against the folded weight-class route; the weight classes
 folded over block reversal only, the paper-scale cross-check for the
-run-permutation fold; and the run-length formula for the insertion-position
-entropy, the cross-check for the count-based `insertion_capacity_upper`."""
+run-permutation fold; the run-permutation fold built from every composition
+of every input orbit, the cross-check for the build from composition orbits;
+and the run-length formula for the insertion-position entropy, the
+cross-check for the orbit-based `insertion_capacity_upper`."""
 
 import math
 from collections import Counter
@@ -15,9 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from intermit import Dmc, WeightClass, insertion_counts
-from intermit.insertion import B_HARD, _check_block_sizes, _count_chunks, _weight_codes, _xlog2x
-
-_DENSE_LIMIT = 1 << 22  # max entries for a dense reversal-folded class
+from intermit.insertion import (_BINOM, B_HARD, _check_block_sizes, _count_chunks, _ones,
+                                _partitions, _run_codes, _runs, _weight_codes, _xlog2x)
 
 
 def all_blocks(n: int):
@@ -104,23 +105,15 @@ def _orbits(n: int, weight: int):
     return codes, sizes, rev
 
 
-def _csr(rows, cols, vals, shape):
-    """scipy CSR from entries in row-major order."""
-    from scipy import sparse
-
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sparse.csr_matrix((vals, cols, indptr), shape=shape)
-
-
 def reversal_class_channel(a: int, b: int, weight: int, *,
                            allow_large: bool = False) -> WeightClass:
     """The insertion channel restricted to inputs of one Hamming weight,
     folded over block reversal only: row O of `matrix` sums W(y|x) over the
     output orbits {y, reversed y} for the representative x of input orbit O,
     with the offset H(V_O) + sum_Yo V(Yo|O) log2 |Yo| - H(W_x) of
-    `intermit.WeightClass`.  The matrix is dense and column-major, or scipy
-    CSR above _DENSE_LIMIT entries; `inputs` and `outputs` hold the codes of
-    the blocks whose code is at most that of their reversal."""
+    `intermit.WeightClass`.  The matrix is dense and column-major; `inputs`
+    and `outputs` hold the codes of the blocks whose code is at most that of
+    their reversal."""
     _check_block_sizes(a, b, allow_large)
     if not 0 <= weight <= a:
         raise ValueError(f"weight {weight} out of range for block length {a}")
@@ -138,11 +131,7 @@ def reversal_class_channel(a: int, b: int, weight: int, *,
     key_of[outputs] = column
     denom = math.comb(b, a)
     offset = np.empty(nin)
-    dense = nin * nout <= _DENSE_LIMIT
-    if dense:  # column-major, the layout blahut_capacity iterates on
-        matrix = np.zeros((nin, nout), order="F")
-    else:
-        rows, cols, vals = [], [], []
+    matrix = np.zeros((nin, nout), order="F")  # the layout blahut_capacity iterates on
     for r0, codes, counts in _count_chunks(inputs, a, b, weight):
         n, m = codes.shape
         key = np.ascontiguousarray(key_of[codes] | counts)
@@ -160,17 +149,41 @@ def reversal_class_channel(a: int, b: int, weight: int, *,
             - np.bincount(fr, weights=_xlog2x(folded) - folded * (out_sizes[fc] - 1),
                           minlength=n)
         ) / denom
-        if dense:  # each (row, output orbit) pair occurs once, so assignment places it
-            matrix[fr + r0, fc] = folded / denom
-        else:
-            rows.append(fr + r0)
-            cols.append(fc)
-            vals.append(folded / denom)
-    if not dense:
-        matrix = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                      (nin, nout))
+        # each (row, output orbit) pair occurs once, so assignment places it
+        matrix[fr + r0, fc] = folded / denom
     return WeightClass(matrix=matrix, offset=offset, sizes=sizes, inputs=inputs,
                        outputs=outputs)
+
+
+def composition_class_channel(a: int, b: int, weight: int, *,
+                              allow_large: bool = False) -> WeightClass:
+    """The insertion channel restricted to inputs of one Hamming weight,
+    folded over permutations of the zero runs (see `WeightClass`)."""
+    _check_block_sizes(a, b, allow_large)
+    if not 0 <= weight <= a:
+        raise ValueError(f"weight {weight} out of range for block length {a}")
+    runs, sizes, inputs = _partitions(a - weight, weight + 1)
+    _, out_sizes, outputs = _partitions(b - weight, weight + 1)
+    n = b - a + weight
+    # input x and composition c give output y = x + c (one row per input, one
+    # column per composition), counted by prod_i C(y_i, x_i)
+    y = runs[:, None] + _runs(_ones(_weight_codes(n, weight), n, weight), n)
+    counts = _BINOM[y, runs[:, None]].prod(axis=2)
+    y.sort(axis=2)  # y's orbit is the block with y's runs in non-increasing order
+    orbit = np.searchsorted(outputs, _run_codes(y[..., ::-1], b))
+    nin, nout = len(runs), len(outputs)
+    folded = np.bincount((orbit + nout * np.arange(nin)[:, None]).ravel(),
+                         weights=counts.ravel(), minlength=nin * nout).reshape(nin, nout)
+    # denom * offset = sum n log2 n - sum (f log2 f - f log2 |Yo|) over the
+    # counts n and folded counts f, each sum taken in column order; f is an
+    # integer, so max(f, 1) log2 max(f, 1) is f log2 f, and 0 at f = 0
+    counts = np.take_along_axis(counts, np.argsort(orbit, axis=1, kind="stable"), axis=1)
+    denom = math.comb(b, a)
+    offset = (np.cumsum(_xlog2x(counts), axis=1)[:, -1]
+              - np.cumsum(_xlog2x(np.maximum(folded, 1.0)) - folded * np.log2(out_sizes),
+                          axis=1)[:, -1]) / denom
+    return WeightClass(matrix=np.asfortranarray(folded / denom), offset=offset, sizes=sizes,
+                       inputs=inputs, outputs=outputs)
 
 
 @dataclass(frozen=True)

@@ -43,20 +43,12 @@ def test_certificate_gap_and_history():
     assert res.iterations == len(hist)
 
 
-def test_sparse_matches_dense():
-    rng = np.random.default_rng(5)
-    m = rng.dirichlet(np.ones(6), size=4)
-    dense = blahut_capacity(m).capacity
-    sp = blahut_capacity(sparse.csr_matrix(m)).capacity
-    assert sp == pytest.approx(dense, abs=1e-9)
-
-
 def test_raw_matrix_with_nan_is_refused():
     with pytest.raises(ValueError, match="rows must each sum to 1"):
         blahut_capacity(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
-@pytest.mark.parametrize("build", [np.array, sparse.csr_matrix], ids=["dense", "sparse"])
+@pytest.mark.parametrize("build", [np.array, np.ndarray.tolist], ids=["dense", "nested-list"])
 def test_raw_matrix_with_negative_entry_is_refused(build):
     # its rows sum to 1, so only the sign check stands between it and a
     # "certified" capacity
@@ -64,9 +56,9 @@ def test_raw_matrix_with_negative_entry_is_refused(build):
         blahut_capacity(build(np.array([[1.5, -0.5], [0.5, 0.5]])))
 
 
-def test_sparse_matrix_whose_rows_do_not_sum_to_one_is_refused():
-    with pytest.raises(ValueError, match="rows must each sum to 1"):
-        blahut_capacity(sparse.csr_matrix(np.array([[0.9, 0.3], [0.5, 0.5]])))
+def test_sparse_matrix_is_refused():
+    with pytest.raises(TypeError, match=r"call \.toarray\(\)"):
+        blahut_capacity(sparse.csr_matrix(np.array([[0.5, 0.5], [0.1, 0.9]])))
 
 
 def test_all_zero_output_column_pruned():
@@ -232,9 +224,6 @@ def test_newton_steps_match_plain_iteration(case):
     assert np.all(np.diff(res.lb_history) >= -1e-13)
     assert res.capacity >= ref.capacity - 1e-12
     assert res.capacity <= ref.capacity + ref.gap + 1e-14  # the gap's rounding
-    csr = blahut_capacity(sparse.csr_matrix(w), tol=1e-12, offset=offset)
-    assert csr.gap < 1e-12
-    assert csr.capacity == pytest.approx(res.capacity, abs=1e-12)
 
 
 def _result_bits(res):

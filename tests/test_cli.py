@@ -212,7 +212,7 @@ PINNED_STDOUT = [
     (["upper-bound", "c2", "--s", "10", "--alpha-grid", "1:3:0.25"],
      "f6127da09634531d1c1f10795592b38e92c4ef305dba0e46f2a2f5aa6d71b2b2"),
     (["aux-g", "--grid-b", "9"],
-     "2686f504dc7c560bdc6503604aff9e4a82ca3d01d351bc6327a9242e5dc2ca26"),
+     "a6ed5ec0c679db9807584d43cd86d3e0db7abaa0740898e1b3b44e9d47140690"),
 ]
 
 

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.special import entr
 
 import intermit.insertion as insertion_mod
 from blahut_oracle import plain_blahut_capacity
-from insertion_oracle import (all_blocks, count_matrix, position_entropy,
-                              position_entropy_terms, reversal_class_channel,
+from insertion_oracle import (all_blocks, composition_class_channel, count_matrix,
+                              position_entropy, position_entropy_terms, reversal_class_channel,
                               run_length_upper, run_profile, unfolded_class_channel,
                               uniform_insertion_channel, weight_blocks)
 from intermit import (
@@ -156,12 +155,10 @@ def test_full_channel_counts_match_oracle(sizes, chunk):
 
 def _class_digest(classes) -> str:
     """SHA-256 over the dtype, shape and bytes of every array of the classes,
-    in order; a CSR matrix contributes its data, indices and index pointers."""
+    in order."""
     h = hashlib.sha256()
     for cls in classes:
-        m = cls.matrix
-        parts = [m.data, m.indices, m.indptr] if sparse.issparse(m) else [m]
-        for arr in parts + [cls.offset, cls.sizes, cls.inputs, cls.outputs]:
+        for arr in [cls.matrix, cls.offset, cls.sizes, cls.inputs, cls.outputs]:
             arr = np.ascontiguousarray(arr)
             h.update(f"{arr.dtype.str}{arr.shape}".encode())
             h.update(arr.tobytes())
@@ -171,33 +168,69 @@ def _class_digest(classes) -> str:
 # every weight class of paper-scale windows, pinned byte for byte from the
 # kept-set enumeration: a change to a count, a summation order or a dtype
 # shows here, where the oracle property compares offsets to 1e-12 for b <= 10.
-# The first digest is the block-reversal fold of `insertion_oracle`, the
-# second the run-permutation fold of `weight_class_channel`.
+# The digests are, in order, the block-reversal fold of `insertion_oracle`,
+# its run-permutation fold from every composition, and `weight_class_channel`,
+# which sums the offsets' n log2 n terms over composition orbits instead.
 PINNED_CLASSES = [
     ((9, 17), "62200453ca4a23ec66305bf696b1aeb759b1a9bbb726942c6aaf547d3f5b78c5",
-     "f08999a43a17ee4ade579a2c2951a4f8e7a05bad834f5b4bc128ced528e4ad84"),
+     "f08999a43a17ee4ade579a2c2951a4f8e7a05bad834f5b4bc128ced528e4ad84",
+     "7f4177eb58613793361a374acf874a1e3a115b5f8bdd88e0727dd1ed5667a570"),
     ((6, 16), "1dc6ac9a5677e8d7c673ad743ca8872ad08e088f76384f9756b77d0a17e5b441",
-     "4717966d32beb8a4ba068695d787079409a41d906dfe10326fbce5f1966cc839"),
+     "4717966d32beb8a4ba068695d787079409a41d906dfe10326fbce5f1966cc839",
+     "90d18972b8b289faa6eb9f8d2a95315620bda5e68bab6309aed1568c6ef7d58f"),
     ((7, 14), "94cb62c65bf812343b50d41556720a3b1b622dbb162e4204be70f799c81c059f",
-     "a2f045af8a74dac93fc8b19e2225cf86137c98f35c8176bdfcda3ab0ed36b1dd"),
+     "a2f045af8a74dac93fc8b19e2225cf86137c98f35c8176bdfcda3ab0ed36b1dd",
+     "57d87422eae9949adc0fd5b392f4ab42626f6188361dc77f711928feffe89111"),
     ((11, 12), "990e700a08137b9068a6653d7da16933ea7147d776403ddc6be34165d4ddda7e",
+     "0672255b3fe0c4bca4f3f56523f5c0024c1b25fd01880100aa54921f8bdf4a1e",
      "0672255b3fe0c4bca4f3f56523f5c0024c1b25fd01880100aa54921f8bdf4a1e"),
 ]
-PINNED_IDS = [f"{a}-{b}" for (a, b), _, _ in PINNED_CLASSES]
+PINNED_IDS = [f"{a}-{b}" for (a, b), *_ in PINNED_CLASSES]
 
 
-@pytest.mark.parametrize("pair, oracle_digest, digest", PINNED_CLASSES, ids=PINNED_IDS)
-def test_pinned_class_bytes(pair, oracle_digest, digest):
+@pytest.mark.parametrize("pair, reversal_digest, composition_digest, digest", PINNED_CLASSES,
+                         ids=PINNED_IDS)
+def test_pinned_class_bytes(pair, reversal_digest, composition_digest, digest):
     a, b = pair
     classes = [weight_class_channel(a, b, w, allow_large=True) for w in range(a + 1)]
     assert _class_digest(classes) == digest
 
 
-@pytest.mark.parametrize("pair, oracle_digest, digest", PINNED_CLASSES, ids=PINNED_IDS)
-def test_pinned_reversal_oracle_class_bytes(pair, oracle_digest, digest):
+@pytest.mark.parametrize("pair, reversal_digest, composition_digest, digest", PINNED_CLASSES,
+                         ids=PINNED_IDS)
+def test_pinned_composition_oracle_class_bytes(pair, reversal_digest, composition_digest,
+                                               digest):
+    a, b = pair
+    classes = [composition_class_channel(a, b, w, allow_large=True) for w in range(a + 1)]
+    assert _class_digest(classes) == composition_digest
+
+
+@pytest.mark.parametrize("pair, reversal_digest, composition_digest, digest", PINNED_CLASSES,
+                         ids=PINNED_IDS)
+def test_pinned_reversal_oracle_class_bytes(pair, reversal_digest, composition_digest,
+                                            digest):
     a, b = pair
     classes = [reversal_class_channel(a, b, w, allow_large=True) for w in range(a + 1)]
-    assert _class_digest(classes) == oracle_digest
+    assert _class_digest(classes) == reversal_digest
+
+
+@pytest.mark.paper_scale
+def test_class_build_matches_composition_oracle():
+    # every class up to b = B_HARD against the build from every composition:
+    # the folded counts, orbit sizes and codes bit for bit.  The offsets sum
+    # n log2 n over composition orbits rather than every composition, so they
+    # agree only to rounding, by at most 2.0e-13
+    for b in range(insertion_mod.B_HARD + 1):
+        for a in range(b + 1):
+            for w in range(a + 1):
+                cls = weight_class_channel(a, b, w, allow_large=True)
+                ref = composition_class_channel(a, b, w, allow_large=True)
+                for name in ("matrix", "sizes", "inputs", "outputs"):
+                    new, old = getattr(cls, name), getattr(ref, name)
+                    assert (new.dtype, new.shape) == (old.dtype, old.shape), (a, b, w, name)
+                    assert new.tobytes() == old.tobytes(), (a, b, w, name)
+                assert cls.matrix.flags.f_contiguous
+                assert np.abs(cls.offset - ref.offset).max() <= 1e-12, (a, b, w)
 
 
 def test_dense_class_is_column_major():
@@ -210,8 +243,10 @@ def test_paper_scale_window_memory_bound():
     # the block weights and run partitions are cached for the process, so
     # they are filled first and the peak counts only the class builds and
     # Blahut-Arimoto runs; numpy reports its buffers to tracemalloc, so the
-    # figure repeats exactly (2.7 MB with numpy 2.4, set by the build of the
-    # (9, 17, 8) class, whose 12 870 compositions each give one output)
+    # figure repeats exactly.  It is 1.24 MB with numpy 2.4, set by decoding
+    # the 12 870 composition codes of the (9, 17, 8) class into the positions
+    # of their ones; outputs and counts are built only for the 67 composition
+    # orbits that the class keeps of them
     insertion_mod._block_weights()
     for w in range(10):
         insertion_mod._partitions(9 - w, w + 1)
@@ -222,7 +257,7 @@ def test_paper_scale_window_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 1.5e6
 
 
 def _orbit_code(x) -> int:
@@ -252,7 +287,7 @@ def test_folded_certificate_is_the_unfolded_one():
 
 # every class with b <= 12 and every class of the pinned paper-scale windows
 CROSS_CHECK_PAIRS = sorted({(a, b) for b in range(1, 13) for a in range(1, b + 1)}
-                           | {pair for pair, _, _ in PINNED_CLASSES})
+                           | {pair for pair, *_ in PINNED_CLASSES})
 
 
 @pytest.mark.paper_scale
