@@ -1,6 +1,10 @@
 """Certified capacity iteration and the orthogonal-union formula."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,15 +178,46 @@ def test_start_law():
             blahut_capacity(w, start=bad)
 
 
-def test_hessian_chunks_do_not_change_the_result(monkeypatch):
-    # one output column per chunk against the whole channel in one chunk
+def test_newton_steps_take_fewer_iterations_than_the_plain_loop():
     w, _, _ = unfolded_class_channel(6, 10, 3)
-    whole = blahut_capacity(w, tol=1e-12)
-    assert whole.iterations < plain_blahut_capacity(w, tol=1e-12).iterations
-    monkeypatch.setattr(blahut_mod, "_CHUNK_ENTRIES", 1)
-    chunked = blahut_capacity(w, tol=1e-12)
-    assert chunked.capacity == pytest.approx(whole.capacity, abs=1e-12)
-    assert chunked.gap < 1e-12
+    assert (blahut_capacity(w, tol=1e-12).iterations
+            < plain_blahut_capacity(w, tol=1e-12).iterations)
+
+
+# Solves a fixed, seeded set of random dense channels of up to 200 x 400
+# inputs and outputs, half with offsets, and prints a digest of every result
+_THREAD_SET = """
+import hashlib
+import numpy as np
+from intermit import blahut_capacity
+rng = np.random.default_rng(32)
+h = hashlib.sha256()
+for k, n in [(2, 3), (5, 8), (20, 40), (60, 120), (128, 200), (200, 400)]:
+    for power in (1, 4):
+        w = rng.random((k, n)) ** power
+        w /= w.sum(axis=1, keepdims=True)
+        offset = rng.uniform(-1.0, 1.0, k) if power == 4 else None
+        res = blahut_capacity(w, offset=offset)
+        h.update(np.array([res.capacity, res.gap, *res.lb_history]).tobytes())
+        h.update(res.input_dist.probs.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_result_does_not_depend_on_the_blas_thread_count():
+    # the Newton step's Hessian is an einsum, which does not call BLAS, and
+    # its KKT solve stays below the size that OpenBLAS factors on several
+    # threads.  A BLAS Hessian product, or KKT systems of 100 unknowns and
+    # more, gave this set different bytes under one and two threads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        digests.append(subprocess.run([sys.executable, "-c", _THREAD_SET], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert digests[0] == digests[1]
 
 
 def test_full_insertion_channel_matches_plain_iteration():

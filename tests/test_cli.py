@@ -14,7 +14,7 @@ import intermit.sim as sim_mod
 from insertion_oracle import all_blocks, insertion_table
 from intermit import (blahut_capacity, c1_limit, c2_upper, cpuc_upper, CostModel,
                       partial_divergence_deriv)
-from intermit.cli import main
+from intermit.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -106,6 +106,20 @@ def test_aux_g_single_pair(capsys):
     assert header == ["a", "b", "g_exact", "g_upper_bound", "phi"]
     assert float(rows[0][2]) == pytest.approx(1.84293903978736, abs=1e-9)
     assert float(rows[0][4]) == pytest.approx(2 - 1.84293903978736, abs=1e-9)
+
+
+def test_parser_built_once_serves_every_subcommand(capsys):
+    # main reuses one parser per process: what one command line sets must not
+    # carry into the next, whatever its subcommand
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, ["aux-g", "--a", "2", "--b", "3"])
+    assert code == 0 and parse_csv(out)[0] == ["a", "b", "g_exact", "g_upper_bound", "phi"]
+    code, out, _ = run_cli(capsys, ["upper-bound", "c2", "--s", "3", "--alpha-grid", "1:2:0.5"])
+    assert code == 0 and [row[1] for row in parse_csv(out)[1]] == ["1", "1.5", "2"]
+    code, out, _ = run_cli(capsys, ["aux-g", "--grid-b", "2"])
+    assert code == 0 and len(parse_csv(out)[1]) == 3  # no --a or --b left from above
+    args = build_parser().parse_args(["upper-bound", "c1", "--s", "3"])
+    assert (args.which, args.bmax, args.alpha_grid, args.limit) == ("c1", None, None, False)
 
 
 def test_aux_g_triangle(capsys):
@@ -208,11 +222,11 @@ def test_grid_refuses_non_finite_range_parts(capsys, grid):
 # change to a printed digit of g or phi shows here
 PINNED_STDOUT = [
     (["upper-bound", "c1", "--s", "7", "--bmax", "12", "--alpha-grid", "1:3:0.25"],
-     "8a2e96114a9349ed377f518368f5b8828cbe4f78eeda336d0ce7c6138af54e08"),
+     "2f04271e2814ed9f449d4d915de360a7d862b5dc01a42bbfdfe5e6e63aea77cf"),
     (["upper-bound", "c2", "--s", "10", "--alpha-grid", "1:3:0.25"],
-     "f6127da09634531d1c1f10795592b38e92c4ef305dba0e46f2a2f5aa6d71b2b2"),
+     "a7673a077f59c5ea0460cc77fea12c45cbf147fa149cdeb2fcabf25eb147d5d0"),
     (["aux-g", "--grid-b", "9"],
-     "a6ed5ec0c679db9807584d43cd86d3e0db7abaa0740898e1b3b44e9d47140690"),
+     "eecbecd65ab7d25acb575d7fec37e0d534b7f92e3ecef8ff8efef32479a41c95"),
 ]
 
 
@@ -226,12 +240,8 @@ def test_pinned_stdout_bytes(capsys, argv, digest):
 
 @pytest.mark.paper_scale
 def test_c1_limit_agrees_across_blas_thread_counts():
-    # One of Blahut-Arimoto's BLAS products, the Newton step's Hessian
-    # (neg_hess += scaled @ block.T in blahut._newton_step), may sum in an
-    # order that follows the thread count.  Every weight class up to b = 17
-    # is at most 47 x 57 on run-permutation orbits, and on all 680 classes
-    # with 2 <= a < b <= 17 Blahut-Arimoto gave the same bytes under one and
-    # two OpenBLAS threads, so this command prints 0.673883733405 under both.
+    # the paper-scale c1 limit prints the same bytes, 0.673883733379, under
+    # one and two OpenBLAS threads
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))

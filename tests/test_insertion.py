@@ -14,7 +14,7 @@ from scipy.special import entr
 
 import intermit.insertion as insertion_mod
 from blahut_oracle import plain_blahut_capacity
-from insertion_oracle import (all_blocks, composition_class_channel, count_matrix,
+from insertion_oracle import (_orbits, all_blocks, composition_class_channel, count_matrix,
                               position_entropy, position_entropy_terms, reversal_class_channel,
                               run_length_upper, run_profile, unfolded_class_channel,
                               uniform_insertion_channel, weight_blocks)
@@ -311,6 +311,44 @@ def test_capacity_matches_reversal_oracle():
         assert res.capacity <= ref.capacity_upper and ref.capacity <= res.capacity_upper, (a, b)
 
 
+def _uniform_law_values(cls):
+    """D(V_O || rV) + offset(O) in bits for each input orbit O of a folded
+    class, at the law r of the unfolded class's uniform input."""
+    t = cls.sizes / cls.sizes.sum() @ cls.matrix
+    col, row = np.nonzero(cls.matrix.T)  # the classes are column-major
+    v = cls.matrix.T[col, row]
+    return np.bincount(row, weights=v * np.log2(v / t[col]), minlength=len(cls.offset)) + cls.offset
+
+
+@pytest.mark.paper_scale
+def test_offset_rounding_is_within_the_capacity_margin():
+    # At a law that is uniform on each input orbit, every block x of a class
+    # has one value D(W_x || rW) in the unfolded class, and each fold computes
+    # it as D(V_O || rV) + offset(O), from offsets summed in an order of its
+    # own.  So the run fold and the block-reversal oracle agree per block up
+    # to rounding, which insertion_capacity's margin _OFFSET_ERR must cover.
+    # Every class with 1 <= w < a < b <= B_HARD is checked whose dense
+    # reversal fold has at most 2^20 entries: 611 of 680 (the 6 470 x 12 190
+    # fold of (16, 17, 8) alone takes 630 MB).  The largest difference is
+    # 3.1e-13 bits at (9, 17, 7), also over all 680 classes
+    worst = 0.0
+    for b in range(3, insertion_mod.B_HARD + 1):
+        for a in range(2, b):
+            for w in range(1, a):
+                if len(_orbits(a, w)[0]) * len(_orbits(b, w)[0]) > 1 << 20:
+                    continue
+                cls = weight_class_channel(a, b, w, allow_large=True)
+                ref = reversal_class_channel(a, b, w, allow_large=True)
+                runs = np.sort(insertion_mod._runs(insertion_mod._ones(ref.inputs, a, w), a),
+                               axis=1)
+                codes = insertion_mod._run_codes(runs[:, ::-1], a)  # each block's orbit
+                orbit = np.searchsorted(cls.inputs, codes)
+                assert np.array_equal(cls.inputs[orbit], codes), (a, b, w)
+                diff = _uniform_law_values(cls)[orbit] - _uniform_law_values(ref)
+                worst = max(worst, float(np.abs(diff).max()))
+    assert worst <= insertion_mod._OFFSET_ERR / 2, worst
+
+
 def test_run_profile():
     r = run_profile((0, 1, 1, 0, 1, 0, 0))
     assert r.weight == 3
@@ -375,6 +413,25 @@ def test_relaxed_classes_certify_within_half_the_plain_iterations():
         assert res.class_iterations[w] <= max(1, plain // 2), (w, plain)
     # the Newton-accelerated plain update took 311 iterations over the classes
     assert sum(res.class_iterations) <= 100
+
+
+@pytest.mark.paper_scale
+def test_class_iterations_up_to_the_hard_limit():
+    # every class with 1 <= w < a < b <= B_HARD certifies 1e-9 bits; they
+    # took 4 798 iterations in all and at most 28 in one class (numpy 2.4).
+    # The pins leave 4 % and two iterations for other roundings of the same
+    # floats; Newton steps from 1e-3 bits took 7 933 and 113
+    iterations = []
+    for b in range(3, insertion_mod.B_HARD + 1):
+        for a in range(2, b):
+            for w in range(1, a):
+                cls = weight_class_channel(a, b, w, allow_large=True)
+                res = blahut_capacity(cls.matrix, offset=cls.offset, start=cls.sizes)
+                assert res.gap < 1e-9, (a, b, w)
+                iterations.append(res.iterations)
+    assert len(iterations) == 680
+    assert sum(iterations) <= 5_000 and max(iterations) <= 30, (sum(iterations),
+                                                                max(iterations))
 
 
 def test_capacity_2_to_3_two_routes():
