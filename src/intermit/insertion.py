@@ -22,6 +22,11 @@ partitions of a - w and of b - w into w + 1 parts (see `WeightClass`).  For
 the same reason a class is built, and the upper bound summed, from the
 orbits of the compositions under the permutations of x's equal runs, not
 from every composition.
+
+Blocks are enumerated only by their runs, as the compositions
+(`_compositions`) and partitions (`_partitions`) of their zero count into
+w + 1 parts; the big-endian codes that index the count table and name the
+orbits are computed from the runs (`_run_codes`).
 """
 
 from __future__ import annotations
@@ -53,8 +58,6 @@ _CHUNK_ENTRIES = 1 << 14
 # C(n, k) for 0 <= k <= n <= B_HARD (0 above the diagonal)
 _BINOM = np.array([[math.comb(n, k) for k in range(B_HARD + 1)] for n in range(B_HARD + 1)],
                   dtype=np.int32)
-# code weights of the B_HARD bit positions; an n-bit block uses the last n
-_PLACES = np.left_shift(1, np.arange(B_HARD - 1, -1, -1), dtype=np.int32)
 
 
 def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
@@ -64,24 +67,8 @@ def _check_block_sizes(a: int, b: int, allow_large: bool) -> None:
     if b > limit:
         raise SizeGuardError(
             f"output length b={b} exceeds the guarded limit {limit}"
-            + ("" if allow_large else " (pass allow_large=True for b up to 17)")
+            + ("" if allow_large else f" (pass allow_large=True for b up to {B_HARD})")
         )
-
-
-@lru_cache(maxsize=1)
-def _block_weights():
-    """Hamming weight of every B_HARD-bit block code."""
-    weight = np.zeros(1 << B_HARD, dtype=np.uint8)
-    for k in range(B_HARD):  # the codes with bit k set follow those below 2^k
-        np.add(weight[:1 << k], 1, out=weight[1 << k:2 << k])
-    weight.flags.writeable = False  # shared through the cache
-    return weight
-
-
-def _weight_codes(n: int, weight: int):
-    """Big-endian codes of the weight-`weight` n-bit blocks, in increasing
-    order."""
-    return np.flatnonzero(_block_weights()[:1 << n] == weight)
 
 
 def _descending(total: int, parts: int, cap: int):
@@ -135,61 +122,58 @@ def _partitions(total: int, parts: int):
     return runs, sizes, codes
 
 
-def _ones(codes, n: int, weight: int):
-    """Positions of the ones of the weight-`weight` n-bit blocks `codes`, in
-    increasing order, one block per row, as int8 (n <= B_HARD)."""
-    bits = (codes.astype(np.int32)[:, None] & _PLACES[B_HARD - n:]) != 0
-    ones = np.flatnonzero(bits)
-    ones %= n
-    return ones.astype(np.int8).reshape(codes.size, weight)
+@lru_cache(maxsize=None)
+def _compositions(total: int, parts: int):
+    """The compositions of `total` into `parts` nonnegative parts, one per
+    row (int8), in decreasing lexicographic order: the zero runs of the
+    blocks with parts - 1 ones and `total` zeros, in increasing code order."""
+    if parts == 1:
+        comps = np.full((1, 1), total, dtype=np.int8)
+    else:
+        rests = [_compositions(total - first, parts - 1) for first in range(total, -1, -1)]
+        firsts = np.repeat(np.arange(total, -1, -1, dtype=np.int8), [len(r) for r in rests])
+        comps = np.column_stack((firsts, np.concatenate(rests)))
+    comps.flags.writeable = False  # shared through the cache
+    return comps
 
 
-def _runs(ones, n: int):
-    """Zero-run lengths of n-bit blocks from the positions of their ones, one
-    block per row: the run before each one, then the run after the last; in
-    the ones' dtype, which must hold -1 and n."""
-    ends = np.empty((len(ones), ones.shape[1] + 2), dtype=ones.dtype)
-    ends[:, 0], ends[:, 1:-1], ends[:, -1] = -1, ones, n
-    return ends[:, 1:] - ends[:, :-1] - 1
+def _count_chunks(runs, a: int, b: int):
+    """Distinct outputs and insertion counts of the a-bit inputs with zero
+    runs `runs` (one input per row, all of one weight), one entry per input
+    and composition: the full count table of `insertion_counts`, which the
+    folded classes and the upper bound do not need.
 
+    Output k of input x has the zero runs x + c for the k-th composition c
+    of b - a (`_compositions`), which moves x's j-th one right by
+    c_0 + ... + c_j, and arises from prod_i C(x_i + c_i, c_i) position sets.
+    Each later composition moves the ones lexicographically less far right,
+    so each row's output codes increase.
 
-def _count_chunks(inputs, a: int, b: int, weight: int):
-    """Distinct outputs and insertion counts of the weight-`weight` a-bit
-    inputs `inputs`, one entry per input and composition: the full count
-    table of `insertion_counts`, which the folded classes and the upper bound
-    do not need.
-
-    The compositions c of b - a into weight + 1 parts are the zero runs of
-    the weight-`weight` (b - a + weight)-bit blocks, taken in increasing code
-    order.  Output k of input x adds the k-th to x's zero runs, which moves
-    x's j-th one right by c_0 + ... + c_j, and arises from
-    prod_i C(x_i + c_i, c_i) position sets.  Each later composition moves the
-    ones lexicographically less far right, so each row's output codes
-    increase.
-
-    Yields (r0, codes, counts) per chunk of inputs from inputs[r0], with one
+    Yields (r0, codes, counts) per chunk of inputs from runs[r0], with one
     row per input and one column per composition.  They are views of
     composition-major arrays, so the inner loops here run along the inputs.
     A chunk holds at most _CHUNK_ENTRIES entries (at least one input), so
     the memory beyond the result stays bounded."""
-    n = b - a + weight
+    weight = runs.shape[1] - 1
+    comps = _compositions(b - a, weight + 1)
     # the tables hold one row per composition, so each is kept in the
     # smallest integer dtype that holds its values (b <= B_HARD): int8 for
-    # positions, runs and table rows (below 90), int32 for codes below 2^b
-    ones = _ones(_weight_codes(n, weight), n, weight)
-    # moving the j-th one right by s_j scales its code weight by 2^-s_j, so
+    # runs, positions and table rows (below 90), int32 for codes below 2^b.
+    # Moving the j-th one right by s_j scales its code weight by 2^-s_j, so
     # the output codes are the products of 2^(b - a - s_j) with the input's
     # one weights 2^(a - 1 - q_j)
-    scale = np.left_shift(1, b - a - (ones - np.arange(weight, dtype=np.int8)), dtype=np.int32)
+    scale = np.left_shift(1, b - a - np.cumsum(comps[:, :-1], axis=1, dtype=np.int8),
+                          dtype=np.int32)
     # the count factor of part j at c_j, as a row of the per-input table below
-    pick = _runs(ones, n) + (b - a + 1) * np.arange(weight + 1, dtype=np.int8)
+    pick = comps + (b - a + 1) * np.arange(weight + 1, dtype=np.int8)
     span = np.arange(b - a + 1)[:, None]
-    step = max(1, _CHUNK_ENTRIES // len(ones))
-    for r0 in range(0, inputs.size, step):
-        q = _ones(inputs[r0:r0 + step], a, weight)
+    step = max(1, _CHUNK_ENTRIES // len(comps))
+    for r0 in range(0, len(runs), step):
+        x = runs[r0:r0 + step]
+        q = np.cumsum(x[:, :-1], axis=1, dtype=np.int8) + np.arange(weight, dtype=np.int8)
         codes = scale @ np.left_shift(1, a - 1 - q.T, dtype=np.int32)
         # C(x_j + c, c) for every part j and every c, one column per input
-        table = _BINOM[_runs(q, a).T[:, None] + span, span].reshape(-1, len(q))
+        table = _BINOM[x.T[:, None] + span, span].reshape(-1, len(x))
         counts = table[pick[:, 0]]
         for rows in pick[:, 1:].T:
             counts *= table[rows]
@@ -204,8 +188,9 @@ def insertion_counts(a: int, b: int, *, allow_large: bool = False):
     _check_block_sizes(a, b, allow_large)
     rows, cols, vals = [], [], []
     for w in range(a + 1):
-        inputs = _weight_codes(a, w)
-        for r0, codes, counts in _count_chunks(inputs, a, b, w):
+        runs = _compositions(a - w, w + 1)
+        inputs = _run_codes(runs, a)
+        for r0, codes, counts in _count_chunks(runs, a, b):
             rows.append(np.repeat(inputs[r0:r0 + len(codes)], codes.shape[1]))
             cols.append(codes.ravel())
             vals.append(counts.ravel())
@@ -276,8 +261,7 @@ def _composition_orbits(a: int, b: int, weight: int):
     sum size * n log2 n in that order."""
     runs = _partitions(a - weight, weight + 1)[0]
     outputs = _partitions(b - weight, weight + 1)[2]
-    n = b - a + weight
-    comps = _runs(_ones(_weight_codes(n, weight), n, weight), n)
+    comps = _compositions(b - a, weight + 1)
     keep = ((runs[:, None, 1:] != runs[:, None, :-1]) | (comps[:, :-1] >= comps[:, 1:])).all(axis=2)
     row, col = np.nonzero(keep)
     x, c = runs[row], comps[col]

@@ -5,20 +5,21 @@ cross-checks against the folded weight-class route; the weight classes
 folded over block reversal only, the paper-scale cross-check for the
 run-permutation fold; the run-permutation fold built from every composition
 of every input orbit, the cross-check for the build from composition orbits;
-and the run-length formula for the insertion-position entropy, the
-cross-check for the orbit-based `insertion_capacity_upper`."""
+the compositions by stars and bars, the cross-check for the generated
+composition tables; and the run-length formula for the insertion-position
+entropy, the cross-check for the orbit-based `insertion_capacity_upper`."""
 
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from intermit import Dmc, WeightClass, insertion_counts
-from intermit.insertion import (_BINOM, B_HARD, _check_block_sizes, _count_chunks, _ones,
-                                _partitions, _run_codes, _runs, _weight_codes, _xlog2x)
+from intermit.insertion import (_BINOM, B_HARD, _check_block_sizes, _count_chunks, _partitions,
+                                _run_codes, _xlog2x)
 
 
 def all_blocks(n: int):
@@ -64,6 +65,28 @@ def uniform_insertion_channel(a: int, b: int) -> Dmc:
     return Dmc(insertion_counts(a, b).toarray() / math.comb(b, a))
 
 
+def stars_and_bars(total: int, parts: int):
+    """The compositions of `total` into `parts` nonnegative parts, one per
+    row (int8): the numbers of stars between the parts - 1 bars of each
+    choice of bar places among total + parts - 1, the choices in reverse
+    lexicographic order, which is increasing code order of the blocks with
+    their ones at the bars."""
+    n = total + parts - 1
+    bars = np.fromiter(chain.from_iterable(combinations(range(n), parts - 1)), dtype=np.int8)
+    bars = bars.reshape(math.comb(n, parts - 1), parts - 1)[::-1]
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n)), axis=1) - 1
+
+
+def code_runs(codes, n: int):
+    """Zero runs of the n-bit blocks `codes`, all of one weight, one block
+    per row (int8): the run before each one, then the run after the last."""
+    codes = np.asarray(codes)
+    bits = codes[:, None] >> np.arange(n - 1, -1, -1) & 1  # big-endian, one block per row
+    ones = np.nonzero(bits)[1].reshape(len(codes), -1)
+    return (np.diff(np.pad(ones, ((0, 0), (1, 1)), constant_values=(-1, n)), axis=1) - 1
+            ).astype(np.int8)
+
+
 def weight_blocks(n: int, weight: int):
     """Every weight-`weight` binary n-tuple, in increasing big-endian value."""
     return [x for x in all_blocks(n) if sum(x) == weight]
@@ -91,12 +114,18 @@ def _reversals():
 
 
 @lru_cache(maxsize=None)
+def _bit_counts(n: int):
+    """Hamming weight of every n-bit block code, from int.bit_count."""
+    return np.array([code.bit_count() for code in range(1 << n)])
+
+
+@lru_cache(maxsize=None)
 def _orbits(n: int, weight: int):
     """Reversal orbits of the weight-`weight` n-bit blocks: the codes of their
     representatives (the blocks whose code is at most that of their reversal),
     in increasing order, the orbit sizes (1 for palindromes, else 2) and the
     codes of the representatives' reversals."""
-    codes = _weight_codes(n, weight)
+    codes = np.flatnonzero(_bit_counts(n) == weight)
     rev = _reversals()[codes] >> (B_HARD - n)
     rep = codes <= rev
     codes, rev = codes[rep], rev[rep]
@@ -132,7 +161,7 @@ def reversal_class_channel(a: int, b: int, weight: int, *,
     denom = math.comb(b, a)
     offset = np.empty(nin)
     matrix = np.zeros((nin, nout), order="F")  # the layout blahut_capacity iterates on
-    for r0, codes, counts in _count_chunks(inputs, a, b, weight):
+    for r0, codes, counts in _count_chunks(code_runs(inputs, a), a, b):
         n, m = codes.shape
         key = np.ascontiguousarray(key_of[codes] | counts)
         key.sort(axis=1)  # each row in column order
@@ -164,10 +193,9 @@ def composition_class_channel(a: int, b: int, weight: int, *,
         raise ValueError(f"weight {weight} out of range for block length {a}")
     runs, sizes, inputs = _partitions(a - weight, weight + 1)
     _, out_sizes, outputs = _partitions(b - weight, weight + 1)
-    n = b - a + weight
     # input x and composition c give output y = x + c (one row per input, one
     # column per composition), counted by prod_i C(y_i, x_i)
-    y = runs[:, None] + _runs(_ones(_weight_codes(n, weight), n, weight), n)
+    y = runs[:, None] + stars_and_bars(b - a, weight + 1)
     counts = _BINOM[y, runs[:, None]].prod(axis=2)
     y.sort(axis=2)  # y's orbit is the block with y's runs in non-increasing order
     orbit = np.searchsorted(outputs, _run_codes(y[..., ::-1], b))

@@ -14,10 +14,11 @@ from scipy.special import entr
 
 import intermit.insertion as insertion_mod
 from blahut_oracle import plain_blahut_capacity
-from insertion_oracle import (_orbits, all_blocks, composition_class_channel, count_matrix,
-                              position_entropy, position_entropy_terms, reversal_class_channel,
-                              run_length_upper, run_profile, unfolded_class_channel,
-                              uniform_insertion_channel, weight_blocks)
+from insertion_oracle import (_orbits, all_blocks, code_runs, composition_class_channel,
+                              count_matrix, position_entropy, position_entropy_terms,
+                              reversal_class_channel, run_length_upper, run_profile,
+                              stars_and_bars, unfolded_class_channel, uniform_insertion_channel,
+                              weight_blocks)
 from intermit import (
     Dmc,
     SizeGuardError,
@@ -214,6 +215,42 @@ def test_pinned_reversal_oracle_class_bytes(pair, reversal_digest, composition_d
     assert _class_digest(classes) == reversal_digest
 
 
+def _csr_digest(counts) -> str:
+    """SHA-256 over the dtype, shape and bytes of a CSR matrix's indptr,
+    indices and data, in order."""
+    h = hashlib.sha256()
+    for arr in [counts.indptr, counts.indices, counts.data]:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# full count tables at the hard limit, beyond the b <= 10 the brute-force
+# oracle reaches, pinned byte for byte from the build that decoded every
+# weight-w block code into its zero runs
+PINNED_COUNTS = [
+    (3, "c71597b4538de89a76e5609a8e740aedf9515b820965004d51529183e6cba3b2"),
+    (9, "5d9bb73080ce8235982943b10f03f80f4f7e620d100035947ba032a4fa3cd76f"),
+    (16, "2c72ebe1bf9efa9c9ab1fd560ae9611a9155199274b42592dce323e93b3fe565"),
+]
+
+
+@pytest.mark.parametrize("a, digest", PINNED_COUNTS, ids=[str(a) for a, _ in PINNED_COUNTS])
+def test_pinned_count_bytes(a, digest):
+    assert _csr_digest(insertion_counts(a, 17, allow_large=True)) == digest
+
+
+def test_compositions_match_stars_and_bars():
+    # every table a class build or count build up to b = B_HARD can ask for
+    for n in range(insertion_mod.B_HARD + 1):
+        for parts in range(1, n + 2):
+            comps = insertion_mod._compositions(n + 1 - parts, parts)
+            ref = stars_and_bars(n + 1 - parts, parts)
+            assert comps.dtype == np.int8 and not comps.flags.writeable, (n, parts)
+            assert np.array_equal(comps, ref), (n, parts)
+
+
 @pytest.mark.paper_scale
 def test_class_build_matches_composition_oracle():
     # every class up to b = B_HARD against the build from every composition:
@@ -240,15 +277,16 @@ def test_dense_class_is_column_major():
 
 
 def test_paper_scale_window_memory_bound():
-    # the block weights and run partitions are cached for the process, so
+    # the run compositions and partitions are cached for the process, so
     # they are filled first and the peak counts only the class builds and
     # Blahut-Arimoto runs; numpy reports its buffers to tracemalloc, so the
-    # figure repeats exactly.  It is 1.24 MB with numpy 2.4, set by decoding
-    # the 12 870 composition codes of the (9, 17, 8) class into the positions
-    # of their ones; outputs and counts are built only for the 67 composition
-    # orbits that the class keeps of them
-    insertion_mod._block_weights()
+    # figure repeats exactly.  It is 0.22 MB with numpy 2.4, set by the
+    # boolean temporaries of the keep mask over the 12 870 compositions of
+    # the (9, 17, 8) class; outputs and counts are built only for the 67
+    # composition orbits that the class keeps of them.  The bound leaves a
+    # third for other numpy versions' temporaries
     for w in range(10):
+        insertion_mod._compositions(8, w + 1)
         insertion_mod._partitions(9 - w, w + 1)
         insertion_mod._partitions(17 - w, w + 1)
     tracemalloc.start()
@@ -257,7 +295,7 @@ def test_paper_scale_window_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+    assert peak < 3e5
 
 
 def _orbit_code(x) -> int:
@@ -339,8 +377,7 @@ def test_offset_rounding_is_within_the_capacity_margin():
                     continue
                 cls = weight_class_channel(a, b, w, allow_large=True)
                 ref = reversal_class_channel(a, b, w, allow_large=True)
-                runs = np.sort(insertion_mod._runs(insertion_mod._ones(ref.inputs, a, w), a),
-                               axis=1)
+                runs = np.sort(code_runs(ref.inputs, a), axis=1)
                 codes = insertion_mod._run_codes(runs[:, ::-1], a)  # each block's orbit
                 orbit = np.searchsorted(cls.inputs, codes)
                 assert np.array_equal(cls.inputs[orbit], codes), (a, b, w)
@@ -503,12 +540,19 @@ def test_upper_bound_matches_run_length_oracle():
 
 
 def test_size_guards():
-    with pytest.raises(SizeGuardError):
+    # the desk guard names the hard limit that the opt-in lifts it to
+    desk, hard = insertion_mod.B_DESK, insertion_mod.B_HARD
+    hint = rf"limit {desk} \(pass allow_large=True for b up to {hard}\)$"
+    with pytest.raises(SizeGuardError, match=hint):
         insertion_capacity(2, 13)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=hint):
         insertion_loss(5, 14)
+    # from the module constant, not a copy of its value
+    with mock.patch.object(insertion_mod, "B_HARD", 16):
+        with pytest.raises(SizeGuardError, match=r"b up to 16\)$"):
+            insertion_capacity(2, 13)
     # explicit opt-in lifts the desk guard but not the hard one
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=f"limit {hard}$"):
         insertion_capacity(2, 18, allow_large=True)
 
 
